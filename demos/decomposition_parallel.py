@@ -50,8 +50,7 @@ print(f"timings: split {par.metrics.split_time * 1000:.1f}ms, "
 
 # The folded form trades the cartesian unfolding for one view-style rule.
 print("\nfolded non-recursive Datalog (component rules + reconciliation):")
-folded = to_datalog([r.queries for r in par.component_results],
-                    par.decomposition.reconciliation)
+folded = to_datalog(par.component_ucqs, par.decomposition.reconciliation)
 rules = folded.strip().splitlines()
 for line in rules[:4]:
     print("  ", line)

@@ -3,7 +3,7 @@
 The package compiles a conjunctive query posed against an ontology of
 existential rules (plus negative constraints and functional dependencies)
 into a union of conjunctive queries that evaluates directly over the
-extensional database, with query elimination, decomposition-based parallel
+extensional database, with query elimination, decomposition-based
 rewriting, subsumption pruning, and a bounded-chase oracle for verification.
 """
 

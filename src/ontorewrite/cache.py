@@ -1,11 +1,16 @@
 """A small thread-safe LRU map used for the MGU, canonical-renaming and
-query-elimination caches.  Lookups and inserts may interleave across rewriter
-workers; a stale miss only costs a recomputation."""
+query-elimination caches.  Lookups and inserts may interleave across threads
+that share one rewriter context; a stale miss only costs a recomputation."""
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+
+# Capacities, in entries, of the rewriter's caches.
+MGU_CACHE_SIZE = 4500
+RENAME_CACHE_SIZE = 55000
+ELIM_CACHE_SIZE = 2000
 
 
 class LRUCache:
@@ -26,8 +31,6 @@ class LRUCache:
             return default
 
     def put(self, key, value):
-        if self.capacity <= 0:
-            return
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)

@@ -8,15 +8,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import Atom, CONST, ConjunctiveQuery, NULL, Term, VAR
+from .normalize import _as_raw
 from .parser import FunctionalDependency, NegativeConstraint, RawTGD
 
 NEQ_PRED = "neq"
-
-
-def _as_raw(rule) -> RawTGD:
-    if isinstance(rule, RawTGD):
-        return rule
-    return RawTGD(rule.body, (rule.head,))
 
 
 @dataclass
@@ -237,18 +232,22 @@ def materialize_neq(db: Iterable[Atom]) -> List[Atom]:
 
 
 def fd_violations(fds: Iterable[FunctionalDependency], db: Iterable[Atom]) -> List[tuple]:
-    """Direct FD verification by scanning atom pairs (test oracle)."""
-    facts = list(db)
+    """Every ordered pair of facts that agree on the FD's left-hand side and
+    differ on its right, in database order; facts are grouped by their
+    left-hand projection, so only pairs inside a group are compared."""
     by_pred: Dict[str, List[Atom]] = {}
-    for a in facts:
+    for a in db:
         by_pred.setdefault(a.pred, []).append(a)
     bad = []
     for fd in fds:
-        for a in by_pred.get(fd.pred, ()):
-            for b in by_pred.get(fd.pred, ()):
-                if a is b:
-                    continue
-                if all(a.args[i - 1] == b.args[i - 1] for i in fd.lhs) and \
-                        any(a.args[j - 1] != b.args[j - 1] for j in fd.rhs):
+        facts = by_pred.get(fd.pred, ())
+        keys = [tuple(a.args[i - 1] for i in fd.lhs) for a in facts]
+        groups: Dict[tuple, List[Atom]] = {}
+        for a, key in zip(facts, keys):
+            groups.setdefault(key, []).append(a)
+        for a, key in zip(facts, keys):
+            for b in groups[key]:
+                if a is not b and any(a.args[j - 1] != b.args[j - 1]
+                                      for j in fd.rhs):
                     bad.append((fd, a, b))
     return bad

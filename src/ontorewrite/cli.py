@@ -53,10 +53,8 @@ def _load_query(path: str, arities: dict) -> ConjunctiveQuery:
 
 def _context(doc, args) -> RewriterContext:
     tgds, _, aux = normalize_tgds(doc.tgds)
-    return RewriterContext(
-        tgds, aux, doc.arities,
-        mgu_cache_size=args.mgu_cache, rename_cache_size=args.rename_cache,
-        elim_cache_size=args.elim_cache, max_path_length=args.max_path_length)
+    return RewriterContext(tgds, aux, doc.arities,
+                           max_path_length=args.max_path_length)
 
 
 def _rewrite_options(args) -> RewriteOptions:
@@ -78,18 +76,17 @@ def cmd_rewrite(args) -> int:
                 "linear, multi-linear nor sticky; rerun with --budget")
 
     options = _rewrite_options(args)
+    datalog_rules = presult = None
     if args.no_parallel:
         result = xrewrite(query, ctx, options)
         queries = result.queries
         if options.subsumption == "tail":
             queries = prune_ucq(queries)
         metrics = result.metrics
-        decomposition = None
     else:
-        presult = xrewrite_parallel(query, ctx, options, jobs=args.jobs)
+        presult = xrewrite_parallel(query, ctx, options)
         queries = presult.queries
         metrics = presult.metrics
-        decomposition = presult.decomposition
 
     if args.database is not None:
         code = _check_and_evaluate(args, doc, ctx, queries)
@@ -98,11 +95,13 @@ def cmd_rewrite(args) -> int:
     elif args.output == "ucq":
         sys.stdout.write(emit.serialize_ucq(queries))
     elif args.output == "datalog":
-        if decomposition is None:
+        if presult is None:
             raise InputError("--output=datalog requires the parallel pipeline "
                              "(drop --no-parallel)")
-        comp_ucqs = [r.queries for r in presult.component_results]
-        sys.stdout.write(emit.to_datalog(comp_ucqs, decomposition.reconciliation))
+        comp_ucqs = presult.component_ucqs
+        datalog_rules = sum(len(u) for u in comp_ucqs) + 1
+        sys.stdout.write(emit.to_datalog(comp_ucqs,
+                                         presult.decomposition.reconciliation))
     elif args.output == "sql":
         if args.mapping is None:
             raise InputError("--output=sql requires --mapping")
@@ -110,21 +109,20 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
     if args.stats:
-        sys.stdout.write(emit.stats_report(queries, metrics) + "\n")
+        sys.stdout.write(emit.stats_report(queries, metrics,
+                                           datalog_rules=datalog_rules) + "\n")
     return OK
 
 
 def _check_and_evaluate(args, doc, ctx, queries) -> int:
     db = parse_ontology(_read(args.database)).facts
+    for a in db:
+        if len(a.args) != doc.arities.get(a.pred, len(a.args)):
+            raise InputError(f"database fact {a} does not have the ontology's "
+                             f"arity {doc.arities[a.pred]} for {a.pred}")
 
-    violations = []
-    if doc.fds:
-        extended = list(db) + chase_mod.materialize_neq(db)
-        fd_hit = any(chase_mod.evaluate_cq(q, extended)
-                     for q in chase_mod.fd_check_queries(doc.fds, doc.arities))
-        if fd_hit:
-            for fd, a, b in chase_mod.fd_violations(doc.fds, db):
-                violations.append(f"fd violated: {fd} witness {a}, {b}")
+    violations = [f"fd violated: {fd} witness {a}, {b}"
+                  for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
         rewritten = xrewrite(check, ctx, RewriteOptions(elimination=False)).queries
         if chase_mod.evaluate_ucq(rewritten, db):
@@ -211,8 +209,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     rw.add_argument("--no-parallel", action="store_true")
     rw.add_argument("--guarantee-termination", action="store_true")
     rw.add_argument("--budget", type=int)
-    rw.add_argument("--jobs", type=int)
     rw.add_argument("--stats", action="store_true")
+    rw.add_argument("--max-path-length", type=int)
     rw.set_defaults(func=cmd_rewrite)
 
     cl = sub.add_parser("classify", help="classify the rule set")
@@ -227,6 +225,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     gr = sub.add_parser("graph", help="dump propagation and cover graphs")
     gr.add_argument("--ontology", required=True)
+    gr.add_argument("--max-path-length", type=int)
     gr.set_defaults(func=cmd_graph)
 
     ev = sub.add_parser("eval", help="certain answers via the chase oracle")
@@ -235,12 +234,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ev.add_argument("--database")
     ev.add_argument("--steps", type=int, default=1000)
     ev.set_defaults(func=cmd_eval)
-
-    for p in (rw, cl, ch, gr, ev):
-        p.add_argument("--mgu-cache", type=int, default=4500)
-        p.add_argument("--rename-cache", type=int, default=55000)
-        p.add_argument("--elim-cache", type=int, default=2000)
-        p.add_argument("--max-path-length", type=int)
 
     return parser
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .cache import LRUCache
+from .cache import ELIM_CACHE_SIZE, LRUCache
 from .graphs import (Position, atom_maps_onto, atom_matches_injectively,
                      build_cover_graph, is_compatible)
 from .model import Atom, ConjunctiveQuery, TGD, VAR, make_query, ordered_body
@@ -28,13 +28,13 @@ class EliminationContext:
     reachability used for atoms without shared terms, and the reduction cache."""
 
     def __init__(self, tgds: List[TGD], arities: Optional[dict] = None,
-                 max_path_length: Optional[int] = None, cache_size: int = 2000):
+                 max_path_length: Optional[int] = None):
         for t in tgds:
             if len(t.body) != 1:
                 raise ValueError("query elimination requires linear rules")
         self.tgds = tgds
         self.cover_graph = build_cover_graph(tgds, arities, max_path_length)
-        self.cache = LRUCache(cache_size)
+        self.cache = LRUCache(ELIM_CACHE_SIZE)
         self._tight_next: Optional[Dict[int, List[int]]] = None
 
     def _tight_graph(self) -> Dict[int, List[int]]:

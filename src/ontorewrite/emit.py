@@ -80,15 +80,24 @@ def _cq_to_select(q: ConjunctiveQuery, mapping: SchemaMapping) -> str:
     return sql
 
 
+# Most SELECTs in one flat UNION: sqlite3 rejects a compound of more than 500.
+SQL_UNION_CHUNK = 500
+
+
 def to_sql(queries: List[ConjunctiveQuery], mapping: SchemaMapping) -> str:
     """One SELECT block per disjunct joined by UNION; tables aliased t1, t2,
     ... in body order, WHERE equating columns that share a variable and
-    pinning constants.  A zero-ary head emits the existence form
-    SELECT 1 ... LIMIT 1 over the whole union."""
+    pinning constants; past SQL_UNION_CHUNK blocks, the UNION of chunks that
+    size, each wrapped as SELECT * FROM (...) AS u1, u2, ....  A zero-ary
+    head emits the existence form SELECT 1 ... LIMIT 1 over the whole union."""
     if not queries:
         raise ValueError("empty rewriting")
     mapping.check(queries)
-    sql = "\nUNION\n".join(_cq_to_select(q, mapping) for q in queries)
+    selects = [_cq_to_select(q, mapping) for q in queries]
+    chunks = ["\nUNION\n".join(selects[i:i + SQL_UNION_CHUNK])
+              for i in range(0, len(selects), SQL_UNION_CHUNK)]
+    sql = chunks[0] if len(chunks) == 1 else "\nUNION\n".join(
+        f"SELECT * FROM (\n{c}\n) AS u{i}" for i, c in enumerate(chunks, 1))
     if not queries[0].head_args:
         sql += "\nLIMIT 1"
     return sql

@@ -1,8 +1,8 @@
 """Core symbolic algebra: terms, atoms, conjunctive queries, rules,
 substitutions, unification, homomorphism search and canonical renaming.
 
-Everything here is immutable and safely shareable across threads; all
-operations are pure functions.
+Everything here is immutable and every operation is a pure function, so
+values may be shared freely, also between threads.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Decomposition-based parallel rewriting: split the query on existential
-joins, rewrite components independently, reconcile with a Datalog rule and
-unfold back into a UCQ."""
+"""Decomposition-based rewriting: split the query on existential joins,
+rewrite each component independently, one after another, reconcile with a
+Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
+space; the components share the rewriter context and its caches."""
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -159,13 +159,13 @@ class ParallelResult:
     metrics: Metrics
     decomposition: Decomposition
     component_results: List[RewriteResult]
+    component_ucqs: List[List[ConjunctiveQuery]]  # what unfold consumed
 
 
 def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
-                      options: Optional[RewriteOptions] = None,
-                      jobs: Optional[int] = None) -> ParallelResult:
-    """Decompose, rewrite each component concurrently with an independent
-    rewriter sharing the immutable graphs and caches, then unfold.  The
+                      options: Optional[RewriteOptions] = None) -> ParallelResult:
+    """Decompose, rewrite each component in turn with an independent
+    rewriter sharing the context's graphs and caches, then unfold.  The
     query is reduced before decomposition when elimination applies."""
     options = options or RewriteOptions()
     eliminating = options.elimination
@@ -183,17 +183,8 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
         record_produced=options.record_produced)
 
     rewrite_start = time.perf_counter()
-    workers = len(decomposition.component_queries)
-    if jobs is not None:
-        workers = max(1, min(workers, jobs))
-    if workers == 1:
-        component_results = [xrewrite(cq, ctx, comp_options)
-                             for cq in decomposition.component_queries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            component_results = list(pool.map(
-                lambda cq: xrewrite(cq, ctx, comp_options),
-                decomposition.component_queries))
+    component_results = [xrewrite(cq, ctx, comp_options)
+                         for cq in decomposition.component_queries]
     rewrite_time = time.perf_counter() - rewrite_start
 
     component_ucqs = [r.queries for r in component_results]
@@ -216,4 +207,5 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     metrics.rewrite_time = rewrite_time
     metrics.unfold_time = unfold_time
     metrics.components = decomposition.size
-    return ParallelResult(queries, metrics, decomposition, component_results)
+    return ParallelResult(queries, metrics, decomposition, component_results,
+                          component_ucqs)

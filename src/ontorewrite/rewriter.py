@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .cache import LRUCache
+from .cache import MGU_CACHE_SIZE, RENAME_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, VAR, canonical_rename,
@@ -53,25 +53,19 @@ class Metrics:
 
 
 class RewriterContext:
-    """Shared state for one ontology: normalized rules, the head-predicate
-    rule index, caches, and lazily built elimination/affected structures.
-    Immutable once built; safe to share across rewriter workers."""
+    """Shared state for one ontology: normalized rules, the MGU and renaming
+    caches, and lazily built elimination/affected structures.  Callers may
+    share one across threads: caches and lazy parts are guarded by locks."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None,
-                 mgu_cache_size: int = 4500, rename_cache_size: int = 55000,
-                 elim_cache_size: int = 2000,
                  max_path_length: Optional[int] = None):
         self.tgds = list(tgds)
         self.aux_preds = frozenset(aux_preds)
         self.arities = dict(arities or {})
         self.linear = is_linear(self.tgds)
-        self.tgd_index: Dict[str, List[int]] = {}
-        for k, t in enumerate(self.tgds):
-            self.tgd_index.setdefault(t.head.pred, []).append(k)
-        self.mgu_cache = LRUCache(mgu_cache_size)
-        self.rename_cache = LRUCache(rename_cache_size)
-        self._elim_cache_size = elim_cache_size
+        self.mgu_cache = LRUCache(MGU_CACHE_SIZE)
+        self.rename_cache = LRUCache(RENAME_CACHE_SIZE)
         self._max_path_length = max_path_length
         self._elim: Optional[EliminationContext] = None
         self._affected = None
@@ -97,8 +91,7 @@ class RewriterContext:
         with self._lock:
             if self._elim is None:
                 self._elim = EliminationContext(
-                    self.tgds, self.arities, self._max_path_length,
-                    self._elim_cache_size)
+                    self.tgds, self.arities, self._max_path_length)
             return self._elim
 
     def affected(self):
@@ -115,10 +108,9 @@ class RewriterContext:
 # Applicability and factorizability.
 
 
-def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
-    """The rule can resolve against S: S plus the rule head unifies, and no
-    atom of S carries a constant or a shared variable of q at the rule's
-    existential position."""
+def _existential_free(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
+    """`applicable` short of unification: S matches the rule head and carries
+    no constant or shared variable of q at the rule's existential position."""
     if not S:
         return False
     head = tgd.head
@@ -131,6 +123,15 @@ def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
             t = a.args[epos - 1]
             if t.kind != VAR or t in shared:
                 return False
+    return True
+
+
+def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
+    """The rule can resolve against S: S plus the rule head unifies, and no
+    atom of S carries a constant or a shared variable of q at the rule's
+    existential position."""
+    if not _existential_free(tgd, S, q):
+        return False
     renamed = tgd.rename(0)  # step counter starts at 1, so ^0 never collides
     return mgu(tuple(S) + (renamed.head,)) is not None
 
@@ -161,14 +162,14 @@ def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
 
 def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
                  preferred: FrozenSet = frozenset(),
-                 ctx: Optional[RewriterContext] = None) -> ConjunctiveQuery:
+                 ctx: Optional[RewriterContext] = None) -> Optional[ConjunctiveQuery]:
     """Replace S with the body of the rule renamed by the step counter and
-    apply the most general unifier of S and the renamed head throughout."""
+    apply the mgu of S and the renamed head throughout; None if there is none."""
     renamed = tgd.rename(step)
     atoms = tuple(S) + (renamed.head,)
     gamma = ctx.unify(atoms, preferred) if ctx else mgu(atoms, preferred)
     if gamma is None:
-        raise ValueError("rewrite_step requires an applicable rule")
+        return None
     removed = set(S)
     new_body = [a for a in q.body if a not in removed]
     new_body.extend(renamed.body)
@@ -354,21 +355,22 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
             # rewriting step (single-atom resolution; factorization below
             # prepares any multi-atom unification that matters)
             for a in cur.body:
-                if a.pred != tgd.head.pred:
-                    continue
                 S = (a,)
-                if applicable(tgd, S, cur):
-                    state.step += 1
-                    out = rewrite_step(cur, S, tgd, state.step, preferred, ctx)
-                    state.metrics.generated += 1
-                    if options.record_produced:
-                        state.produced.append(out)
-                    if elim:
-                        out = reduce_query(out, elim)
-                    if options.budget is not None and state.metrics.generated > options.budget:
-                        raise BudgetExhaustedError(
-                            f"rewriting exceeded the step budget of {options.budget}")
-                    state.admit(out, "r", entry)
+                if not _existential_free(tgd, S, cur):
+                    continue
+                out = rewrite_step(cur, S, tgd, state.step + 1, preferred, ctx)
+                if out is None:
+                    continue
+                state.step += 1
+                state.metrics.generated += 1
+                if options.record_produced:
+                    state.produced.append(out)
+                if elim:
+                    out = reduce_query(out, elim)
+                if options.budget is not None and state.metrics.generated > options.budget:
+                    raise BudgetExhaustedError(
+                        f"rewriting exceeded the step budget of {options.budget}")
+                state.admit(out, "r", entry)
             # factorization step
             for S in _enumerate_factorizable(cur, tgd):
                 if factorizable(S, tgd, cur):

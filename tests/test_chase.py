@@ -147,6 +147,20 @@ def test_fd_check_agrees_with_direct_scan():
         assert via_query == via_scan
 
 
+def test_fd_violations_lists_every_pair_in_database_order():
+    from conftest import random_database
+    rng = random.Random(56)
+    fd_doc = parse_ontology("p4(a,b,c).  p3(a,b).  fd p4: 1 -> 2,3.  fd p3: 2 -> 1.")
+    for _ in range(40):
+        db = random_database(rng, max_facts=12)
+        pairs = [(fd, a, b) for fd in fd_doc.fds
+                 for a in db if a.pred == fd.pred
+                 for b in db if b.pred == fd.pred and a is not b
+                 and all(a.args[i - 1] == b.args[i - 1] for i in fd.lhs)
+                 and any(a.args[j - 1] != b.args[j - 1] for j in fd.rhs)]
+        assert fd_violations(fd_doc.fds, db) == pairs
+
+
 def test_chase_universality_smoke():
     doc = parse_ontology("p(X,Y,Z) -> s(Y,X).  s(X,Y) -> p(Y,Z,W).  p(a,b,c).")
     q = parse_query("q(A) :- p(A, B, C).", dict(doc.arities))

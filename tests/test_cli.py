@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -75,6 +76,30 @@ def test_rewrite_fd_violation_exits_one(files, capsys):
     assert "fd violated" in err
 
 
+def test_rewrite_database_arity_mismatch_is_input_error(files, capsys):
+    onto = files("o.dlog", "fatherOf(a,b).\nfd fatherOf: 2 -> 1.\n")
+    qf = files("q.dlog", "p(A) :- fatherOf(A, B).\n")
+    db = files("d.dlog", "fatherOf(a).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert code == 2
+    assert "arity 2" in err
+
+
+def test_rewrite_fd_check_is_linear_in_the_database(files, capsys):
+    onto = files("o.dlog", "fatherOf(a0,b0).\nfd fatherOf: 1 -> 2.\n")
+    qf = files("q.dlog", "p(A) :- fatherOf(A, B).\n")
+    facts = " ".join(f"fatherOf(a{i}, b{i})." for i in range(2000))
+    db = files("d.dlog", facts + "\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert len(out.splitlines()) == 2000
+    assert elapsed < 1.0, f"2,000 facts with one FD took {elapsed:.2f}s"
+
+
 def test_rewrite_budget_exhausted_exits_three(files, capsys):
     onto = files("fin.dlog", FINANCIAL)
     qf = files("q.dlog", f"? {FINANCIAL_QUERY}\n")
@@ -113,6 +138,20 @@ def test_rewrite_datalog_output(files, capsys):
                                    "--output", "datalog"])
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("p(A, B, C) :-")
+
+
+def test_rewrite_datalog_output_honours_idec(files, capsys):
+    onto = files("o.dlog", "p2(X,Y) -> p2(Y,X).\np3(a,Z) -> p2(Z,W).\n"
+                           "p3(Y,c) -> p3(Y,Y).\np3(X,X) -> p3(W,X).\n")
+    qf = files("q.dlog", "q(A) :- p1(d), p3(B,c), p3(c,A).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--subsumption", "idec", "--output", "datalog",
+                                   "--stats"])
+    assert code == 0
+    rules = [ln for ln in out.splitlines() if ":-" in ln]
+    assert [ln.split("(")[0] for ln in rules] == \
+        ["comp_1", "comp_2", "comp_3", "q"]
+    assert "size=4" in out  # three component rules plus the reconciliation
 
 
 def test_guarantee_termination_refuses_unclassified(files, capsys):

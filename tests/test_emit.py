@@ -107,6 +107,33 @@ def test_sql_agreement_on_random_instances():
         assert got == want, (rules, q, db, sql)
 
 
+def test_sql_size_law_beyond_sqlite_compound_limit():
+    # 1,024 disjuncts: more than the 500 terms sqlite3 takes in one compound
+    m, n = 3, 5
+    doc, tgds, ctx = pipeline("\n".join(f"p_{i}(X) -> p_0(X)."
+                                        for i in range(1, m + 1)))
+    head = ", ".join(f"A{j}" for j in range(1, n + 1))
+    body = ", ".join(f"p_0(A{j})" for j in range(1, n + 1))
+    preds = [f"p_{i}" for i in range(m + 1)]
+    mapping = SchemaMapping.identity({p: 1 for p in preds})
+    db = parse_ontology("p_0(k4). p_1(k1). p_1(k5). p_2(k2). p_3(k3).").facts
+    rows = {}
+    for f in db:
+        rows.setdefault(f.pred, []).append((f.args[0].name,))
+    ground = ", ".join(f"p_0(k{j})" for j in range(1, n + 1))
+    for text in (f"p({head}) :- {body}.", f"p() :- {ground}."):
+        q = query(text, doc)
+        queries = ow.xrewrite_parallel(q, ctx).queries
+        assert len(queries) == (m + 1) ** n
+        sql = to_sql(queries, mapping)
+        assert sql.endswith("\nLIMIT 1") == (not q.head_args)
+        got = _run_sql(sql, {p: ["c1"] for p in preds}, rows)
+        want = {tuple(t.name for t in ans) for ans in evaluate_ucq(queries, db)}
+        if not q.head_args:
+            want = {(1,)} if want else set()
+        assert got == want and got
+
+
 def test_count_joins_examples():
     single = make_query("p", [A], [atom("project", A)])
     assert count_joins(single) == 0

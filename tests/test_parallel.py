@@ -124,7 +124,14 @@ def test_parallel_equivalence_random():
         assert canon_set(seq.queries) == canon_set(par.queries), (rules, q)
 
 
-def test_parallel_jobs_cap():
+def test_parallel_financial_without_elimination():
     doc, tgds, ctx, q = pipeline_financial()
-    res = xrewrite_parallel(q, ctx, RewriteOptions(elimination=False), jobs=1)
+    res = xrewrite_parallel(q, ctx, RewriteOptions(elimination=False))
     assert len(res.queries) == 60
+    assert len(canon_set(res.queries)) == 60
+    assert res.metrics.components == 4
+    # without idec, unfold consumed the component rewritings as they came
+    assert res.component_ucqs == [r.queries for r in res.component_results]
+    assert canon_set(unfold(res.component_ucqs,
+                            res.decomposition.reconciliation)) == \
+        canon_set(res.queries)

@@ -5,8 +5,8 @@ import pytest
 import ontorewrite as ow
 from ontorewrite.model import atom, const, make_query, var
 from ontorewrite.rewriter import (BudgetExhaustedError, RewriteOptions,
-                                  applicable, factorizable, factorize_step,
-                                  rewrite_step, xrewrite)
+                                  _existential_free, applicable, factorizable,
+                                  factorize_step, rewrite_step, xrewrite)
 
 from conftest import canon_set, pipeline, query
 
@@ -32,6 +32,32 @@ def test_applicable_blocks_shared_variable_at_existential_position():
     doc, tgds, ctx = pipeline(COLLAB)
     q = query("p(B) :- hasCollaborator(B, db, B).", doc)
     assert not applicable(tgds[0], (q.body[0],), q)
+
+
+def test_rewrite_step_unifies_exactly_when_applicable_random():
+    # The loop screens the existential position, then lets rewrite_step
+    # unify; together they must decide what applicable decides.
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    rng = random.Random(7)
+    outcomes = {"resolved": 0, "screened": 0, "no_unifier": 0}
+    for i in range(400):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        ctx = rules_context(rules)
+        q = random_query(rng, pool=QUERY_POOL)
+        preferred = frozenset(q.variables())
+        for tgd in ctx.tgds:
+            for a in q.body:
+                S = (a,)
+                out = rewrite_step(q, S, tgd, 1, preferred, ctx)
+                if not _existential_free(tgd, S, q):
+                    assert not applicable(tgd, S, q)
+                    outcomes["screened"] += out is not None
+                    continue
+                assert applicable(tgd, S, q) == (out is not None), (tgd, a, q)
+                outcomes["resolved" if out is not None else "no_unifier"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_factorizable_verdicts():

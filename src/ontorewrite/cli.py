@@ -16,10 +16,9 @@ from .graphs import (build_cover_graph, build_propagation_graph,
 from .model import ConjunctiveQuery
 from .normalize import classify, normalize_tgds, smark
 from .parser import ParseError, parse_ontology, parse_query
-from .rewriter import (BudgetExhaustedError, RewriteOptions, RewriterContext,
-                       xrewrite)
+from .rewriter import (SUBSUMPTION_MODES, BudgetExhaustedError,
+                       RewriteOptions, RewriterContext, xrewrite)
 from .parallel import xrewrite_parallel
-from .subsume import prune_ucq
 
 OK, CONSTRAINT_VIOLATION, INPUT_ERROR, BUDGET_EXHAUSTED = 0, 1, 2, 3
 
@@ -51,6 +50,17 @@ def _load_query(path: str, arities: dict) -> ConjunctiveQuery:
         return doc.queries[0]
 
 
+def _load_database(path: str, doc) -> list:
+    """The facts of a database file, each with the ontology's arity for its
+    predicate (a predicate the ontology does not mention takes any arity)."""
+    db = parse_ontology(_read(path)).facts
+    for a in db:
+        if len(a.args) != doc.arities.get(a.pred, len(a.args)):
+            raise InputError(f"database fact {a} does not have the ontology's "
+                             f"arity {doc.arities[a.pred]} for {a.pred}")
+    return db
+
+
 def _context(doc, args) -> RewriterContext:
     tgds, _, aux = normalize_tgds(doc.tgds)
     return RewriterContext(tgds, aux, doc.arities,
@@ -76,12 +86,10 @@ def cmd_rewrite(args) -> int:
                 "linear, multi-linear nor sticky; rerun with --budget")
 
     options = _rewrite_options(args)
-    datalog_rules = presult = None
+    presult = None
     if args.no_parallel:
         result = xrewrite(query, ctx, options)
         queries = result.queries
-        if options.subsumption == "tail":
-            queries = prune_ucq(queries)
         metrics = result.metrics
     else:
         presult = xrewrite_parallel(query, ctx, options)
@@ -99,9 +107,10 @@ def cmd_rewrite(args) -> int:
             raise InputError("--output=datalog requires the parallel pipeline "
                              "(drop --no-parallel)")
         comp_ucqs = presult.component_ucqs
-        datalog_rules = sum(len(u) for u in comp_ucqs) + 1
-        sys.stdout.write(emit.to_datalog(comp_ucqs,
-                                         presult.decomposition.reconciliation))
+        reconciliation = presult.decomposition.reconciliation
+        sys.stdout.write(emit.to_datalog(comp_ucqs, reconciliation))
+        # --stats then describes the printed rules, not the unfolded UCQ
+        queries = [q for u in comp_ucqs for q in u] + [reconciliation]
     elif args.output == "sql":
         if args.mapping is None:
             raise InputError("--output=sql requires --mapping")
@@ -109,18 +118,12 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
     if args.stats:
-        sys.stdout.write(emit.stats_report(queries, metrics,
-                                           datalog_rules=datalog_rules) + "\n")
+        sys.stdout.write(emit.stats_report(queries, metrics) + "\n")
     return OK
 
 
 def _check_and_evaluate(args, doc, ctx, queries) -> int:
-    db = parse_ontology(_read(args.database)).facts
-    for a in db:
-        if len(a.args) != doc.arities.get(a.pred, len(a.args)):
-            raise InputError(f"database fact {a} does not have the ontology's "
-                             f"arity {doc.arities[a.pred]} for {a.pred}")
-
+    db = _load_database(args.database, doc)
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
@@ -158,7 +161,7 @@ def cmd_classify(args) -> int:
 
 def cmd_chase(args) -> int:
     doc = _load_ontology(args.ontology)
-    db = parse_ontology(_read(args.database)).facts if args.database else doc.facts
+    db = _load_database(args.database, doc) if args.database else doc.facts
     instance = chase_mod.chase_up_to(db, doc.tgds, args.steps)
     for a in sorted(instance.atoms):
         sys.stdout.write(f"{a}.\n")
@@ -182,7 +185,7 @@ def cmd_graph(args) -> int:
 def cmd_eval(args) -> int:
     doc = _load_ontology(args.ontology)
     query = _load_query(args.query, dict(doc.arities))
-    db = parse_ontology(_read(args.database)).facts if args.database else doc.facts
+    db = _load_database(args.database, doc) if args.database else doc.facts
     answers, saturated = chase_mod.certain_answers(query, db, doc.tgds, args.steps)
     for t in sorted(answers):
         sys.stdout.write("(" + ", ".join(term.name for term in t) + ")\n")
@@ -203,8 +206,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     rw.add_argument("--database")
     rw.add_argument("--mapping", help="JSON schema mapping for SQL output")
     rw.add_argument("--output", choices=("ucq", "datalog", "sql"), default="ucq")
-    rw.add_argument("--subsumption", choices=("none", "tail", "idec", "irew"),
-                    default="none")
+    rw.add_argument("--subsumption", choices=SUBSUMPTION_MODES, default="none")
     rw.add_argument("--no-elimination", action="store_true")
     rw.add_argument("--no-parallel", action="store_true")
     rw.add_argument("--guarantee-termination", action="store_true")

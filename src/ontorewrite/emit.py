@@ -3,7 +3,7 @@ ANSI SQL, plus the size/atoms/joins metrics report."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .model import CONST, ConjunctiveQuery, Term, VAR
 from .parser import format_query
@@ -142,11 +142,11 @@ def count_joins_total(queries: Iterable[ConjunctiveQuery]) -> int:
     return sum(count_joins(q) for q in queries)
 
 
-def stats_report(queries: List[ConjunctiveQuery], metrics,
-                 datalog_rules: Optional[int] = None) -> str:
-    size = datalog_rules if datalog_rules is not None else len(queries)
+def stats_report(queries: List[ConjunctiveQuery], metrics) -> str:
+    """Size, atom and join counts of the given queries or rules, then the
+    run's counters and timers, pretty and as key=value lines."""
     rows = [
-        ("size", size),
+        ("size", len(queries)),
         ("atoms", count_atoms(queries)),
         ("joins", count_joins_total(queries)),
         ("explored", metrics.explored),

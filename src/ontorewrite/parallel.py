@@ -1,7 +1,11 @@
 """Decomposition-based rewriting: split the query on existential joins,
 rewrite each component independently, one after another, reconcile with a
 Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
-space; the components share the rewriter context and its caches."""
+space; the components share the rewriter context and its caches.
+
+Components are rewritten without subsumption.  `idec` and `irew` prune each
+component's finished rewriting before unfolding; `tail` prunes the unfolded
+UCQ."""
 
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from .model import (Atom, ConjunctiveQuery, Term, VAR, make_query, mgu,
                     subst_atom)
 from .rewriter import (Metrics, RewriteOptions, RewriteResult, RewriterContext,
                        xrewrite)
+from . import subsume
 
 
 @dataclass
@@ -177,10 +182,8 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     decomposition = decompose(base, ctx)
     split_time = time.perf_counter() - split_start
 
-    comp_options = RewriteOptions(
-        elimination=options.elimination, budget=options.budget,
-        subsumption="irew" if options.subsumption == "irew" else "none",
-        record_produced=options.record_produced)
+    comp_options = RewriteOptions(elimination=options.elimination,
+                                  budget=options.budget)
 
     rewrite_start = time.perf_counter()
     component_results = [xrewrite(cq, ctx, comp_options)
@@ -188,17 +191,15 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     rewrite_time = time.perf_counter() - rewrite_start
 
     component_ucqs = [r.queries for r in component_results]
-    if options.subsumption == "idec":
-        from .subsume import prune_ucq
-        component_ucqs = [prune_ucq(u) for u in component_ucqs]
+    if options.subsumption in ("idec", "irew"):
+        component_ucqs = [subsume.prune_ucq(u) for u in component_ucqs]
 
     unfold_start = time.perf_counter()
     queries = unfold(component_ucqs, decomposition.reconciliation, ctx)
     unfold_time = time.perf_counter() - unfold_start
 
     if options.subsumption == "tail":
-        from .subsume import prune_ucq
-        queries = prune_ucq(queries)
+        queries = subsume.prune_ucq(queries)
 
     metrics = Metrics()
     for r in component_results:

@@ -4,7 +4,9 @@ provenance, caches and metrics.
 
 Queries are labeled r/f by the step that produced them (the input query is r)
 and explored/unexplored; the final rewriting collects the explored r-labeled
-queries whose bodies mention no auxiliary normalization predicate.
+queries whose bodies mention no auxiliary normalization predicate.  The loop
+prunes nothing: a subsumption mode other than `none` prunes the finished
+rewriting once (`subsume.prune_tail_state`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from . import subsume
 from .cache import MGU_CACHE_SIZE, RENAME_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
@@ -28,12 +31,19 @@ class BudgetExhaustedError(RuntimeError):
     pass
 
 
+SUBSUMPTION_MODES = ("none", "tail", "idec", "irew")
+
+
 @dataclass
 class RewriteOptions:
     elimination: Optional[bool] = None  # None: enabled iff the rule set is linear
-    subsumption: str = "none"  # none | tail | idec | irew
+    subsumption: str = "none"  # one of SUBSUMPTION_MODES
     budget: Optional[int] = None
-    record_produced: bool = False
+
+    def __post_init__(self):
+        if self.subsumption not in SUBSUMPTION_MODES:
+            raise ValueError(f"unknown subsumption mode {self.subsumption!r}; "
+                             f"expected one of {', '.join(SUBSUMPTION_MODES)}")
 
 
 @dataclass
@@ -201,24 +211,21 @@ class QueryEntry:
     query: ConjunctiveQuery
     label: str  # 'r' or 'f'
     explored: bool = False
-    pruned: bool = False
+    pruned: bool = False  # dropped by subsumption after the loop
     parents: Set[int] = field(default_factory=set)
-    children: Set[int] = field(default_factory=set)
 
 
 class RewriteState:
     """The labeled query set with its canonical-form index, FIFO of
-    unexplored queries, provenance edges and counters."""
+    unexplored queries, provenance (each entry's parents) and counters."""
 
-    def __init__(self, ctx: RewriterContext, options: RewriteOptions):
+    def __init__(self, ctx: RewriterContext):
         self.ctx = ctx
-        self.options = options
         self.entries: List[QueryEntry] = []
         self.canon_index: Dict[ConjunctiveQuery, int] = {}
         self.queue: deque = deque()
         self.metrics = Metrics()
         self.step = 0
-        self.produced: List[ConjunctiveQuery] = []
 
     def _new_entry(self, q: ConjunctiveQuery, label: str, canon) -> QueryEntry:
         entry = QueryEntry(len(self.entries), q, label)
@@ -229,7 +236,6 @@ class RewriteState:
 
     def _add_edge(self, parent: Optional[QueryEntry], child: QueryEntry):
         if parent is not None and parent.node != child.node:
-            parent.children.add(child.node)
             child.parents.add(parent.node)
 
     def admit(self, q: ConjunctiveQuery, label: str,
@@ -240,52 +246,11 @@ class RewriteState:
             entry = self.entries[node]
             if label == "r" and entry.label == "f":
                 entry.label = "r"  # an r-producer reached an f-only query
-                if self.options.subsumption == "irew":
-                    self._irew_admit(entry)
             self._add_edge(parent, entry)
             return None
         entry = self._new_entry(q, label, canon)
         self._add_edge(parent, entry)
-        if label == "r" and self.options.subsumption == "irew":
-            self._irew_admit(entry)
         return entry
-
-    # -- intra-rewriting subsumption ---------------------------------------
-
-    def _alive_r(self):
-        return [e for e in self.entries
-                if e.label == "r" and not e.pruned]
-
-    def _irew_admit(self, entry: QueryEntry):
-        from .subsume import subsumes
-        for other in self._alive_r():
-            if other.node == entry.node:
-                continue
-            if subsumes(other.query, entry.query):
-                entry.pruned = True
-                return
-        for other in self._alive_r():
-            if other.node == entry.node:
-                continue
-            if subsumes(entry.query, other.query):
-                self.prune_with_descendants(other, keep={entry.node})
-
-    def prune_with_descendants(self, entry: QueryEntry, keep: Set[int]):
-        """Prune an entry and cascade to descendants whose parents are all
-        pruned; unexplored f-labeled queries are never pruned (they exist
-        solely to enable future rewriting steps)."""
-        entry.pruned = True
-        frontier = deque(entry.children)
-        while frontier:
-            node = frontier.popleft()
-            child = self.entries[node]
-            if node in keep or child.pruned:
-                continue
-            if child.label == "f" and not child.explored:
-                continue
-            if all(self.entries[p].pruned for p in child.parents):
-                child.pruned = True
-                frontier.extend(child.children)
 
     # -- results -------------------------------------------------------------
 
@@ -336,7 +301,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     elim = ctx.elimination() if eliminating else None
 
     start = time.perf_counter()
-    state = RewriteState(ctx, options)
+    state = RewriteState(ctx)
     preferred = frozenset(q.variables())
 
     q0 = reduce_query(q, elim) if elim else q
@@ -345,8 +310,6 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     while state.queue:
         node = state.queue.popleft()
         entry = state.entries[node]
-        if entry.pruned:
-            continue
         cur = entry.query
         body_preds = {a.pred for a in cur.body}
         for k, tgd in enumerate(ctx.tgds):
@@ -363,8 +326,6 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                     continue
                 state.step += 1
                 state.metrics.generated += 1
-                if options.record_produced:
-                    state.produced.append(out)
                 if elim:
                     out = reduce_query(out, elim)
                 if options.budget is not None and state.metrics.generated > options.budget:
@@ -376,18 +337,14 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                 if factorizable(S, tgd, cur):
                     out = factorize_step(cur, S, preferred, ctx)
                     state.metrics.factorized += 1
-                    if options.record_produced:
-                        state.produced.append(out)
                     if elim:
                         out = reduce_query(out, elim)
                     state.admit(out, "f", entry)
-        if not entry.explored:
-            entry.explored = True
-            state.metrics.explored += 1
+        entry.explored = True
+        state.metrics.explored += 1
 
-    if options.subsumption in ("tail", "idec"):
-        from .subsume import prune_tail_state
-        prune_tail_state(state)
+    if options.subsumption != "none":
+        subsume.prune_tail_state(state)
 
     state.metrics.rewrite_time = time.perf_counter() - start
     return RewriteResult(state.final_queries(), state.metrics, state)

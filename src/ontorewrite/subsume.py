@@ -1,6 +1,14 @@
-"""Query subsumption and the pruning modes applied on top of the rewriter:
-Tail (exhaustive post-hoc), IDec (per decomposition component, before
-unfolding) and IRew (on every admission, inside the rewriter loop)."""
+"""Query subsumption and the one pruning routine behind every mode.
+
+A finished rewriting is pruned pairwise: in canonical order, each surviving
+query drops every other survivor it subsumes, so of two equivalent queries
+the one with the smaller canonical form stays.  `tail` prunes the whole
+rewriting; `idec` and `irew` prune each decomposition component's rewriting
+before unfolding.  Nothing is pruned inside the rewriting loop: with
+one-atom resolution plus factorization a query pruned there may be the only
+source of a disjunct no survivor subsumes (König, Leclère, Mugnier and
+Thomazo, "Sound, complete and minimal UCQ-rewriting for existential rules",
+SWJ 2015), so pruning early loses answers."""
 
 from __future__ import annotations
 
@@ -24,42 +32,32 @@ def _canon_key(q: ConjunctiveQuery):
     return (c.head_pred, c.head_args, c.body)
 
 
-def prune_tail_state(state) -> None:
-    """Exhaustive subsumption over the final rewriting, through the query
-    graph: a subsumed query is removed together with its descendants, except
-    that the subsumer survives even when it descends from the subsumed query.
-    Equivalent queries keep the one with the smaller canonical form."""
-    while True:
-        finals = sorted(state.final_entries(), key=lambda e: _canon_key(e.query))
-        removed = False
-        for winner in finals:
-            if winner.pruned:
-                continue
-            for loser in finals:
-                if loser.pruned or loser.node == winner.node:
-                    continue
-                if subsumes(winner.query, loser.query):
-                    # On mutual subsumption the canonical order above makes
-                    # the first (smaller) query the winner.
-                    state.prune_with_descendants(loser, keep={winner.node})
-                    removed = True
-        if not removed:
-            return
-
-
-def prune_ucq(queries: List[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
-    """Pairwise subsumption minimization of a flat UCQ (no provenance)."""
+def _survivors(queries: List[ConjunctiveQuery]) -> List[bool]:
+    """Which queries survive pairwise pruning: in canonical order each
+    survivor drops every other survivor it subsumes.  Every dropped query is
+    subsumed by a survivor, and no survivor subsumes another."""
     order = sorted(range(len(queries)), key=lambda i: _canon_key(queries[i]))
     alive = [True] * len(queries)
     for i in order:
         if not alive[i]:
             continue
         for j in order:
-            if i == j or not alive[j]:
-                continue
-            if subsumes(queries[i], queries[j]):
+            if i != j and alive[j] and subsumes(queries[i], queries[j]):
                 alive[j] = False
-    return [q for q, keep in zip(queries, alive) if keep]
+    return alive
+
+
+def prune_tail_state(state) -> None:
+    """Prune a finished sequential rewriting: mark `pruned` on every final
+    entry of the state that the pairwise pass drops."""
+    finals = state.final_entries()
+    for entry, keep in zip(finals, _survivors([e.query for e in finals])):
+        entry.pruned = not keep
+
+
+def prune_ucq(queries: List[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
+    """Pairwise subsumption minimization of a flat UCQ, in input order."""
+    return [q for q, keep in zip(queries, _survivors(queries)) if keep]
 
 
 def is_subsumption_minimal(queries: List[ConjunctiveQuery]) -> bool:

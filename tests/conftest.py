@@ -69,7 +69,8 @@ def random_linear_rules(rng, max_rules=6):
     for _ in range(rng.randint(1, max_rules)):
         body_vars = [var(v) for v in rng.sample(["X", "Y", "Z"], rng.randint(1, 3))]
         body = random_atom(rng, body_vars, allow_const=0.05)
-        head_vars = list(body.variables()) or body_vars[:1]
+        head_vars = (sorted(body.variables(), key=lambda t: t.name)
+                     or body_vars[:1])
         pool = head_vars + [var("V"), var("W")]
         pred, arity = rng.choice(PRED_POOL)
         head_args = tuple(rng.choice(pool) for _ in range(arity))

@@ -151,7 +151,32 @@ def test_rewrite_datalog_output_honours_idec(files, capsys):
     rules = [ln for ln in out.splitlines() if ":-" in ln]
     assert [ln.split("(")[0] for ln in rules] == \
         ["comp_1", "comp_2", "comp_3", "q"]
-    assert "size=4" in out  # three component rules plus the reconciliation
+    # --stats counts the printed rules: three component rules plus the
+    # reconciliation, with their six body atoms
+    assert sum(ln.split(":-")[1].count("(") for ln in rules) == 6
+    stats = [ln for ln in out.splitlines() if "=" in ln]
+    assert stats[:3] == ["size=4", "atoms=6", "joins=0"]
+
+
+@pytest.mark.parametrize("rules, query, facts", [
+    ("p_1(X) -> p_0(X).\np_2(X) -> p_0(X).\n",
+     "p() :- p_0(A), p_0(B).\n", "p_1(a).\n"),
+    ("r_1(X) -> r_0(X).\nr_2(X) -> r_1(X).\nr_3(X) -> r_2(X).\n",
+     "p() :- r_0(A), r_0(B).\n", "r_3(a).\n"),
+], ids=["p_0-pair", "r_0-chain"])
+def test_rewrite_every_mode_answers_through_subsumed_queries(files, capsys,
+                                                             rules, query,
+                                                             facts):
+    onto = files("o.dlog", rules)
+    qf = files("q.dlog", query)
+    db = files("d.dlog", facts)
+    for mode in ("none", "tail", "idec", "irew"):
+        for extra in ([], ["--no-parallel"], ["--no-elimination"],
+                      ["--no-parallel", "--no-elimination"]):
+            code, out, err = _run(capsys, [
+                "rewrite", "--ontology", onto, "--query", qf, "--database", db,
+                "--subsumption", mode] + extra)
+            assert (code, out) == (0, "()\n"), (mode, extra, err)
 
 
 def test_guarantee_termination_refuses_unclassified(files, capsys):
@@ -199,6 +224,18 @@ def test_eval_subcommand(files, capsys):
     code, out, err = _run(capsys, ["eval", "--ontology", onto, "--query", qf])
     assert code == 0
     assert "(a)" in out and "saturated=true" in out
+
+
+@pytest.mark.parametrize("command", ["eval", "chase"])
+def test_database_arity_mismatch_is_input_error(files, capsys, command):
+    onto = files("o.dlog", "r(X,Y) -> s(a).\n")
+    qf = files("q.dlog", "p() :- s(a).\n")
+    db = files("d.dlog", "r(a).\n")
+    query = ["--query", qf] if command == "eval" else []
+    code, out, err = _run(capsys, [command, "--ontology", onto, "--database", db]
+                          + query)
+    assert code == 2
+    assert "arity 2" in err and out == ""
 
 
 def test_parse_error_exits_two(files, capsys):

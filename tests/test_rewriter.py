@@ -196,10 +196,10 @@ def test_linear_bound_on_produced_queries():
         rules = random_linear_rules(rng)
         ctx = rules_context(rules)
         q = random_query(rng)
-        res = xrewrite(q, ctx, RewriteOptions(elimination=False,
-                                              record_produced=True))
-        for produced in res.state.produced:
-            assert len(produced.body) <= len(q.body)
+        # without elimination every produced query is a renaming of an entry
+        res = xrewrite(q, ctx, RewriteOptions(elimination=False))
+        for entry in res.state.entries:
+            assert len(entry.query.body) <= len(q.body)
 
 
 def test_sticky_freshness_of_produced_queries():
@@ -210,11 +210,10 @@ def test_sticky_freshness_of_produced_queries():
         ctx = rules_context(rules)
         q = random_query(rng)
         res = xrewrite(q, ctx, RewriteOptions(elimination=False,
-                                              record_produced=True,
                                               budget=20000))
         original = q.variables()
-        for produced in res.state.produced:
-            occ = produced.occurrences()
+        for entry in res.state.entries:
+            occ = entry.query.occurrences()
             for t, n in occ.items():
                 if t.kind == 1 and t not in original:
-                    assert n == 1, (q, produced, t)
+                    assert n == 1, (q, entry.query, t)

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 import ontorewrite as ow
-from ontorewrite.model import atom, make_query, var
-from ontorewrite.rewriter import RewriteOptions, xrewrite
+from ontorewrite.chase import evaluate_ucq
+from ontorewrite.model import atom, const, make_query, var
+from ontorewrite.rewriter import SUBSUMPTION_MODES, RewriteOptions, xrewrite
 from ontorewrite.parallel import xrewrite_parallel
 from ontorewrite.subsume import is_subsumption_minimal, prune_ucq, subsumes
 
@@ -79,6 +82,11 @@ def test_tail_through_query_graph_state():
     res = xrewrite(q, ctx, RewriteOptions(elimination=False,
                                           subsumption="tail"))
     assert is_subsumption_minimal(res.queries)
+    # the input query subsumes p_1(A), p_0(B), the only parent of
+    # p_1(A), p_1(B); pruning the finished rewriting still keeps the latter
+    assert evaluate_ucq(res.queries, [atom("p_1", const("a"))]) == {()}
+    pruned = [e for e in res.state.entries if e.pruned]
+    assert pruned and all(e.label == "r" and e.explored for e in pruned)
 
 
 def test_idec_coincides_with_tail_on_non_decomposable_query():
@@ -89,35 +97,42 @@ def test_idec_coincides_with_tail_on_non_decomposable_query():
     assert canon_set(tail.queries) == canon_set(idec.queries)
 
 
-def test_irew_explores_no_more_than_baseline():
+def test_every_mode_answers_through_a_subsumed_chain():
     doc, tgds, ctx = pipeline("""
         r_1(X) -> r_0(X).
         r_2(X) -> r_1(X).
         r_3(X) -> r_2(X).
     """)
     q = query("p() :- r_0(A), r_0(B).", doc)
-    base = xrewrite(q, ctx, RewriteOptions(elimination=False))
-    irew = xrewrite(q, ctx, RewriteOptions(elimination=False,
-                                           subsumption="irew"))
-    assert irew.metrics.explored <= base.metrics.explored
+    db = [atom("r_3", const("a"))]
+    for mode in SUBSUMPTION_MODES:
+        for rewrite in (xrewrite, xrewrite_parallel):
+            res = rewrite(q, ctx, RewriteOptions(elimination=False,
+                                                 subsumption=mode))
+            assert evaluate_ucq(res.queries, db) == {()}, (mode, rewrite)
+
+
+def test_unknown_subsumption_mode_is_rejected():
+    with pytest.raises(ValueError, match="subsumption mode 'tial'"):
+        RewriteOptions(subsumption="tial")
 
 
 def test_all_modes_preserve_answers_on_random_databases():
     from conftest import (random_database, random_linear_rules, random_query,
                           rules_context)
-    from ontorewrite.chase import evaluate_ucq
     rng = random.Random(71)
-    for _ in range(20):
+    for _ in range(100):
         rules = random_linear_rules(rng, max_rules=4)
         ctx = rules_context(rules)
         q = random_query(rng)
-        db = random_database(rng)
+        dbs = [random_database(rng) for _ in range(4)]
         reference = None
-        for mode in ("none", "tail", "idec", "irew"):
-            res = xrewrite_parallel(q, ctx, RewriteOptions(
-                elimination=False, subsumption=mode, budget=50000))
-            answers = evaluate_ucq(res.queries, db)
-            if reference is None:
-                reference = answers
-            else:
-                assert answers == reference, (rules, q, db, mode)
+        for mode in SUBSUMPTION_MODES:
+            for rewrite in (xrewrite, xrewrite_parallel):
+                res = rewrite(q, ctx, RewriteOptions(
+                    elimination=False, subsumption=mode, budget=50000))
+                answers = [evaluate_ucq(res.queries, db) for db in dbs]
+                if reference is None:
+                    reference = answers
+                else:
+                    assert answers == reference, (rules, q, dbs, mode, rewrite)

@@ -126,16 +126,18 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
     db = _load_database(args.database, doc)
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
+    # one instance, so its join indexes serve every check and the answers
+    instance = chase_mod._as_instance(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
         rewritten = xrewrite(check, ctx, RewriteOptions(elimination=False)).queries
-        if chase_mod.evaluate_ucq(rewritten, db):
+        if chase_mod.evaluate_ucq(rewritten, instance):
             violations.append(f"nc violated: {nc}")
     if violations:
         for v in violations:
             sys.stderr.write(v + "\n")
         return CONSTRAINT_VIOLATION
 
-    answers = sorted(chase_mod.evaluate_ucq(queries, db))
+    answers = sorted(chase_mod.evaluate_ucq(queries, instance))
     for t in answers:
         sys.stdout.write("(" + ", ".join(term.name for term in t) + ")\n")
     return OK

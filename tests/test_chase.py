@@ -1,10 +1,14 @@
+import itertools
 import random
+import time
 
 import ontorewrite as ow
-from ontorewrite.chase import (certain_answers, chase_up_to, evaluate_cq,
+from ontorewrite.chase import (ChaseInstance, _as_instance,
+                               _body_homomorphisms, certain_answers,
+                               chase_up_to, evaluate_cq, evaluate_ucq,
                                fd_check_queries, fd_violations,
                                materialize_neq, nc_check_queries)
-from ontorewrite.model import atom, const, null, var
+from ontorewrite.model import Atom, CONST, VAR, atom, const, null, var
 from ontorewrite.parser import parse_ontology, parse_query
 
 A, B, X = var("A"), var("B"), var("X")
@@ -43,7 +47,6 @@ def test_chase_full_rules_saturate_before_budget():
 
 
 def _all_homomorphisms(body, inst):
-    from ontorewrite.chase import _body_homomorphisms
     return _body_homomorphisms(tuple(body), inst, {})
 
 
@@ -167,3 +170,152 @@ def test_chase_universality_smoke():
     small, _ = certain_answers(q, doc.facts, doc.tgds, 5)
     large, _ = certain_answers(q, doc.facts, doc.tgds, 50)
     assert small <= large
+
+
+# ---------------------------------------------------------------------------
+# The indexed join against a brute-force evaluator.
+
+
+def _brute_homomorphisms(body, facts, binding=None, anchor=None):
+    """Every extension of binding mapping the body into facts, found by
+    trying each combination of one fact per atom; sorted item lists."""
+    choices = [[f for f in facts if f.pred == a.pred] for a in body]
+    if anchor is not None:
+        choices[anchor[0]] = [anchor[1]]
+    out = []
+    for combo in itertools.product(*choices):
+        h = dict(binding or {})
+        ok = True
+        for a, f in zip(body, combo):
+            ok = len(a.args) == len(f.args) and all(
+                h.setdefault(t, v) == v if t.kind == VAR else t == v
+                for t, v in zip(a.args, f.args))
+            if not ok:
+                break
+        if ok:
+            out.append(sorted(h.items()))
+    return sorted(out)
+
+
+def _brute_answers(q, facts):
+    answers = set()
+    for h in _brute_homomorphisms(q.body, facts):
+        t = tuple(dict(h).get(arg, arg) for arg in q.head_args)
+        if all(term.kind == CONST for term in t):
+            answers.add(t)
+    return answers
+
+
+def _homomorphisms(body, facts, binding=None, anchor=None):
+    return sorted(sorted(h.items()) for h in
+                  _body_homomorphisms(tuple(body), _as_instance(facts),
+                                      dict(binding or {}), anchor=anchor))
+
+
+def _random_facts(rng):
+    """A random database with some nulls and a fact of the wrong arity."""
+    from conftest import QUERY_POOL, random_database
+    db = random_database(rng, max_facts=14, pool=QUERY_POOL)
+    z = null("z1")
+    extra = [Atom("p2", (z, const("a"))), Atom("p3", (const("b"), z)),
+             Atom("p2", (const("a"),)), Atom("p4", (const("a"), const("b")))]
+    return list(dict.fromkeys(db + rng.sample(extra, rng.randint(0, 4))))
+
+
+def test_evaluate_cq_agrees_with_brute_force_on_random_queries():
+    from conftest import QUERY_POOL, random_query
+    rng = random.Random(4242)
+    for _ in range(300):
+        q = random_query(rng, max_atoms=4, pool=QUERY_POOL)
+        facts = _random_facts(rng)
+        assert evaluate_cq(q, facts) == _brute_answers(q, facts), (q, facts)
+        assert _homomorphisms(q.body, facts) == _brute_homomorphisms(q.body, facts)
+
+
+def test_evaluate_cq_agrees_with_brute_force_on_hand_made_cases():
+    z = null("z1")
+    c = const("c")
+    facts = [atom("r", a, a), atom("r", a, b), atom("r", b, b), atom("r", b, c),
+             atom("r", z, z), atom("r", c, z), atom("s", b), atom("s", z),
+             atom("r", a), atom("s", a, b)]
+    cases = [
+        "q(X) :- r(X, X).",                 # repeated variable
+        "q(X, Y) :- r(X, Y), r(Y, Y).",
+        "q(X) :- r(a, X).",                 # constant in a body atom
+        "q(X) :- r(X, b), s(X).",
+        "q() :- r(X, X), s(X).",            # boolean head
+        "q() :- r(X, c), r(c, Y), r(Y, Y).",  # boolean, answered through a null
+        "q(Y) :- r(X, Y), s(Y).",           # a null answer is excluded
+        "q(X) :- r(X).",                    # only the wrong-arity fact
+        "q() :- r(X, Y), s(c).",            # boolean, no answer
+    ]
+    for text in cases:
+        q = parse_query(text)
+        assert evaluate_cq(q, facts) == _brute_answers(q, facts), text
+        assert _homomorphisms(q.body, facts) == \
+            _brute_homomorphisms(q.body, facts), text
+    assert evaluate_cq(parse_query("q(X) :- r(X, X)."), facts) == {(a,), (b,)}
+    assert evaluate_cq(parse_query("q() :- r(X, c), r(c, Y), r(Y, Y)."),
+                       facts) == {()}
+
+
+def test_body_homomorphisms_with_binding_and_anchor_agree_with_brute_force():
+    from conftest import QUERY_POOL, random_query
+    rng = random.Random(4343)
+    checked = 0
+    for _ in range(300):
+        q = random_query(rng, max_atoms=4, pool=QUERY_POOL)
+        facts = _random_facts(rng)
+        body_vars = sorted({t for at in q.body for t in at.args if t.kind == VAR})
+        binding = {rng.choice(body_vars): rng.choice(facts).args[0]} \
+            if body_vars else {}
+        binding[var("Unused")] = const("d")  # a binding outside the body
+        assert _homomorphisms(q.body, facts, binding) == \
+            _brute_homomorphisms(q.body, facts, binding)
+        idx = rng.randrange(len(q.body))
+        for fact in facts:
+            if fact.pred == q.body[idx].pred:
+                anchor = (idx, fact)
+                assert _homomorphisms(q.body, facts, binding, anchor) == \
+                    _brute_homomorphisms(q.body, facts, binding, anchor)
+                checked += 1
+    assert checked > 100
+
+
+def test_evaluate_sees_facts_added_after_the_indexes_were_built():
+    inst = ChaseInstance()
+    for f in (atom("r", a, b), atom("s", b, const("c"))):
+        inst.add(f)
+    q = parse_query("p(X, Z) :- r(X, Y), s(Y, Z).")
+    assert evaluate_cq(q, inst) == {(a, const("c"))}
+    assert inst.indexes  # the join went through an index
+    for f in (atom("s", b, const("d")), atom("r", const("e"), b),
+              atom("r", a, const("f")), atom("s", const("f"), a)):
+        inst.add(f)
+    assert evaluate_cq(q, inst) == {(a, const("c")), (a, const("d")),
+                                    (const("e"), const("c")),
+                                    (const("e"), const("d")), (a, a)}
+
+
+def test_chain_join_is_linear_in_the_database():
+    n = 20_000
+    facts = [atom("r", const(f"a{i}"), const(f"b{i}")) for i in range(n)]
+    facts += [atom("s", const(f"b{i}"), const(f"c{i}")) for i in range(n)]
+    q = parse_query("p(X, Z) :- r(X, Y), s(Y, Z).")
+    start = time.perf_counter()
+    answers = evaluate_cq(q, facts)
+    elapsed = time.perf_counter() - start
+    assert len(answers) == n
+    assert elapsed < 1.0, f"a {n}-to-{n} key join took {elapsed:.2f}s"
+
+
+def test_boolean_query_stops_at_its_first_answer():
+    n = 2_000
+    facts = [atom("r", const(f"a{i}")) for i in range(n)]
+    facts += [atom("s", const(f"b{i}")) for i in range(n)]
+    q = parse_query("p() :- r(X), s(Y).")  # 4,000,000 homomorphisms
+    start = time.perf_counter()
+    assert evaluate_cq(q, facts) == {()}
+    assert evaluate_ucq([q, q, parse_query("p() :- r(X), t(Y).")], facts) == {()}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"a Boolean product query took {elapsed:.2f}s"

@@ -13,7 +13,7 @@ from . import chase as chase_mod
 from . import emit
 from .graphs import (build_cover_graph, build_propagation_graph,
                      format_cover_graph, format_propagation_graph)
-from .model import ConjunctiveQuery
+from .model import ConjunctiveQuery, as_index
 from .normalize import classify, normalize_tgds, smark
 from .parser import ParseError, parse_ontology, parse_query
 from .rewriter import (SUBSUMPTION_MODES, BudgetExhaustedError,
@@ -61,10 +61,9 @@ def _load_database(path: str, doc) -> list:
     return db
 
 
-def _context(doc, args) -> RewriterContext:
+def _context(doc) -> RewriterContext:
     tgds, _, aux = normalize_tgds(doc.tgds)
-    return RewriterContext(tgds, aux, doc.arities,
-                           max_path_length=args.max_path_length)
+    return RewriterContext(tgds, aux, doc.arities)
 
 
 def _rewrite_options(args) -> RewriteOptions:
@@ -76,7 +75,7 @@ def _rewrite_options(args) -> RewriteOptions:
 def cmd_rewrite(args) -> int:
     doc = _load_ontology(args.ontology)
     query = _load_query(args.query, dict(doc.arities))
-    ctx = _context(doc, args)
+    ctx = _context(doc)
 
     if args.guarantee_termination:
         verdict = classify(ctx.tgds)
@@ -127,7 +126,7 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
     # one instance, so its join indexes serve every check and the answers
-    instance = chase_mod._as_instance(db)
+    instance = as_index(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
         rewritten = xrewrite(check, ctx, RewriteOptions(elimination=False)).queries
         if chase_mod.evaluate_ucq(rewritten, instance):
@@ -178,7 +177,7 @@ def cmd_graph(args) -> int:
     sys.stdout.write("propagation graph:\n")
     sys.stdout.write(format_propagation_graph(pg) + "\n")
     if all(len(t.body) == 1 for t in tgds):
-        cg = build_cover_graph(tgds, doc.arities, args.max_path_length)
+        cg = build_cover_graph(tgds, doc.arities)
         sys.stdout.write("cover graph:\n")
         sys.stdout.write(format_cover_graph(cg) + "\n")
     return OK
@@ -214,7 +213,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     rw.add_argument("--guarantee-termination", action="store_true")
     rw.add_argument("--budget", type=int)
     rw.add_argument("--stats", action="store_true")
-    rw.add_argument("--max-path-length", type=int)
     rw.set_defaults(func=cmd_rewrite)
 
     cl = sub.add_parser("classify", help="classify the rule set")
@@ -229,7 +227,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     gr = sub.add_parser("graph", help="dump propagation and cover graphs")
     gr.add_argument("--ontology", required=True)
-    gr.add_argument("--max-path-length", type=int)
     gr.set_defaults(func=cmd_graph)
 
     ev = sub.add_parser("eval", help="certain answers via the chase oracle")

@@ -27,13 +27,12 @@ class EliminationContext:
     """Bundles a linear rule set with its cover graph, the tight-chain
     reachability used for atoms without shared terms, and the reduction cache."""
 
-    def __init__(self, tgds: List[TGD], arities: Optional[dict] = None,
-                 max_path_length: Optional[int] = None):
+    def __init__(self, tgds: List[TGD], arities: Optional[dict] = None):
         for t in tgds:
             if len(t.body) != 1:
                 raise ValueError("query elimination requires linear rules")
         self.tgds = tgds
-        self.cover_graph = build_cover_graph(tgds, arities, max_path_length)
+        self.cover_graph = build_cover_graph(tgds, arities)
         self.cache = LRUCache(ELIM_CACHE_SIZE)
         self._tight_next: Optional[Dict[int, List[int]]] = None
 

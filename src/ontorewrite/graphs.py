@@ -7,7 +7,6 @@ here are built once per rule set and then shared read-only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -77,7 +76,6 @@ def _has_repeated_cycle(nodes: list, labels: list) -> bool:
 
 
 def minimal_paths_from(pg: PropagationGraph, source: Position,
-                       max_length: Optional[int] = None,
                        pair_ok=None) -> Dict[Position, Set[tuple]]:
     """All minimal paths out of `source`: a map target -> set of label tuples.
 
@@ -86,20 +84,15 @@ def minimal_paths_from(pg: PropagationGraph, source: Position,
     long minimal paths (square-free label walks), so the traversal also
     bounds each labeled edge to two uses; a repeated cycle always repeats an
     edge, hence every pruned walk is longer than some enumerated one with the
-    same endpoints.  `max_length` optionally caps path length further, with
-    a warning; `pair_ok(prev_label, next_label)` prunes label transitions.
+    same endpoints.  `pair_ok(prev_label, next_label)` prunes label
+    transitions.
     """
     result: Dict[Position, Set[tuple]] = {}
-    truncated = False
     nodes = [source]
     labels: List[int] = []
     edge_uses: Dict[Tuple[Position, Position, int], int] = {}
 
     def dfs():
-        nonlocal truncated
-        if max_length is not None and len(labels) >= max_length:
-            truncated = True
-            return
         for dst, lab in pg.adjacency.get(nodes[-1], ()):
             edge = (nodes[-1], dst, lab)
             if edge_uses.get(edge, 0) >= 2:
@@ -117,16 +110,12 @@ def minimal_paths_from(pg: PropagationGraph, source: Position,
             edge_uses[edge] -= 1
 
     dfs()
-    if truncated:
-        warnings.warn(
-            f"minimal-path enumeration from {source} truncated at length "
-            f"{max_length}; elimination may under-approximate", stacklevel=2)
     return result
 
 
-def minimal_paths(pg: PropagationGraph, source: Position, target: Position,
-                  max_length: Optional[int] = None) -> Set[tuple]:
-    return minimal_paths_from(pg, source, max_length).get(target, set())
+def minimal_paths(pg: PropagationGraph, source: Position,
+                  target: Position) -> Set[tuple]:
+    return minimal_paths_from(pg, source).get(target, set())
 
 
 def is_tight(seq: List[TGD]) -> bool:
@@ -165,8 +154,8 @@ class CoverGraph:
         return self.reach.get((src, dst), [])
 
 
-def build_cover_graph(tgds: List[TGD], arities: Optional[dict] = None,
-                      max_length: Optional[int] = None) -> CoverGraph:
+def build_cover_graph(tgds: List[TGD],
+                      arities: Optional[dict] = None) -> CoverGraph:
     if any(len(t.body) != 1 for t in tgds):
         raise ValueError("the cover graph is defined for linear rules only")
     pg = build_propagation_graph(tgds, arities)
@@ -184,7 +173,7 @@ def build_cover_graph(tgds: List[TGD], arities: Optional[dict] = None,
     for src in pg.nodes:
         if src not in pg.adjacency:
             continue
-        for dst, seqs in minimal_paths_from(pg, src, max_length, pair_tight).items():
+        for dst, seqs in minimal_paths_from(pg, src, pair_tight).items():
             kept = sorted(seqs)
             if kept:
                 reach[(src, dst)] = kept

@@ -1,13 +1,15 @@
 """Core symbolic algebra: terms, atoms, conjunctive queries, rules,
 substitutions, unification, homomorphism search and canonical renaming.
 
-Everything here is immutable and every operation is a pure function, so
-values may be shared freely, also between threads.
+Terms, atoms, queries and rules are immutable and may be shared freely,
+also between threads.  The one mutable structure is AtomIndex, the hashed
+atom set that `homomorphisms`, the only homomorphism search, matches bodies
+against; query subsumption, the chase and answer evaluation all use it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 # Term kinds.  Constants and nulls share a total order in which every null
 # follows every constant; (kind, name) tuple comparison realises it.
@@ -181,10 +183,6 @@ class TGD(NamedTuple):
 # themselves implicitly; the empty dict is the identity.
 
 
-def subst_term(sub: dict, t: Term) -> Term:
-    return sub.get(t, t)
-
-
 def subst_atom(sub: dict, a: Atom) -> Atom:
     return Atom(a.pred, tuple(sub.get(t, t) for t in a.args))
 
@@ -288,84 +286,188 @@ def mgu(atoms: Iterable[Atom], preferred: frozenset = frozenset()) -> Optional[d
     return out
 
 
-def unifies(atoms: Iterable[Atom]) -> bool:
-    return mgu(atoms) is not None
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms.
+#
+# One search serves query subsumption, the chase and answer evaluation: a
+# body is matched against an AtomIndex by a join planned once per body, each
+# step fetching its candidates from a hash index on its bound positions, so a
+# join costs time linear in the atoms it reaches, not in the product of the
+# relations it joins.
 
 
-def _extend(binding: dict, src: Term, dst: Term) -> Optional[dict]:
-    if src.kind != VAR:
-        return binding if src == dst else None
-    bound = binding.get(src)
-    if bound is None:
-        out = dict(binding)
-        out[src] = dst
-        return out
-    return binding if bound == dst else None
+class AtomIndex:
+    """A duplicate-free list of atoms in insertion order, grouped by
+    predicate, with hash indexes keyed by (predicate, bound argument
+    positions).  An index maps the values at its positions to the atoms
+    holding them, in insertion order; it is built on first lookup and kept
+    current by add."""
+
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.atoms: List[Atom] = []
+        self.atom_set: Set[Atom] = set()
+        self.by_pred: Dict[str, List[Atom]] = {}
+        self.indexes: Dict[str, Dict[Tuple[int, ...], Dict[tuple, List[Atom]]]] = {}
+        for a in atoms:
+            self.add(a)
+
+    def add(self, a: Atom) -> bool:
+        if a in self.atom_set:
+            return False
+        self.atom_set.add(a)
+        self.atoms.append(a)
+        self.by_pred.setdefault(a.pred, []).append(a)
+        for positions, index in self.indexes.get(a.pred, {}).items():
+            _index_atom(index, positions, a)
+        return True
+
+    def lookup(self, pred: str, positions: Tuple[int, ...], key: tuple) -> List[Atom]:
+        """The atoms of pred holding key at positions, in insertion order."""
+        by_positions = self.indexes.setdefault(pred, {})
+        index = by_positions.get(positions)
+        if index is None:
+            index = by_positions[positions] = {}
+            for a in self.by_pred.get(pred, ()):
+                _index_atom(index, positions, a)
+        return index.get(key, [])
+
+    def __contains__(self, a: Atom) -> bool:
+        return a in self.atom_set
 
 
-def _match_atom(binding: dict, a: Atom, b: Atom) -> Optional[dict]:
-    if a.pred != b.pred or len(a.args) != len(b.args):
+def _index_atom(index: dict, positions: Tuple[int, ...], a: Atom) -> None:
+    # an atom too short for the positions matches no atom that uses them
+    if len(a.args) > positions[-1]:
+        index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+
+
+def as_index(atoms) -> AtomIndex:
+    """atoms itself if it is an AtomIndex, else a new index holding them."""
+    return atoms if isinstance(atoms, AtomIndex) else AtomIndex(atoms)
+
+
+def _match(binding: dict, pattern: Atom, target: Atom) -> Optional[dict]:
+    """binding extended so that it maps pattern onto target, or None; the
+    binding itself when it needs no extension."""
+    if pattern.pred != target.pred or len(pattern.args) != len(target.args):
         return None
-    for s, d in zip(a.args, b.args):
-        binding = _extend(binding, s, d)
-        if binding is None:
+    out = binding
+    copied = False
+    for p, t in zip(pattern.args, target.args):
+        if p.kind == VAR:
+            bound = out.get(p)
+            if bound is None:
+                if not copied:
+                    out = dict(out)
+                    copied = True
+                out[p] = t
+            elif bound != t:
+                return None
+        elif p != t:
             return None
-    return binding
+    return out
+
+
+def _plan(atoms: list, bound, index: AtomIndex) -> Optional[list]:
+    """The join order of atoms given the variables bound before it: greedily
+    the atom with the fewest unbound variable occurrences, then the one with
+    the fewest candidates, the first on ties.  Each step is (atom, the
+    positions bound when it is reached, the terms at those positions).
+    None when some atom has no candidates, so that the join is empty."""
+    sizes = [len(index.by_pred.get(a.pred, ())) for a in atoms]
+    if 0 in sizes:
+        return None
+    bound = set(bound)
+    # cost = unbound occurrences * weight + candidates, so that min compares
+    # the pair (unbound occurrences, candidates) and keeps the first on ties
+    weight = max(sizes, default=0) + 1
+    cost = list(sizes)
+    occurs: Dict[Term, List[int]] = {}  # variable -> atom index per occurrence
+    for i, a in enumerate(atoms):
+        for t in a.args:
+            if t.kind == VAR and t not in bound:
+                cost[i] += weight
+                occurs.setdefault(t, []).append(i)
+    remaining = list(range(len(atoms)))
+    steps = []
+    while remaining:
+        best = min(remaining, key=cost.__getitem__)
+        remaining.remove(best)
+        a = atoms[best]
+        positions = tuple([j for j, t in enumerate(a.args)
+                           if t.kind != VAR or t in bound])
+        steps.append((a, positions, tuple([a.args[j] for j in positions])))
+        for t in a.args:
+            if t.kind == VAR and t not in bound:
+                bound.add(t)
+                for i in occurs[t]:
+                    cost[i] -= weight
+    return steps
+
+
+def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
+                  anchor: Optional[Tuple[int, Atom]] = None):
+    """All extensions of `binding` mapping the body into the index, constants
+    fixed; when an anchor (atom position, target atom) is given, that body
+    atom maps onto the target.
+
+    The join order is planned once (see _plan).  A step whose atom has bound
+    positions fetches only the atoms holding the bound values there from the
+    index; a step with none scans the predicate's atoms.  Every candidate is
+    still checked by _match."""
+    atoms = list(body)
+    if anchor is not None:
+        idx, target = anchor
+        start = _match(binding, atoms[idx], target)
+        if start is None:
+            return
+        atoms = atoms[:idx] + atoms[idx + 1:]
+        binding = start
+    steps = _plan(atoms, binding, index)
+    if steps is None:
+        return
+    last = len(steps)
+    by_pred = index.by_pred
+
+    def rec(i, bound):
+        if i == last:
+            yield bound
+            return
+        a, positions, terms = steps[i]
+        if positions:
+            candidates = index.lookup(a.pred, positions,
+                                      tuple([bound.get(t, t) for t in terms]))
+        else:
+            candidates = by_pred[a.pred]
+        for target in candidates:
+            nb = _match(bound, a, target)
+            if nb is not None:
+                yield from rec(i + 1, nb)
+
+    yield from rec(0, binding)
 
 
 def find_homomorphism(src: Iterable[Atom], dst: Iterable[Atom], fixed_head=None) -> Optional[dict]:
-    """A substitution h with h(src) being a subset of dst, constants fixed.
+    """A substitution h with h(src) being a subset of dst, constants fixed:
+    the first that `homomorphisms` finds.
 
     `fixed_head` is an optional pair of atoms (h1, h2) constraining
-    h(h1) = h2.  Exhaustive backtracking over dst candidates, most
-    constrained atom first.
-    """
-    src = list(src)
-    dst = list(dst)
-    binding: Optional[dict] = {}
-    if fixed_head is not None:
-        binding = _match_atom({}, fixed_head[0], fixed_head[1])
-        if binding is None:
-            return None
-
-    by_pred: dict = {}
-    for b in dst:
-        by_pred.setdefault(b.pred, []).append(b)
-
-    def search(remaining, binding):
-        if not remaining:
-            return binding
-        # Pick the atom with fewest unbound variables, fewest candidates.
-        def cost(a):
-            unbound = sum(1 for t in a.args if t.kind == VAR and t not in binding)
-            return (unbound, len(by_pred.get(a.pred, ())))
-
-        a = min(remaining, key=cost)
-        rest = [x for x in remaining if x is not a]
-        for b in by_pred.get(a.pred, ()):
-            nb = _match_atom(binding, a, b)
-            if nb is not None:
-                res = search(rest, nb)
-                if res is not None:
-                    return res
+    h(h1) = h2."""
+    binding = {} if fixed_head is None else _match({}, *fixed_head)
+    if binding is None:
         return None
-
-    return search(src, binding)
+    return next(homomorphisms(src, AtomIndex(dst), binding), None)
 
 
 def atom_maps_onto(a: Atom, b: Atom) -> Optional[dict]:
     """A substitution h with h(a) = b (single-atom, positional)."""
-    return _match_atom({}, a, b)
+    return _match({}, a, b)
 
 
 def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
     """A substitution h with h(a) = b mapping distinct variables of a to
     distinct terms of b (a one-to-one matching)."""
-    h = _match_atom({}, a, b)
+    h = _match({}, a, b)
     if h is None or len(set(h.values())) != len(h):
         return None
     return h

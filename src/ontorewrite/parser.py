@@ -304,11 +304,6 @@ def parse_query(text: str, arities: Optional[dict] = None) -> ConjunctiveQuery:
     return q
 
 
-def parse_database(text: str) -> list:
-    doc = parse_ontology(text)
-    return doc.facts
-
-
 # ---------------------------------------------------------------------------
 # Serialization (round-trips through the parser).
 

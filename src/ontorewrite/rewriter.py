@@ -11,7 +11,6 @@ rewriting once (`subsume.prune_tail_state`).
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import deque
@@ -22,7 +21,7 @@ from . import subsume
 from .cache import MGU_CACHE_SIZE, RENAME_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
-from .model import (Atom, ConjunctiveQuery, TGD, VAR, canonical_rename,
+from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, canonical_rename,
                     make_query, mgu, subst_atom)
 from .normalize import is_linear
 
@@ -68,15 +67,13 @@ class RewriterContext:
     share one across threads: caches and lazy parts are guarded by locks."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
-                 arities: Optional[dict] = None,
-                 max_path_length: Optional[int] = None):
+                 arities: Optional[dict] = None):
         self.tgds = list(tgds)
         self.aux_preds = frozenset(aux_preds)
         self.arities = dict(arities or {})
         self.linear = is_linear(self.tgds)
         self.mgu_cache = LRUCache(MGU_CACHE_SIZE)
         self.rename_cache = LRUCache(RENAME_CACHE_SIZE)
-        self._max_path_length = max_path_length
         self._elim: Optional[EliminationContext] = None
         self._affected = None
         self._lock = threading.Lock()
@@ -100,8 +97,7 @@ class RewriterContext:
     def elimination(self) -> EliminationContext:
         with self._lock:
             if self._elim is None:
-                self._elim = EliminationContext(
-                    self.tgds, self.arities, self._max_path_length)
+                self._elim = EliminationContext(self.tgds, self.arities)
             return self._elim
 
     def affected(self):
@@ -270,17 +266,24 @@ class RewriteResult:
     state: RewriteState
 
 
-def _enumerate_factorizable(q: ConjunctiveQuery, tgd: TGD):
-    """Subsets of same-predicate body atoms, increasing size, stable order."""
+def _enumerate_factorizable(q: ConjunctiveQuery, tgd: TGD) -> List[tuple]:
+    """The sets `factorizable` may accept, smallest first, then by their
+    first atom: per variable v, the atoms matching the rule head that hold v
+    at its existential position.  No other set can pass, because a
+    factorizable set holds v there in every atom and takes in every atom
+    that mentions v."""
     epos = tgd.existential_position()
     if epos is None:
-        return
-    group = [a for a in q.body
-             if a.pred == tgd.head.pred and len(a.args) == len(tgd.head.args)]
-    if len(group) < 2:
-        return
-    for size in range(2, len(group) + 1):
-        yield from itertools.combinations(group, size)
+        return []
+    by_var: Dict[Term, List[Atom]] = {}
+    for a in q.body:
+        if a.pred == tgd.head.pred and len(a.args) == len(tgd.head.args):
+            v = a.args[epos - 1]
+            if v.kind == VAR:
+                by_var.setdefault(v, []).append(a)
+    # the sets are disjoint and by_var keeps first-atom order, so a stable
+    # sort by size gives the order of the subsets by size, then by position
+    return sorted((tuple(S) for S in by_var.values() if len(S) >= 2), key=len)
 
 
 def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,

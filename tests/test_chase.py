@@ -3,12 +3,12 @@ import random
 import time
 
 import ontorewrite as ow
-from ontorewrite.chase import (ChaseInstance, _as_instance,
-                               _body_homomorphisms, certain_answers,
-                               chase_up_to, evaluate_cq, evaluate_ucq,
-                               fd_check_queries, fd_violations,
-                               materialize_neq, nc_check_queries)
-from ontorewrite.model import Atom, CONST, VAR, atom, const, null, var
+from ontorewrite.chase import (ChaseInstance, certain_answers, chase_up_to,
+                               evaluate_cq, evaluate_ucq, fd_check_queries,
+                               fd_violations, materialize_neq,
+                               nc_check_queries)
+from ontorewrite.model import (Atom, CONST, VAR, as_index, atom, const,
+                               homomorphisms, null, var)
 from ontorewrite.parser import parse_ontology, parse_query
 
 A, B, X = var("A"), var("B"), var("X")
@@ -47,7 +47,7 @@ def test_chase_full_rules_saturate_before_budget():
 
 
 def _all_homomorphisms(body, inst):
-    return _body_homomorphisms(tuple(body), inst, {})
+    return homomorphisms(tuple(body), inst, {})
 
 
 def test_chase_is_monotone_in_budget():
@@ -208,8 +208,8 @@ def _brute_answers(q, facts):
 
 def _homomorphisms(body, facts, binding=None, anchor=None):
     return sorted(sorted(h.items()) for h in
-                  _body_homomorphisms(tuple(body), _as_instance(facts),
-                                      dict(binding or {}), anchor=anchor))
+                  homomorphisms(tuple(body), as_index(facts),
+                                dict(binding or {}), anchor=anchor))
 
 
 def _random_facts(rng):

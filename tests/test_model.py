@@ -125,21 +125,34 @@ def _brute_force_hom(src, dst, fixed_head=None):
 
 
 def test_find_homomorphism_matches_brute_force():
+    """Also the way `subsumes` calls it: a fixed head, and variables in dst,
+    some sharing names with variables of src."""
     rng = random.Random(29)
-    for _ in range(150):
+    dst_terms = [a, b, const("c"), A, X, var("W")]
+    for i in range(300):
         n_src = rng.randint(1, 3)
         src = [Atom(rng.choice(["r", "s"]),
                     tuple(rng.choice([A, B, C, X, Y]) for _ in range(2)))
                for _ in range(n_src)]
+        pool = dst_terms if i % 2 else dst_terms[:3]
         dst = [Atom(rng.choice(["r", "s"]),
-                    tuple(rng.choice([a, b, const("c")]) for _ in range(2)))
+                    tuple(rng.choice(pool) for _ in range(2)))
                for _ in range(rng.randint(1, 6))]
-        got = find_homomorphism(src, dst)
-        expect = _brute_force_hom(src, dst)
-        assert (got is not None) == expect
+        fixed_head = None
+        if i % 3:
+            head_vars = sorted({t for at in src for t in at.args})
+            h1 = Atom("q", tuple(rng.sample(head_vars,
+                                            rng.randint(0, min(2, len(head_vars))))))
+            h2 = Atom("q", tuple(rng.choice(pool) for _ in h1.args))
+            fixed_head = (h1, h2)
+        got = find_homomorphism(src, dst, fixed_head)
+        expect = _brute_force_hom(src, dst, fixed_head)
+        assert (got is not None) == expect, (src, dst, fixed_head)
         if got is not None:
             targets = set(dst)
             assert all(subst_atom(got, at) in targets for at in src)
+            if fixed_head:
+                assert subst_atom(got, fixed_head[0]) == fixed_head[1]
 
 
 def test_canonical_rename_invariance_under_renaming():

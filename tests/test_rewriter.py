@@ -1,12 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 import ontorewrite as ow
-from ontorewrite.model import atom, const, make_query, var
+from ontorewrite.model import TGD, Atom, atom, const, make_query, var
 from ontorewrite.rewriter import (BudgetExhaustedError, RewriteOptions,
-                                  _existential_free, applicable, factorizable,
-                                  factorize_step, rewrite_step, xrewrite)
+                                  _enumerate_factorizable, _existential_free,
+                                  applicable, factorizable, factorize_step,
+                                  rewrite_step, xrewrite)
 
 from conftest import canon_set, pipeline, query
 
@@ -70,6 +72,58 @@ def test_factorizable_verdicts():
     assert factorizable((q1.body[0], q1.body[1]), sigma, q1)
     assert not factorizable((q2.body[1], q2.body[2]), sigma, q2)
     assert not factorizable((q3.body[0], q3.body[1]), sigma, q3)
+
+
+def _power_set_factorizable(q, tgd):
+    """The reference: every subset of the atoms matching the rule head, by
+    size and then by position, that `factorizable` accepts."""
+    if tgd.existential_position() is None:
+        return []
+    group = [at for at in q.body if at.pred == tgd.head.pred
+             and len(at.args) == len(tgd.head.args)]
+    return [S for size in range(2, len(group) + 1)
+            for S in itertools.combinations(group, size)
+            if factorizable(S, tgd, q)]
+
+
+def test_factorization_candidates_equal_the_power_set_filter():
+    Z, V, W = var("Z"), var("V"), var("W")
+    rules = [TGD((atom("r", X),), atom("s", X, Y)),           # epos 2
+             TGD((atom("r", X),), atom("s", Y, X)),           # epos 1
+             TGD((atom("r", X, Z),), atom("s", X, Y, Z)),     # epos 2 of 3
+             TGD((atom("r", X, Y),), atom("s", X, Y))]        # no existential
+    rng = random.Random(606)
+    accepted = 0
+    for _ in range(400):
+        tgd = rng.choice(rules)
+        arity = len(tgd.head.args)
+        epos = tgd.existential_position() or 1
+        body = []
+        for _ in range(rng.randint(2, 7)):
+            if rng.random() < 0.2:  # may hold a shared variable elsewhere
+                body.append(atom("u", rng.choice([A, V, W])))
+                continue
+            args = [rng.choice([A, B, C, a]) for _ in range(arity)]
+            if rng.random() < 0.1:
+                args = args[:1]  # the wrong arity
+            elif rng.random() < 0.8:  # bias towards a shared variable
+                args[epos - 1] = rng.choice([V, V, W, a])
+            body.append(Atom("s", tuple(args)))
+        q = make_query("q", [], body)
+        expected = _power_set_factorizable(q, tgd)
+        got = [S for S in _enumerate_factorizable(q, tgd)
+               if factorizable(S, tgd, q)]
+        assert got == expected, (q, tgd)
+        accepted += len(expected)
+    assert accepted > 100
+
+
+def test_factorization_candidates_are_one_set_per_variable():
+    tgd = TGD((atom("r", X),), atom("s", X, Y))
+    body = [atom("s", var(f"A{i}"), B) for i in range(22)]
+    q = make_query("q", [], body)
+    assert _enumerate_factorizable(q, tgd) == [tuple(body)]
+    assert factorizable(tuple(body), tgd, q)
 
 
 def test_rewrite_step_collab_example():

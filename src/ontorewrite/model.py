@@ -9,7 +9,7 @@ against; query subsumption, the chase and answer evaluation all use it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 # Term kinds.  Constants and nulls share a total order in which every null
 # follows every constant; (kind, name) tuple comparison realises it.
@@ -447,16 +447,18 @@ def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
     yield from rec(0, binding)
 
 
-def find_homomorphism(src: Iterable[Atom], dst: Iterable[Atom], fixed_head=None) -> Optional[dict]:
-    """A substitution h with h(src) being a subset of dst, constants fixed:
-    the first that `homomorphisms` finds.
+def find_homomorphism(src: Iterable[Atom], dst: Union[Iterable[Atom], AtomIndex],
+                      fixed_head=None) -> Optional[dict]:
+    """A substitution h with h(src) being a subset of dst (atoms or an
+    AtomIndex of them), constants fixed: the first that `homomorphisms`
+    finds.
 
     `fixed_head` is an optional pair of atoms (h1, h2) constraining
     h(h1) = h2."""
     binding = {} if fixed_head is None else _match({}, *fixed_head)
     if binding is None:
         return None
-    return next(homomorphisms(src, AtomIndex(dst), binding), None)
+    return next(homomorphisms(src, as_index(dst), binding), None)
 
 
 def atom_maps_onto(a: Atom, b: Atom) -> Optional[dict]:
@@ -477,20 +479,32 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 # Canonical renaming.
 #
 # Variables are mapped one-to-one onto the reserved ordered alphabet
-# #1, #2, ... in first-use order, after choosing a deterministic body order.
-# The order is found by branch-and-bound over atom sequences so that two
-# queries equal modulo bijective variable renaming (and body permutation)
+# #1, #2, ... in first-use order, after choosing a deterministic body order:
+# the one whose sequence of atom keys is lexicographically smallest, so that
+# two queries equal modulo bijective variable renaming (and body permutation)
 # yield identical canonical forms.  Head variables are named first, in head
 # order, which keeps distinguished-argument order significant.
+#
+# The order is found by walking the body and placing, at each step, the atom
+# of smallest key; the walk branches only where atoms tie for it.  Tied atoms
+# whose unnamed variables occur in no other remaining atom are
+# interchangeable: renaming the one's variables into the other's maps either
+# tail onto the other, so only the first of them is tried.  A body of k
+# atoms q(Yi) thus costs O(k^2) key comparisons, not k!.  Ties that this
+# does not resolve, as in a cycle over one binary predicate, still branch.
 
 
 def _canonical_var(i: int) -> Term:
     return Term(VAR, f"#{i}")
 
 
-def _atom_key(a: Atom, assignment: dict, next_idx: int):
-    """Sort key an atom would have if placed next: constants, then assigned
-    canonical indices, then hypothetical fresh indices in arg order."""
+def _atom_key(a: Atom, assignment: dict):
+    """Sort key an atom would have if placed next: per argument, a constant,
+    then a named variable's canonical index, then an unnamed variable's rank
+    among the atom's unnamed variables in arg order.  Atoms keyed at the same
+    step would number their unnamed variables from the same index, so ranks
+    compare as those indices would; and a key changes only when one of the
+    atom's variables is named."""
     key = [a.pred]
     fresh: dict = {}
     for t in a.args:
@@ -499,75 +513,120 @@ def _atom_key(a: Atom, assignment: dict, next_idx: int):
         elif t in assignment:
             key.append((1, assignment[t]))
         else:
-            if t not in fresh:
-                fresh[t] = next_idx + len(fresh)
-            key.append((1, fresh[t]))
+            key.append((2, fresh.setdefault(t, len(fresh))))
     return tuple(key)
 
 
 def _canonical_order(body, assignment, next_idx):
-    """Smallest canonical key sequence over all valid atom orders; returns
-    the ordered original atoms.  Branches only on genuinely tied candidates,
-    comparing the full key sequence each branch produces."""
+    """The body atoms in the order of smallest key sequence, the first such
+    order in body order on ties, and the canonical index of every variable.
+    `assignment` names the head variables from #1 up to next_idx - 1 and is
+    left unchanged."""
+    occurs: Dict[Term, List[int]] = {}  # unnamed variable -> atoms holding it
+    for i, a in enumerate(body):
+        for t in a.args:
+            if t.kind == VAR and t not in assignment:
+                holders = occurs.setdefault(t, [])
+                if not holders or holders[-1] != i:
+                    holders.append(i)
+    # per atom, its unnamed variables that some other atom holds too, built
+    # on the first tie; an atom's variables are all named once it is placed,
+    # so a remaining atom shares no unnamed variable with the other
+    # remaining atoms exactly when all of these are named
+    linked = None
 
-    def rec(remaining, assign, idx):
-        if not remaining:
-            return [], []
-        keyed = [(_atom_key(a, assign, idx), a) for a in remaining]
-        best_key = min(k for k, _ in keyed)
-        candidates = [a for k, a in keyed if k == best_key]
-        best_seq = None
-        best_form = None
-        for a in candidates:
-            sub_assign = dict(assign)
-            sub_idx = idx
-            for t in a.args:
-                if t.kind == VAR and t not in sub_assign:
-                    sub_assign[t] = sub_idx
-                    sub_idx += 1
-            rest = [x for x in remaining if x is not a]
-            tail, tail_form = rec(rest, sub_assign, sub_idx)
-            if best_form is None or tail_form < best_form:
-                best_form = tail_form
-                best_seq = [a] + tail
-            if len(candidates) == 1:
-                break
-        return best_seq, [best_key] + best_form
+    def place(i, remaining, assign, idx, keys):
+        """Place atom i: drop it from remaining, name its unnamed variables
+        from idx on in arg order and re-key the atoms that hold them.
+        Returns the next free index."""
+        remaining.remove(i)
+        touched = set()
+        for t in body[i].args:
+            if t.kind == VAR and t not in assign:
+                assign[t] = idx
+                idx += 1
+                touched.update(occurs[t])
+        touched.discard(i)
+        for j in touched:
+            keys[j] = _atom_key(body[j], assign)
+        return idx
 
-    order, _ = rec(list(body), assignment, next_idx)
-    return order
+    def candidates(tied, assign):
+        """The tied atoms worth trying: of those sharing no unnamed variable
+        with another remaining atom only the first, since the others'
+        tails equal its tail."""
+        nonlocal linked
+        if linked is None:
+            linked = [[t for t in dict.fromkeys(a.args)
+                       if t.kind == VAR and len(occurs.get(t, ())) > 1]
+                      for a in body]
+        kept = []
+        seen_private = False
+        for i in tied:
+            if not linked[i] or all(t in assign for t in linked[i]):
+                if seen_private:
+                    continue
+                seen_private = True
+            kept.append(i)
+        return kept
+
+    def walk(remaining, assign, idx, keys):
+        """Place the remaining atoms (positions in body) in the order of
+        smallest key sequence, naming their variables from idx on; returns
+        the positions in that order, their keys and the final assignment.
+        Takes over remaining, assign and keys, the state at entry."""
+        order = []
+        form = []
+        while remaining:
+            best = min([keys[i] for i in remaining])
+            tied = [i for i in remaining if keys[i] == best]
+            if len(tied) > 1:
+                tied = candidates(tied, assign)
+            form.append(best)
+            if len(tied) > 1:
+                best_tail = None
+                for i in tied:
+                    sub_remaining, sub_assign = list(remaining), dict(assign)
+                    sub_keys = list(keys)
+                    sub_idx = place(i, sub_remaining, sub_assign, idx, sub_keys)
+                    tail = walk(sub_remaining, sub_assign, sub_idx, sub_keys)
+                    if best_tail is None or tail[1] < best_tail[1]:
+                        best_tail = ([i] + tail[0], tail[1], tail[2])
+                order.extend(best_tail[0])
+                form.extend(best_tail[1])
+                return order, form, best_tail[2]
+            order.append(tied[0])
+            idx = place(tied[0], remaining, assign, idx, keys)
+        return order, form, assign
+
+    keys = [_atom_key(a, assignment) for a in body]
+    order, _, assign = walk(list(range(len(body))), dict(assignment), next_idx, keys)
+    return [body[i] for i in order], assign
+
+
+def _head_assignment(q: ConjunctiveQuery):
+    """The head variables named #1, #2, ... in head order, and the next
+    free index."""
+    assignment: dict = {}
+    for t in q.head_args:
+        if t.kind == VAR and t not in assignment:
+            assignment[t] = len(assignment) + 1
+    return assignment, len(assignment) + 1
 
 
 def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """The canonical form of q: constants map to themselves, variables onto
     #1, #2, ... so that renamings and body permutations coincide."""
-    assignment: dict = {}
-    idx = 1
-    for t in q.head_args:
-        if t.kind == VAR and t not in assignment:
-            assignment[t] = idx
-            idx += 1
-    order = _canonical_order(list(q.body), assignment, idx)
-    for a in order:
-        for t in a.args:
-            if t.kind == VAR and t not in assignment:
-                assignment[t] = idx
-                idx += 1
+    order, assignment = _canonical_order(q.body, *_head_assignment(q))
     sub = {t: _canonical_var(i) for t, i in assignment.items()}
     head = tuple(sub.get(t, t) for t in q.head_args)
-    body = tuple(subst_atom(sub, a) for a in (order or []))
+    body = tuple(subst_atom(sub, a) for a in order)
     return ConjunctiveQuery(q.head_pred, head, body)
 
 
 def ordered_body(q: ConjunctiveQuery) -> list:
     """Body atoms of q in canonical-rename order (original atoms)."""
-    assignment: dict = {}
-    idx = 1
-    for t in q.head_args:
-        if t.kind == VAR and t not in assignment:
-            assignment[t] = idx
-            idx += 1
-    return _canonical_order(list(q.body), assignment, idx) or []
+    return _canonical_order(q.body, *_head_assignment(q))[0]
 
 
 def same_modulo_renaming(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:

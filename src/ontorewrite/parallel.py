@@ -120,11 +120,17 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     components are preserved.  Output deduplicated modulo renaming."""
     from .model import canonical_rename
 
+    # each slot's disjuncts standardized apart once, with their head atoms
+    slots = []
+    for slot, disjuncts in enumerate(component_rewritings):
+        standardized = [_standardize(d, slot) for d in disjuncts]
+        slots.append([(Atom(d.head_pred, d.head_args), d.body)
+                      for d in standardized])
     results: List[ConjunctiveQuery] = []
     seen = set()
 
     def expand(slot: int, query: ConjunctiveQuery):
-        if slot == len(component_rewritings):
+        if slot == len(slots):
             canon = ctx.canonical(query) if ctx else canonical_rename(query)
             if canon not in seen:
                 seen.add(canon)
@@ -134,15 +140,13 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
         # slot's component predicate
         comp_pred = reconciliation.body[slot].pred
         target = next(a for a in query.body if a.pred == comp_pred)
-        for disjunct in component_rewritings[slot]:
-            renamed = _standardize(disjunct, slot)
-            head_atom = Atom(renamed.head_pred, renamed.head_args)
-            gamma = mgu((target, head_atom),
-                        preferred=frozenset(t for t in query.variables()))
+        preferred = frozenset(query.variables())
+        for head_atom, body in slots[slot]:
+            gamma = mgu((target, head_atom), preferred=preferred)
             if gamma is None:
                 continue
             rest = [subst_atom(gamma, a) for a in query.body if a is not target]
-            rest.extend(subst_atom(gamma, a) for a in renamed.body)
+            rest.extend(subst_atom(gamma, a) for a in body)
             expand(slot + 1,
                    make_query(query.head_pred,
                               (gamma.get(t, t) for t in query.head_args), rest))

@@ -88,6 +88,7 @@ _TOKEN_RE = re.compile(
       | (?P<punct>[(),.!?:])
       | (?P<quoted>'(?:[^'\\]|\\.)*')
       | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_^~]*)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -96,35 +97,35 @@ _TOKEN_RE = re.compile(
 class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the parsed text
 
 
 def _tokenize(text: str):
-    line, col, pos = 1, 1, 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            raise _error(text, f"unexpected character {m.group()!r}", m.start())
+        tokens.append(_Token(kind, m.group(), m.start()))
     return tokens
+
+
+def _error(text: str, message: str, pos: int) -> ParseError:
+    """A ParseError at offset pos of text, with its line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return _error(self.text, message, tok.pos)
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -132,15 +133,15 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+            last = self.tokens[-1] if self.tokens else _Token("", "", 0)
+            raise self.error("unexpected end of input", last)
         self.pos += 1
         return tok
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def at(self, text: str) -> bool:
@@ -155,7 +156,7 @@ class _Parser:
             raw = re.sub(r"\\(.)", r"\1", tok.text[1:-1])
             return Term(CONST, raw)
         if tok.kind != "ident":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected a term, found {tok.text!r}", tok)
         if tok.text[0].isupper():
             return Term(VAR, tok.text)
         return Term(CONST, tok.text)
@@ -163,7 +164,7 @@ class _Parser:
     def parse_atom(self, arities: dict) -> Atom:
         tok = self.next()
         if tok.kind != "ident" or tok.text[0].isupper():
-            raise ParseError(f"expected a predicate, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected a predicate, found {tok.text!r}", tok)
         pred = tok.text
         args = []
         self.expect("(")
@@ -175,9 +176,9 @@ class _Parser:
         self.expect(")")
         known = arities.get(pred)
         if known is not None and known != len(args):
-            raise ParseError(
+            raise self.error(
                 f"predicate {pred!r} used with arity {len(args)} but declared with {known}",
-                tok.line, tok.col)
+                tok)
         arities.setdefault(pred, len(args))
         return Atom(pred, tuple(args))
 
@@ -199,21 +200,21 @@ class _Parser:
         q = make_query(head.pred, head.args, body)
         for t in head.args:
             if t.kind not in (VAR, CONST):
-                raise ParseError("nulls cannot appear in queries", tok.line, tok.col)
+                raise self.error("nulls cannot appear in queries", tok)
         if not q.is_safe():
             missing = sorted(t.name for t in head.args
                              if t.kind == VAR and all(t not in a.args for a in body))
-            raise ParseError(
+            raise self.error(
                 f"unsafe query: distinguished variable(s) {', '.join(missing)} "
-                "missing from the body", tok.line, tok.col)
+                "missing from the body", tok)
         return q
 
     def parse_fd(self, arities: dict) -> FunctionalDependency:
         kw = self.expect("fd")
         tok = self.next()
         if tok.kind != "ident" or tok.text[0].isupper():
-            raise ParseError(f"expected a predicate after 'fd', found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected a predicate after 'fd', found {tok.text!r}",
+                             tok)
         pred = tok.text
         self.expect(":")
 
@@ -222,8 +223,7 @@ class _Parser:
             while True:
                 t = self.next()
                 if not t.text.isdigit():
-                    raise ParseError(f"expected an attribute index, found {t.text!r}",
-                                     t.line, t.col)
+                    raise self.error(f"expected an attribute index, found {t.text!r}", t)
                 out.append(int(t.text))
                 if self.at(","):
                     self.next()
@@ -236,11 +236,11 @@ class _Parser:
         self.expect(".")
         arity = arities.get(pred)
         if arity is None:
-            raise ParseError(f"fd on unknown predicate {pred!r}", kw.line, kw.col)
+            raise self.error(f"fd on unknown predicate {pred!r}", kw)
         for i in lhs + rhs:
             if not 1 <= i <= arity:
-                raise ParseError(
-                    f"fd index {i} out of range for {pred!r}/{arity}", kw.line, kw.col)
+                raise self.error(
+                    f"fd index {i} out of range for {pred!r}/{arity}", kw)
         return FunctionalDependency(pred, tuple(lhs), tuple(rhs))
 
     def parse_statement(self, doc: OntologyDocument):
@@ -259,22 +259,21 @@ class _Parser:
         nxt = self.next()
         if nxt.text == ".":
             if len(atoms) != 1:
-                raise ParseError("a fact is a single atom", tok.line, tok.col)
+                raise self.error("a fact is a single atom", tok)
             fact = atoms[0]
             for t in fact.args:
                 if t.kind != CONST:
-                    raise ParseError("facts must be ground", tok.line, tok.col)
+                    raise self.error("facts must be ground", tok)
             doc.facts.append(fact)
             return
         if nxt.text == ":-":
             if len(atoms) != 1:
-                raise ParseError("a query has a single head atom", tok.line, tok.col)
+                raise self.error("a query has a single head atom", tok)
             self.pos = mark
             doc.queries.append(self.parse_query_statement(doc.arities))
             return
         if nxt.text != "->":
-            raise ParseError(f"expected '.', '->' or ':-', found {nxt.text!r}",
-                             nxt.line, nxt.col)
+            raise self.error(f"expected '.', '->' or ':-', found {nxt.text!r}", nxt)
         if self.at("!"):
             self.next()
             self.expect(".")
@@ -300,7 +299,7 @@ def parse_query(text: str, arities: Optional[dict] = None) -> ConjunctiveQuery:
     q = parser.parse_query_statement({} if arities is None else arities)
     if parser.peek() is not None:
         tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        raise parser.error(f"trailing input {tok.text!r}", tok)
     return q
 
 

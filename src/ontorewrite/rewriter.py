@@ -114,9 +114,10 @@ class RewriterContext:
 # Applicability and factorizability.
 
 
-def _existential_free(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
+def _existential_free(tgd: TGD, S: Tuple[Atom, ...], shared: Set[Term]) -> bool:
     """`applicable` short of unification: S matches the rule head and carries
-    no constant or shared variable of q at the rule's existential position."""
+    no constant or variable of `shared` (the query's shared variables) at
+    the rule's existential position."""
     if not S:
         return False
     head = tgd.head
@@ -124,7 +125,6 @@ def _existential_free(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> boo
         return False
     epos = tgd.existential_position()
     if epos is not None:
-        shared = q.shared_variables()
         for a in S:
             t = a.args[epos - 1]
             if t.kind != VAR or t in shared:
@@ -136,7 +136,7 @@ def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
     """The rule can resolve against S: S plus the rule head unifies, and no
     atom of S carries a constant or a shared variable of q at the rule's
     existential position."""
-    if not _existential_free(tgd, S, q):
+    if not _existential_free(tgd, S, q.shared_variables()):
         return False
     renamed = tgd.rename(0)  # step counter starts at 1, so ^0 never collides
     return mgu(tuple(S) + (renamed.head,)) is not None
@@ -315,6 +315,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
         entry = state.entries[node]
         cur = entry.query
         body_preds = {a.pred for a in cur.body}
+        shared = cur.shared_variables()
         for k, tgd in enumerate(ctx.tgds):
             if tgd.head.pred not in body_preds:
                 continue
@@ -322,7 +323,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
             # prepares any multi-atom unification that matters)
             for a in cur.body:
                 S = (a,)
-                if not _existential_free(tgd, S, cur):
+                if not _existential_free(tgd, S, shared):
                     continue
                 out = rewrite_step(cur, S, tgd, state.step + 1, preferred, ctx)
                 if out is None:

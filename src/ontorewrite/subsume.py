@@ -12,19 +12,23 @@ SWJ 2015), so pruning early loses answers."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
-from .model import Atom, ConjunctiveQuery, canonical_rename, find_homomorphism
+from .model import (Atom, AtomIndex, ConjunctiveQuery, canonical_rename,
+                    find_homomorphism)
 
 
-def subsumes(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
+def subsumes(q1: ConjunctiveQuery, q2: ConjunctiveQuery,
+             body2: Optional[AtomIndex] = None) -> bool:
     """q1 subsumes q2 when a homomorphism maps body(q1) into body(q2) and
-    head(q1) onto head(q2); q2's answers are then contained in q1's."""
+    head(q1) onto head(q2); q2's answers are then contained in q1's.
+    `body2` is an index of q2's body to reuse, if the caller has one."""
     if q1.head_pred != q2.head_pred or len(q1.head_args) != len(q2.head_args):
         return False
     h1 = Atom(q1.head_pred, q1.head_args)
     h2 = Atom(q2.head_pred, q2.head_args)
-    return find_homomorphism(q1.body, q2.body, fixed_head=(h1, h2)) is not None
+    target = q2.body if body2 is None else body2
+    return find_homomorphism(q1.body, target, fixed_head=(h1, h2)) is not None
 
 
 def _canon_key(q: ConjunctiveQuery):
@@ -37,12 +41,13 @@ def _survivors(queries: List[ConjunctiveQuery]) -> List[bool]:
     survivor drops every other survivor it subsumes.  Every dropped query is
     subsumed by a survivor, and no survivor subsumes another."""
     order = sorted(range(len(queries)), key=lambda i: _canon_key(queries[i]))
+    bodies = [AtomIndex(q.body) for q in queries]
     alive = [True] * len(queries)
     for i in order:
         if not alive[i]:
             continue
         for j in order:
-            if i != j and alive[j] and subsumes(queries[i], queries[j]):
+            if i != j and alive[j] and subsumes(queries[i], queries[j], bodies[j]):
                 alive[j] = False
     return alive
 

@@ -108,6 +108,20 @@ def test_rewrite_budget_exhausted_exits_three(files, capsys):
     assert code == 3
 
 
+def test_rewrite_budget_on_growing_sticky_query_is_fast(files, capsys):
+    # the rule is sticky, yet the query grows forever by private q-atoms:
+    # p(A), q(Y1), ..., q(Yk); canonical renaming of those ties must not
+    # cost k!, so a budget of 30 steps stops in well under a second
+    onto = files("o.dlog", "p(X), q(Y) -> p(X).\n")
+    qf = files("q.dlog", "a(A) :- p(A).\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--budget", "30"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert elapsed < 1.0, f"budget 30 took {elapsed:.2f}s"
+
+
 def test_rewrite_sql_output(files, capsys):
     onto = files("o.dlog", COLLAB)
     qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")

@@ -61,6 +61,26 @@ def test_syntax_error_carries_position():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, line, col", [
+    ("r(a,b)\n  -> ;", "unexpected character ';'", 2, 6),
+    # a quoted constant spanning a line break moves the line count on
+    ("r('a\nb', X) -> s(X).\nt(Y) -> .", "expected a predicate, found '.'", 3, 9),
+    ("% c\n\n  p(A) :- q(A) r(A).", "expected '.', found 'r'", 3, 16),
+    ("p(a,\n  b", "unexpected end of input", 2, 3),
+])
+def test_syntax_error_messages_and_positions(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_ontology(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_trailing_query_input_position():
+    with pytest.raises(ParseError) as err:
+        parse_query("p(A) :- q(A).\n  extra")
+    assert str(err.value) == "trailing input 'extra' (line 2, column 3)"
+
+
 def test_comments_and_quoted_constants():
     doc = parse_ontology("% a comment\nr('hello world', X) -> s(X).\n")
     assert doc.tgds[0].body[0].args[0] == const("hello world")

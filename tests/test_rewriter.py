@@ -53,7 +53,7 @@ def test_rewrite_step_unifies_exactly_when_applicable_random():
             for a in q.body:
                 S = (a,)
                 out = rewrite_step(q, S, tgd, 1, preferred, ctx)
-                if not _existential_free(tgd, S, q):
+                if not _existential_free(tgd, S, q.shared_variables()):
                     assert not applicable(tgd, S, q)
                     outcomes["screened"] += out is not None
                     continue

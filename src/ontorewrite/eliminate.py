@@ -7,8 +7,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .cache import ELIM_CACHE_SIZE, LRUCache
-from .graphs import (Position, atom_maps_onto, atom_matches_injectively,
-                     build_cover_graph, is_compatible)
+from .graphs import (Position, atom_matches_injectively, build_cover_graph,
+                     is_compatible)
 from .model import Atom, ConjunctiveQuery, TGD, VAR, make_query, ordered_body
 
 
@@ -24,8 +24,8 @@ def _positions_of(a: Atom, t) -> List[Position]:
 
 
 class EliminationContext:
-    """Bundles a linear rule set with its cover graph, the tight-chain
-    reachability used for atoms without shared terms, and the reduction cache."""
+    """Bundles a linear rule set with its cover graph, whose tightness
+    relation also serves atoms without shared terms, and the reduction cache."""
 
     def __init__(self, tgds: List[TGD], arities: Optional[dict] = None):
         for t in tgds:
@@ -34,22 +34,11 @@ class EliminationContext:
         self.tgds = tgds
         self.cover_graph = build_cover_graph(tgds, arities)
         self.cache = LRUCache(ELIM_CACHE_SIZE)
-        self._tight_next: Optional[Dict[int, List[int]]] = None
-
-    def _tight_graph(self) -> Dict[int, List[int]]:
-        # Edge k -> k' iff the body of rule k' maps onto the head of rule k.
-        if self._tight_next is None:
-            nxt: Dict[int, List[int]] = {}
-            for k, t in enumerate(self.tgds):
-                nxt[k] = [k2 for k2, t2 in enumerate(self.tgds)
-                          if atom_maps_onto(t2.body[0], t.head) is not None]
-            self._tight_next = nxt
-        return self._tight_next
 
     def has_tight_chain(self, start: Atom, target_pred: str) -> bool:
         """Whether some tight sequence compatible to `start` ends in a rule
         whose head predicate is `target_pred`."""
-        nxt = self._tight_graph()
+        tight = self.cover_graph.tight
         frontier = [k for k, t in enumerate(self.tgds)
                     if atom_matches_injectively(t.body[0], start) is not None]
         seen = set(frontier)
@@ -57,7 +46,7 @@ class EliminationContext:
             k = frontier.pop()
             if self.tgds[k].head.pred == target_pred:
                 return True
-            for k2 in nxt[k]:
+            for k2 in tight[k]:
                 if k2 not in seen:
                     seen.add(k2)
                     frontier.append(k2)

@@ -145,10 +145,13 @@ def is_compatible(seq: List[TGD], target) -> bool:
 @dataclass
 class CoverGraph:
     """Pair-keyed closure of the propagation graph: for each position pair,
-    every tight minimal-path label sequence (as rule-index tuples)."""
+    every tight minimal-path label sequence (as rule-index tuples).  `tight`
+    is the tightness relation on rule pairs: k2 is in tight[k] iff the body
+    of rule k2 maps onto the head of rule k."""
 
     tgds: List[TGD]
     reach: Dict[Tuple[Position, Position], List[tuple]]
+    tight: Dict[int, FrozenSet[int]]
 
     def sequences(self, src: Position, dst: Position) -> List[tuple]:
         return self.reach.get((src, dst), [])
@@ -159,15 +162,14 @@ def build_cover_graph(tgds: List[TGD],
     if any(len(t.body) != 1 for t in tgds):
         raise ValueError("the cover graph is defined for linear rules only")
     pg = build_propagation_graph(tgds, arities)
-    pair_cache: Dict[Tuple[int, int], bool] = {}
+    tight = {k: frozenset(k2 for k2, t2 in enumerate(tgds)
+                          if atom_maps_onto(t2.body[0], t.head) is not None)
+             for k, t in enumerate(tgds)}
 
+    # tightness is prefix-closed, so pruning on consecutive pairs during the
+    # traversal enumerates exactly the tight minimal sequences
     def pair_tight(prev: int, nxt: int) -> bool:
-        # tightness is prefix-closed, so pruning on consecutive pairs during
-        # the traversal enumerates exactly the tight minimal sequences
-        key = (prev, nxt)
-        if key not in pair_cache:
-            pair_cache[key] = atom_maps_onto(tgds[nxt].body[0], tgds[prev].head) is not None
-        return pair_cache[key]
+        return nxt in tight[prev]
 
     reach: Dict[Tuple[Position, Position], List[tuple]] = {}
     for src in pg.nodes:
@@ -177,7 +179,7 @@ def build_cover_graph(tgds: List[TGD],
             kept = sorted(seqs)
             if kept:
                 reach[(src, dst)] = kept
-    return CoverGraph(tgds, reach)
+    return CoverGraph(tgds, reach, tight)
 
 
 def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:

@@ -24,15 +24,6 @@ class Term(NamedTuple):
     kind: int
     name: str
 
-    def is_const(self) -> bool:
-        return self.kind == CONST
-
-    def is_var(self) -> bool:
-        return self.kind == VAR
-
-    def is_null(self) -> bool:
-        return self.kind == NULL
-
     def __repr__(self):
         return f"{_KIND_NAMES[self.kind][0]}:{self.name}"
 

@@ -29,8 +29,9 @@ def _is_normal(rule: RawTGD) -> bool:
     return True
 
 
-def _aux_base(used_preds: Set[str]) -> str:
-    base = "aux"
+def fresh_prefix(base: str, used_preds: Set[str]) -> str:
+    """`base`, extended with x until no predicate of `used_preds` is it or
+    starts with it plus `_`, so that every `<base>_...` name is fresh."""
     while any(p == base or p.startswith(base + "_") for p in used_preds):
         base += "x"
     return base
@@ -51,7 +52,7 @@ def normalize_tgds(rules: Iterable[RawTGD], used_preds: Optional[Set[str]] = Non
         for r in rules:
             for a in r.body + r.head:
                 used_preds.add(a.pred)
-    base = _aux_base(used_preds)
+    base = fresh_prefix("aux", used_preds)
 
     out: List[TGD] = []
     provenance: List[int] = []

@@ -1,7 +1,12 @@
 """Decomposition-based rewriting: split the query on existential joins,
 rewrite each component independently, one after another, reconcile with a
 Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
-space; the components share the rewriter context and its caches.
+space; the components share the rewriter context and its caches, and one
+step budget.
+
+Unfolding goes by position: component i's disjuncts unify with the
+reconciliation's i-th body atom, under one substitution composed level by
+level, and each product's query is built once, at the leaf.
 
 Components are rewritten without subsumption.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
@@ -10,14 +15,16 @@ UCQ."""
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .eliminate import reduce_query
-from .model import (Atom, ConjunctiveQuery, Term, VAR, make_query, mgu,
-                    subst_atom)
-from .rewriter import (Metrics, RewriteOptions, RewriteResult, RewriterContext,
-                       xrewrite)
+from .model import (Atom, ConjunctiveQuery, Term, VAR, canonical_rename,
+                    compose, make_query, mgu, subst_atom, subst_query)
+from .normalize import fresh_prefix
+from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
+                       RewriteResult, RewriterContext, xrewrite)
 from . import subsume
 
 
@@ -33,13 +40,11 @@ class Decomposition:
 
 
 def _component_pred_base(ctx: RewriterContext) -> str:
-    base = "comp"
-    used = set(ctx.arities) | {t.head.pred for t in ctx.tgds}
+    used = set(ctx.arities)
     for t in ctx.tgds:
+        used.add(t.head.pred)
         used.update(a.pred for a in t.body)
-    while any(p == base or p.startswith(base + "_") for p in used):
-        base += "x"
-    return base
+    return fresh_prefix("comp", used)
 
 
 def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
@@ -84,26 +89,19 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
     components = [tuple(groups[r]) for r in sorted(groups)]
 
     # Global variable order: first occurrence across head then body.
-    var_order: List[Term] = []
-    for t in list(q.head_args) + [t for a in body for t in a.args]:
-        if t.kind == VAR and t not in var_order:
-            var_order.append(t)
+    var_order = [t for t in dict.fromkeys(
+        list(q.head_args) + [t for a in body for t in a.args]) if t.kind == VAR]
 
+    comp_vars = [set().union(*(a.variables() for a in comp))
+                 for comp in components]
+    spread = Counter(v for vs in comp_vars for v in vs)  # components per variable
     base = _component_pred_base(ctx)
     head_vars = {t for t in q.head_args if t.kind == VAR}
     comp_queries = []
     recon_body = []
-    for idx, comp in enumerate(components, start=1):
-        comp_vars = set()
-        for a in comp:
-            comp_vars.update(a.variables())
-        others = set()
-        for other in components:
-            if other is not comp:
-                for a in other:
-                    others.update(a.variables())
+    for idx, (comp, vs) in enumerate(zip(components, comp_vars), start=1):
         kept = tuple(v for v in var_order
-                     if v in comp_vars and (v in head_vars or v in others))
+                     if v in vs and (v in head_vars or spread[v] > 1))
         pred = f"{base}_{idx}"
         comp_queries.append(make_query(pred, kept, comp))
         recon_body.append(Atom(pred, kept))
@@ -115,51 +113,48 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
            reconciliation: ConjunctiveQuery,
            ctx: Optional[RewriterContext] = None) -> List[ConjunctiveQuery]:
     """Cartesian expansion of the reconciliation rule over the disjuncts of
-    each component rewriting, standardizing each disjunct apart and unifying
-    its head with the matching reconciliation atom; joins shared between
-    components are preserved.  Output deduplicated modulo renaming."""
-    from .model import canonical_rename
-
-    # each slot's disjuncts standardized apart once, with their head atoms
+    each component rewriting, standardized apart, slot i against
+    `reconciliation.body[i]`.  Unifiers keep the reconciliation's variables,
+    so joins shared between components are preserved.  Output deduplicated
+    modulo renaming."""
     slots = []
     for slot, disjuncts in enumerate(component_rewritings):
         standardized = [_standardize(d, slot) for d in disjuncts]
         slots.append([(Atom(d.head_pred, d.head_args), d.body)
                       for d in standardized])
+    preferred = frozenset(reconciliation.variables())
+    canonical = ctx.canonical if ctx else canonical_rename
     results: List[ConjunctiveQuery] = []
     seen = set()
+    chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
 
-    def expand(slot: int, query: ConjunctiveQuery):
+    def expand(slot: int, theta: dict):
         if slot == len(slots):
-            canon = ctx.canonical(query) if ctx else canonical_rename(query)
+            query = make_query(
+                reconciliation.head_pred,
+                (theta.get(t, t) for t in reconciliation.head_args),
+                (subst_atom(theta, a) for body in chosen for a in body))
+            canon = canonical(query)
             if canon not in seen:
                 seen.add(canon)
                 results.append(query)
             return
-        # the reconciliation atom for this slot: the body atom carrying the
-        # slot's component predicate
-        comp_pred = reconciliation.body[slot].pred
-        target = next(a for a in query.body if a.pred == comp_pred)
-        preferred = frozenset(query.variables())
+        target = subst_atom(theta, reconciliation.body[slot])
         for head_atom, body in slots[slot]:
             gamma = mgu((target, head_atom), preferred=preferred)
             if gamma is None:
                 continue
-            rest = [subst_atom(gamma, a) for a in query.body if a is not target]
-            rest.extend(subst_atom(gamma, a) for a in body)
-            expand(slot + 1,
-                   make_query(query.head_pred,
-                              (gamma.get(t, t) for t in query.head_args), rest))
+            chosen.append(body)
+            expand(slot + 1, compose(theta, gamma))
+            chosen.pop()
 
-    expand(0, reconciliation)
+    expand(0, {})
     return results
 
 
 def _standardize(q: ConjunctiveQuery, slot: int) -> ConjunctiveQuery:
     sub = {v: Term(VAR, f"{v.name}~{slot}") for v in q.variables()}
-    return make_query(q.head_pred,
-                      (sub.get(t, t) for t in q.head_args),
-                      (subst_atom(sub, a) for a in q.body))
+    return subst_query(sub, q)
 
 
 @dataclass
@@ -177,21 +172,27 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     rewriter sharing the context's graphs and caches, then unfold.  The
     query is reduced before decomposition when elimination applies."""
     options = options or RewriteOptions()
-    eliminating = options.elimination
-    if eliminating is None:
-        eliminating = ctx.linear
+    elim = ctx.elimination_for(options.elimination)
 
     split_start = time.perf_counter()
-    base = reduce_query(q, ctx.elimination()) if eliminating else q
+    base = reduce_query(q, elim) if elim else q
     decomposition = decompose(base, ctx)
     split_time = time.perf_counter() - split_start
 
-    comp_options = RewriteOptions(elimination=options.elimination,
-                                  budget=options.budget)
-
+    # the budget bounds the steps of all components together
+    budget = options.budget
     rewrite_start = time.perf_counter()
-    component_results = [xrewrite(cq, ctx, comp_options)
-                         for cq in decomposition.component_queries]
+    component_results = []
+    try:
+        for cq in decomposition.component_queries:
+            result = xrewrite(cq, ctx, RewriteOptions(
+                elimination=options.elimination, budget=budget))
+            component_results.append(result)
+            if budget is not None:
+                budget -= result.metrics.generated
+    except BudgetExhaustedError:
+        raise BudgetExhaustedError("rewriting exceeded the step budget of "
+                                   f"{options.budget}") from None
     rewrite_time = time.perf_counter() - rewrite_start
 
     component_ucqs = [r.queries for r in component_results]

@@ -100,6 +100,18 @@ class RewriterContext:
                 self._elim = EliminationContext(self.tgds, self.arities)
             return self._elim
 
+    def elimination_for(self, option: Optional[bool]) -> Optional[EliminationContext]:
+        """The elimination context a rewriting with the `elimination` option
+        `option` reduces through, or None when it does not eliminate.  None
+        enables elimination iff the rule set is linear."""
+        if option is None:
+            option = self.linear
+        if not option:
+            return None
+        if not self.linear:
+            raise ValueError("query elimination requires a linear rule set")
+        return self.elimination()
+
     def affected(self):
         with self._lock:
             if self._affected is None:
@@ -251,12 +263,14 @@ class RewriteState:
     # -- results -------------------------------------------------------------
 
     def final_entries(self) -> List[QueryEntry]:
+        """The entries whose queries the rewriting outputs: explored,
+        r-labeled, not pruned, and free of auxiliary predicates."""
         return [e for e in self.entries
-                if e.label == "r" and e.explored and not e.pruned]
+                if e.label == "r" and e.explored and not e.pruned
+                and not self.ctx.mentions_aux(e.query)]
 
     def final_queries(self) -> List[ConjunctiveQuery]:
-        return [e.query for e in self.final_entries()
-                if not self.ctx.mentions_aux(e.query)]
+        return [e.query for e in self.final_entries()]
 
 
 @dataclass
@@ -296,12 +310,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     every admitted query is first reduced through atom coverage.
     """
     options = options or RewriteOptions()
-    eliminating = options.elimination
-    if eliminating is None:
-        eliminating = ctx.linear
-    if eliminating and not ctx.linear:
-        raise ValueError("query elimination requires a linear rule set")
-    elim = ctx.elimination() if eliminating else None
+    elim = ctx.elimination_for(options.elimination)
 
     start = time.perf_counter()
     state = RewriteState(ctx)

@@ -146,6 +146,15 @@ def test_cover_graph_sequences_validate():
             assert seq in minimal_paths(pg, src, dst)
 
 
+def test_cover_graph_tightness_relation_is_the_tight_pairs(financial):
+    for tgds in (financial[1], normalize_tgds(parse_ontology(PG_EXAMPLE).tgds)[0]):
+        cg = build_cover_graph(tgds)
+        assert cg.tight == {
+            k: frozenset(k2 for k2 in range(len(tgds))
+                         if is_tight([tgds[k], tgds[k2]]))
+            for k in range(len(tgds))}
+
+
 def test_affected_positions_example():
     doc = parse_ontology("p(X,Y), s(Y,Z) -> t(Y,X,W).  t(X,Y,Z) -> p(W,Z).")
     tgds, _, _ = normalize_tgds(doc.tgds)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
-from ontorewrite.model import atom, make_query, var
+import pytest
+
+from ontorewrite.model import (VAR, Atom, Term, atom, canonical_rename, const,
+                               make_query, mgu, subst_atom, subst_query, var)
 from ontorewrite.parallel import decompose, unfold, xrewrite_parallel
-from ontorewrite.rewriter import RewriteOptions, xrewrite
+from ontorewrite.rewriter import BudgetExhaustedError, RewriteOptions, xrewrite
 
 from conftest import canon_set, pipeline, query
 
@@ -135,3 +141,167 @@ def test_parallel_financial_without_elimination():
     assert canon_set(unfold(res.component_ucqs,
                             res.decomposition.reconciliation)) == \
         canon_set(res.queries)
+
+
+# -- unfold by position against the recursive unfold it replaced -------------
+
+def _reference_unfold(component_rewritings, reconciliation, ctx):
+    """The recursive unfold kept as the reference: at every level it rebuilds
+    the partial query, finds the reconciliation atom by its predicate and
+    prefers the partial query's variables."""
+    slots = []
+    for slot, disjuncts in enumerate(component_rewritings):
+        standardized = []
+        for d in disjuncts:
+            sub = {v: Term(VAR, f"{v.name}~{slot}") for v in d.variables()}
+            standardized.append(subst_query(sub, d))
+        slots.append([(Atom(d.head_pred, d.head_args), d.body)
+                      for d in standardized])
+    results, seen = [], set()
+
+    def expand(slot, query):
+        if slot == len(slots):
+            canon = ctx.canonical(query) if ctx else canonical_rename(query)
+            if canon not in seen:
+                seen.add(canon)
+                results.append(query)
+            return
+        comp_pred = reconciliation.body[slot].pred
+        target = next(a for a in query.body if a.pred == comp_pred)
+        preferred = frozenset(query.variables())
+        for head_atom, body in slots[slot]:
+            gamma = mgu((target, head_atom), preferred=preferred)
+            if gamma is None:
+                continue
+            rest = [subst_atom(gamma, a) for a in query.body if a is not target]
+            rest.extend(subst_atom(gamma, a) for a in body)
+            expand(slot + 1,
+                   make_query(query.head_pred,
+                              (gamma.get(t, t) for t in query.head_args), rest))
+
+    expand(0, reconciliation)
+    return results
+
+
+def _assert_unfold_matches_reference(component_ucqs, reconciliation, ctx=None):
+    got = unfold(component_ucqs, reconciliation, ctx)
+    assert repr(got) == repr(_reference_unfold(component_ucqs, reconciliation,
+                                               ctx))
+    return got
+
+
+def test_unfold_matches_reference_on_random_suites():
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    rng = random.Random(88)
+    for i in range(80):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        ctx = rules_context(rules)
+        q = random_query(rng, max_atoms=4, pool=QUERY_POOL if i % 2 else None)
+        for mode in ("none", "idec"):
+            res = xrewrite_parallel(q, ctx, RewriteOptions(
+                elimination=False, subsumption=mode, budget=20000))
+            _assert_unfold_matches_reference(
+                res.component_ucqs, res.decomposition.reconciliation, ctx)
+
+
+def test_unfold_matches_reference_on_the_size_law():
+    doc, tgds, ctx = pipeline(
+        "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
+    atoms = ", ".join(f"p_0(A{i})" for i in range(1, 5))
+    # 4^4 products; the Boolean ones are 35 multisets modulo renaming
+    for text, size in ((f"p(A1, A2, A3, A4) :- e(B, B), {atoms}.", 256),
+                       (f"p(A1, A2, A3, A4) :- {atoms}, e(B, B).", 256),
+                       (f"p() :- e(B, B), {atoms}.", 35)):
+        res = xrewrite_parallel(query(text, doc), ctx)
+        out = _assert_unfold_matches_reference(
+            res.component_ucqs, res.decomposition.reconciliation, ctx)
+        assert len(out) == size
+
+
+def test_unfold_prunes_products_whose_head_constants_clash():
+    a, b = const("a"), const("b")
+    X, Y = var("X"), var("Y")
+    recon = make_query("p", [A, B], [atom("c_1", A, B), atom("c_2", B),
+                                     atom("c_3", A)])
+    u1 = [make_query("c_1", [a, X], [atom("r", X)]),
+          make_query("c_1", [X, X], [atom("s", X)]),
+          make_query("c_1", [X, b], [atom("t", X, Y)])]
+    u2 = [make_query("c_2", [a], [atom("u", a)]),
+          make_query("c_2", [b], [atom("v", b)]),
+          make_query("c_2", [X], [atom("w", X, Y)])]
+    u3 = [make_query("c_3", [b], [atom("x", b)]),
+          make_query("c_3", [Y], [atom("y", Y)])]
+    out = _assert_unfold_matches_reference([u1, u2, u3], recon)
+    # 18 products; the clashing constants drop 6 of them
+    assert len(out) == 12
+    assert make_query("p", [b, b], [atom("s", b), atom("v", b),
+                                    atom("x", b)]) in out
+
+
+# -- budget and elimination decision -----------------------------------------
+
+def test_budget_bounds_all_components_together():
+    doc, tgds, ctx = pipeline(
+        "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
+    q = query("p(A, B) :- p_0(A), p_0(B).", doc)
+    # two components of three steps each
+    with pytest.raises(BudgetExhaustedError, match="step budget of 5$"):
+        xrewrite_parallel(q, ctx, RewriteOptions(budget=5))
+    res = xrewrite_parallel(q, ctx, RewriteOptions(budget=6))
+    assert res.metrics.components == 2
+    assert res.metrics.generated == 6
+    assert len(res.queries) == 16
+
+
+def test_elimination_on_non_linear_rules_fails_alike_on_both_paths():
+    doc, tgds, ctx = pipeline("r(X), s(X) -> t(X).")
+    q = query("p(A) :- t(A).", doc)
+    messages = []
+    for rewrite in (xrewrite, xrewrite_parallel):
+        with pytest.raises(ValueError) as err:
+            rewrite(q, ctx, RewriteOptions(elimination=True))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "linear" in messages[0]
+
+
+# -- hash-seed independence --------------------------------------------------
+
+_DIGEST_SCRIPT = """
+import hashlib, random, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                      random_sticky_rules, rules_context)
+from ontorewrite.emit import to_datalog
+from ontorewrite.parallel import xrewrite_parallel
+from ontorewrite.rewriter import RewriteOptions
+rng = random.Random(12)
+h = hashlib.sha256()
+for i in range(60):
+    rules = (random_linear_rules(rng) if i % 2 == 0
+             else random_sticky_rules(rng, max_rules=4))
+    q = random_query(rng, max_atoms=4, pool=QUERY_POOL if i % 2 else None)
+    for elimination in (None, False):
+        res = xrewrite_parallel(q, rules_context(rules), RewriteOptions(
+            elimination=elimination, budget=20000))
+        h.update(repr(res.queries).encode())
+        h.update(to_datalog(res.component_ucqs,
+                            res.decomposition.reconciliation).encode())
+print(h.hexdigest())
+"""
+
+
+def test_decomposed_rewritings_do_not_depend_on_the_hash_seed():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, tests_dir, src_dir],
+            env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -180,3 +180,28 @@ def test_all_modes_preserve_answers_on_random_databases():
                     reference = answers
                 else:
                     assert answers == reference, (rules, q, dbs, mode, rewrite)
+
+
+def test_sequential_pruning_compares_only_the_output_queries(monkeypatch):
+    # The financial query explores ~1,300 queries, most of them carrying an
+    # auxiliary normalization predicate, for 60 output disjuncts; pruning
+    # compares the 60, not every explored query.
+    from conftest import FINANCIAL, FINANCIAL_QUERY
+    from ontorewrite import subsume
+    doc, tgds, ctx = pipeline(FINANCIAL)
+    q = query(FINANCIAL_QUERY, doc)
+    unpruned = xrewrite(q, ctx, RewriteOptions(elimination=False)).queries
+    calls = 0
+    search = subsume.find_homomorphism
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(subsume, "find_homomorphism", counting)
+    res = xrewrite(q, ctx, RewriteOptions(elimination=False, subsumption="tail"))
+    n = len(unpruned)
+    assert n == 60
+    assert calls <= n * (n - 1)
+    assert res.queries == prune_ucq(unpruned)

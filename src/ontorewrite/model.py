@@ -1,5 +1,6 @@
 """Core symbolic algebra: terms, atoms, conjunctive queries, rules,
-substitutions, unification, homomorphism search and canonical renaming.
+substitutions, unification, homomorphism search, canonical renaming and
+the renaming keys that deduplication compares.
 
 Terms, atoms, queries and rules are immutable and may be shared freely,
 also between threads.  The one mutable structure is AtomIndex, the hashed
@@ -483,6 +484,10 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 # tail onto the other, so only the first of them is tried.  A body of k
 # atoms q(Yi) thus costs O(k^2) key comparisons, not k!.  Ties that this
 # does not resolve, as in a cycle over one binary predicate, still branch.
+#
+# Deduplication compares renaming keys (below), which build this form only
+# for queries whose non-head variables join two atoms; subsumption's order
+# and elimination's strategy take it for every query.
 
 
 def _canonical_var(i: int) -> Term:
@@ -622,3 +627,64 @@ def ordered_body(q: ConjunctiveQuery) -> list:
 
 def same_modulo_renaming(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return canonical_rename(q1) == canonical_rename(q2)
+
+
+# ---------------------------------------------------------------------------
+# Renaming keys.
+#
+# Deduplication needs only a key that is equal for two queries exactly when
+# their canonical forms are, not the form itself.  When no variable outside
+# the head occurs in two body atoms, the head plus the multiset of the atoms'
+# keys is such a key: pairing atoms of equal keys renames each atom's private
+# variables into the other's, one-to-one because no two atoms share one.
+# Only the other queries need the canonical labelling of canonical_rename.
+# Whether a query has the property does not change under renaming, so two
+# queries equal modulo renaming always get the same kind of key; the kinds
+# are tagged so that they never compare equal.
+
+SORTED_ATOMS_KEY = 0
+CANONICAL_FORM_KEY = 1
+
+
+def sorted_atoms_key(q: ConjunctiveQuery) -> Optional[tuple]:
+    """renaming_key(q) when no variable outside the head occurs in two body
+    atoms, else None.  The head pattern holds per argument the term itself,
+    or a variable's first head position; an atom's key holds per argument
+    (0, term) for a term that is not a variable, (1, head position) for a
+    head variable and (2, rank) for another variable, its rank among the
+    atom's other variables in arg order.  The atom keys are sorted by
+    value."""
+    head: dict = {}
+    pattern = tuple([head.setdefault(t, i) if t.kind == VAR else t
+                     for i, t in enumerate(q.head_args)])
+    placed: set = set()  # the non-head variables of the atoms keyed so far
+    keys = []
+    for a in q.body:
+        key = [a.pred]
+        own: dict = {}
+        for t in a.args:
+            if t.kind != VAR:
+                key.append((0, t))
+            elif t in head:
+                key.append((1, head[t]))
+            else:
+                rank = own.get(t)
+                if rank is None:
+                    if t in placed:
+                        return None
+                    rank = own[t] = len(own)
+                key.append((2, rank))
+        placed.update(own)
+        keys.append(tuple(key))
+    keys.sort()
+    return (SORTED_ATOMS_KEY, q.head_pred, pattern, tuple(keys))
+
+
+def renaming_key(q: ConjunctiveQuery) -> tuple:
+    """A hashable key equal for two queries exactly when their canonical
+    forms are: sorted_atoms_key(q) where it applies, else the canonical
+    form, tagged."""
+    key = sorted_atoms_key(q)
+    if key is None:
+        key = (CANONICAL_FORM_KEY, canonical_rename(q))
+    return key

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .eliminate import reduce_query
-from .model import (Atom, ConjunctiveQuery, Term, VAR, canonical_rename,
-                    compose, make_query, mgu, subst_atom, subst_query)
+from .model import (Atom, ConjunctiveQuery, Term, VAR, compose, make_query,
+                    mgu, renaming_key, subst_atom, subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriteResult, RewriterContext, xrewrite)
@@ -116,14 +116,16 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     each component rewriting, standardized apart, slot i against
     `reconciliation.body[i]`.  Unifiers keep the reconciliation's variables,
     so joins shared between components are preserved.  Output deduplicated
-    modulo renaming."""
+    modulo renaming by renaming key (`model.renaming_key`, through the
+    context's cache when one is given): a product none of whose non-head
+    variables joins two atoms is keyed without a canonical form."""
     slots = []
     for slot, disjuncts in enumerate(component_rewritings):
         standardized = [_standardize(d, slot) for d in disjuncts]
         slots.append([(Atom(d.head_pred, d.head_args), d.body)
                       for d in standardized])
     preferred = frozenset(reconciliation.variables())
-    canonical = ctx.canonical if ctx else canonical_rename
+    canonical = ctx.canonical if ctx else renaming_key
     results: List[ConjunctiveQuery] = []
     seen = set()
     chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
@@ -134,9 +136,9 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
                 reconciliation.head_pred,
                 (theta.get(t, t) for t in reconciliation.head_args),
                 (subst_atom(theta, a) for body in chosen for a in body))
-            canon = canonical(query)
-            if canon not in seen:
-                seen.add(canon)
+            key = canonical(query)
+            if key not in seen:
+                seen.add(key)
                 results.append(query)
             return
         target = subst_atom(theta, reconciliation.body[slot])

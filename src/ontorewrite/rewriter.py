@@ -1,6 +1,10 @@
 """The backward-chaining rewriting loop: applicability, factorizability,
-rewriting and factorization steps, dedup modulo canonical renaming, query
+rewriting and factorization steps, dedup modulo renaming, query
 provenance, caches and metrics.
+
+Dedup compares renaming keys (`model.renaming_key`): the head and the sorted
+atom keys of a query none of whose non-head variables joins two atoms, the
+canonical form of any other query.
 
 Queries are labeled r/f by the step that produced them (the input query is r)
 and explored/unexplored; the final rewriting collects the explored r-labeled
@@ -21,8 +25,9 @@ from . import subsume
 from .cache import MGU_CACHE_SIZE, RENAME_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
-from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, canonical_rename,
-                    make_query, mgu, subst_atom)
+from .model import (CANONICAL_FORM_KEY, Atom, ConjunctiveQuery, TGD, Term,
+                    VAR, canonical_rename, make_query, mgu, sorted_atoms_key,
+                    subst_atom)
 from .normalize import is_linear
 
 
@@ -63,8 +68,10 @@ class Metrics:
 
 class RewriterContext:
     """Shared state for one ontology: normalized rules, the MGU and renaming
-    caches, and lazily built elimination/affected structures.  Callers may
-    share one across threads: caches and lazy parts are guarded by locks."""
+    caches, and lazily built elimination/affected structures.  The renaming
+    cache is reached only for queries whose renaming key is a canonical
+    form.  Callers may share one across threads: caches and lazy parts are
+    guarded by locks."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None):
@@ -78,12 +85,16 @@ class RewriterContext:
         self._affected = None
         self._lock = threading.Lock()
 
-    def canonical(self, q: ConjunctiveQuery) -> ConjunctiveQuery:
-        cached = self.rename_cache.get(q)
-        if cached is None:
-            cached = canonical_rename(q)
-            self.rename_cache.put(q, cached)
-        return cached
+    def canonical(self, q: ConjunctiveQuery) -> tuple:
+        """model.renaming_key(q); the renaming cache holds only the keys of
+        queries that need a canonical form."""
+        key = sorted_atoms_key(q)
+        if key is None:
+            key = self.rename_cache.get(q)
+            if key is None:
+                key = (CANONICAL_FORM_KEY, canonical_rename(q))
+                self.rename_cache.put(q, key)
+        return key
 
     def unify(self, atoms: Tuple[Atom, ...], preferred: FrozenSet) -> Optional[dict]:
         key = (frozenset(atoms), preferred)
@@ -230,7 +241,7 @@ class RewriteState:
     def __init__(self, ctx: RewriterContext):
         self.ctx = ctx
         self.entries: List[QueryEntry] = []
-        self.canon_index: Dict[ConjunctiveQuery, int] = {}
+        self.canon_index: Dict[tuple, int] = {}  # renaming key -> node
         self.queue: deque = deque()
         self.metrics = Metrics()
         self.step = 0

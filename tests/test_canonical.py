@@ -1,6 +1,8 @@
 """Canonical renaming: the walk that skips interchangeable ties against the
 plain branch-and-bound it replaced, kept here as the reference, plus the
-symmetric stress and hash-seed independence."""
+symmetric stress and hash-seed independence.  Renaming keys: the partition
+they induce against canonical_rename's, and deduplication that builds no
+canonical form where no non-head variable joins two atoms."""
 
 import os
 import random
@@ -8,8 +10,15 @@ import subprocess
 import sys
 import time
 
-from ontorewrite.model import (VAR, Atom, ConjunctiveQuery, canonical_rename,
-                               const, make_query, ordered_body, subst_atom, var)
+from ontorewrite import model, rewriter
+from ontorewrite.cli import main
+from ontorewrite.model import (CANONICAL_FORM_KEY, SORTED_ATOMS_KEY, VAR, Atom,
+                               ConjunctiveQuery, canonical_rename, const,
+                               make_query, null, ordered_body, renaming_key,
+                               sorted_atoms_key, subst_atom, var)
+from ontorewrite.rewriter import RewriteOptions, xrewrite
+
+from conftest import FINANCIAL, FINANCIAL_QUERY, pipeline, query
 
 
 # -- reference: branch-and-bound over every tied candidate -------------------
@@ -182,17 +191,144 @@ def test_atoms_tied_once_their_shared_variable_is_named_canonicalise_fast():
                                    for i in range(2, 10))
 
 
+# -- renaming keys -------------------------------------------------------------
+
+def _renamed_and_permuted(q, rng):
+    """q with its variables renamed one-to-one and its body shuffled."""
+    variables = sorted(q.variables(), key=lambda t: t.name)
+    fresh = [var(f"R{i}") for i in range(len(variables))]
+    rng.shuffle(fresh)
+    sub = dict(zip(variables, fresh))
+    body = [subst_atom(sub, a) for a in q.body]
+    rng.shuffle(body)
+    return make_query(q.head_pred, [sub.get(t, t) for t in q.head_args], body)
+
+
+def _partition(queries, key):
+    classes = {}
+    for i, q in enumerate(queries):
+        classes.setdefault(key(q), []).append(i)
+    return sorted(classes.values())
+
+
+def test_renaming_key_partitions_like_canonical_rename():
+    # each random query with a renamed and permuted copy, which must share
+    # its class, and a copy with the head reversed, which usually must not
+    rng = random.Random(2024)
+    queries = []
+    for _ in range(5000):
+        q = random_tied_query(rng)
+        queries += [q, _renamed_and_permuted(q, rng),
+                    make_query(q.head_pred, q.head_args[::-1], q.body)]
+    assert _partition(queries, renaming_key) == _partition(queries,
+                                                           canonical_rename)
+    kinds = [renaming_key(q)[0] for q in queries]
+    assert kinds.count(SORTED_ATOMS_KEY) > 2000
+    assert kinds.count(CANONICAL_FORM_KEY) > 2000
+
+
+def _same_class(q1, q2):
+    same = renaming_key(q1) == renaming_key(q2)
+    assert same == (canonical_rename(q1) == canonical_rename(q2))
+    return same
+
+
+def test_renaming_key_hand_cases():
+    A, B, Y, Z = var("A"), var("B"), var("Y"), var("Z")
+    # a constant and a null of the same name stay apart, in body and head
+    assert not _same_class(make_query("h", [], [Atom("p", (const("a"),))]),
+                           make_query("h", [], [Atom("p", (null("a"),))]))
+    assert not _same_class(make_query("h", [const("a")], [Atom("p", (A,))]),
+                           make_query("h", [null("a")], [Atom("p", (A,))]))
+    # the head order over one body matters, and so does the head predicate
+    body = [Atom("r", (A, B))]
+    assert not _same_class(make_query("h", [A, B], body),
+                           make_query("h", [B, A], body))
+    assert not _same_class(make_query("h", [A, B], body),
+                           make_query("g", [A, B], body))
+    # a repeated head variable and a head constant
+    q = make_query("h", [A, A, const("c")], [Atom("r", (A, Y))])
+    assert _same_class(q, make_query("h", [B, B, const("c")],
+                                     [Atom("r", (B, Z))]))
+    assert not _same_class(q, make_query("h", [A, B, const("c")],
+                                         [Atom("r", (A, Y)), Atom("r", (B, Z))]))
+    assert not _same_class(q, make_query("h", [A, const("c"), A],
+                                         [Atom("r", (A, Y))]))
+    # a repeated private variable is ranked within its atom
+    assert not _same_class(make_query("h", [], [Atom("r", (Y, Y))]),
+                           make_query("h", [], [Atom("r", (Y, Z))]))
+    # private atoms alike but for their variables form a multiset
+    assert _same_class(
+        make_query("h", [A], [Atom("p", (A,)), Atom("q", (Y,)), Atom("q", (Z,))]),
+        make_query("h", [B], [Atom("q", (Z,)), Atom("p", (B,)), Atom("q", (Y,))]))
+    # a body joined only through a non-head variable takes the fallback
+    joined = make_query("h", [A], [Atom("r", (A, Y)), Atom("s", (Y,))])
+    assert sorted_atoms_key(joined) is None
+    assert renaming_key(joined) == (CANONICAL_FORM_KEY, canonical_rename(joined))
+    # and differs from the same atoms without the join, a fast key
+    unjoined = make_query("h", [A], [Atom("r", (A, Y)), Atom("s", (Z,))])
+    assert renaming_key(unjoined)[0] == SORTED_ATOMS_KEY
+    assert not _same_class(joined, unjoined)
+
+
+def test_fast_keys_never_equal_fallback_keys():
+    rng = random.Random(7)
+    fast, fallback = set(), set()
+    for _ in range(2000):
+        key = renaming_key(random_tied_query(rng))
+        (fast if key[0] == SORTED_ATOMS_KEY else fallback).add(key)
+    assert fast and fallback
+    assert not fast & fallback
+
+
+def _count_canonical_renames(monkeypatch):
+    calls = []
+
+    def counting(q, original=model.canonical_rename):
+        calls.append(q)
+        return original(q)
+    for owner in (model, rewriter):
+        monkeypatch.setattr(owner, "canonical_rename", counting)
+    return calls
+
+
+def test_financial_rewriting_deduplicates_without_canonical_forms(monkeypatch):
+    doc, tgds, ctx = pipeline(FINANCIAL)
+    q = query(FINANCIAL_QUERY, doc)
+    calls = _count_canonical_renames(monkeypatch)
+    for elimination in (False, None):
+        res = xrewrite(q, ctx, RewriteOptions(elimination=elimination))
+        assert res.metrics.generated > 0
+    assert calls == []
+    assert len(ctx.rename_cache) == 0
+
+
+def test_growing_sticky_query_deduplicates_without_canonical_forms(
+        tmp_path, monkeypatch, capsys):
+    onto = tmp_path / "o.dlog"
+    onto.write_text("p(X), q(Y) -> p(X).\n")
+    qf = tmp_path / "q.dlog"
+    qf.write_text("a(A) :- p(A).\n")
+    calls = _count_canonical_renames(monkeypatch)
+    code = main(["rewrite", "--ontology", str(onto), "--query", str(qf),
+                 "--budget", "100"])
+    capsys.readouterr()
+    assert code == 3
+    assert calls == []
+
+
 _DIGEST_SCRIPT = """
 import hashlib, random, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from test_canonical import random_tied_query
-from ontorewrite.model import canonical_rename, ordered_body
+from ontorewrite.model import canonical_rename, ordered_body, renaming_key
 rng = random.Random(5)
 h = hashlib.sha256()
 for _ in range(500):
     q = random_tied_query(rng)
     h.update(repr(canonical_rename(q)).encode())
     h.update(repr(ordered_body(q)).encode())
+    h.update(repr(renaming_key(q)).encode())
 print(h.hexdigest())
 """
 

@@ -5,8 +5,11 @@ space; the components share the rewriter context and its caches, and one
 step budget.
 
 Unfolding goes by position: component i's disjuncts unify with the
-reconciliation's i-th body atom, under one substitution composed level by
-level, and each product's query is built once, at the leaf.
+reconciliation's i-th body atom.  Each disjunct unifies once per distinct
+target atom, not once per product, and its body is substituted then; a
+product only concatenates the chosen bodies, under the bindings of the
+reconciliation's variables when a component head holds a constant or
+repeats a variable.
 
 Components are rewritten without subsumption.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
@@ -115,7 +118,15 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     """Cartesian expansion of the reconciliation rule over the disjuncts of
     each component rewriting, standardized apart, slot i against
     `reconciliation.body[i]`.  Unifiers keep the reconciliation's variables,
-    so joins shared between components are preserved.  Output deduplicated
+    so joins shared between components are preserved.
+
+    A disjunct's unifier γ with its target atom binds only its own
+    variables and the reconciliation's, and maps both to the
+    reconciliation's variables or to constants.  So each (slot, target)
+    pair is unified once, memoized as the reconciliation part of γ and γ
+    applied to the body, and a product is the chosen bodies under `theta`,
+    the composed reconciliation parts, which stays empty unless a component
+    head holds a constant or repeats a variable.  Output deduplicated
     modulo renaming by renaming key (`model.renaming_key`, through the
     context's cache when one is given): a product none of whose non-head
     variables joins two atoms is keyed without a canonical form."""
@@ -129,25 +140,39 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     results: List[ConjunctiveQuery] = []
     seen = set()
     chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
+    unifiers: Dict[Tuple[int, Atom], list] = {}
+
+    def unify(slot: int, target: Atom) -> list:
+        pairs = unifiers.get((slot, target))
+        if pairs is None:
+            pairs = unifiers[slot, target] = []
+            for head_atom, body in slots[slot]:
+                gamma = mgu((target, head_atom), preferred=preferred)
+                if gamma is not None:
+                    pairs.append((
+                        {v: t for v, t in gamma.items() if v in preferred},
+                        tuple(subst_atom(gamma, a) for a in body)))
+        return pairs
 
     def expand(slot: int, theta: dict):
         if slot == len(slots):
-            query = make_query(
-                reconciliation.head_pred,
-                (theta.get(t, t) for t in reconciliation.head_args),
-                (subst_atom(theta, a) for body in chosen for a in body))
+            head_args = reconciliation.head_args
+            body = (a for atoms in chosen for a in atoms)
+            if theta:
+                head_args = (theta.get(t, t) for t in head_args)
+                body = (subst_atom(theta, a) for a in body)
+            query = make_query(reconciliation.head_pred, head_args, body)
             key = canonical(query)
             if key not in seen:
                 seen.add(key)
                 results.append(query)
             return
-        target = subst_atom(theta, reconciliation.body[slot])
-        for head_atom, body in slots[slot]:
-            gamma = mgu((target, head_atom), preferred=preferred)
-            if gamma is None:
-                continue
+        target = reconciliation.body[slot]
+        if theta:
+            target = subst_atom(theta, target)
+        for bound, body in unify(slot, target):
             chosen.append(body)
-            expand(slot + 1, compose(theta, gamma))
+            expand(slot + 1, compose(theta, bound) if bound else theta)
             chosen.pop()
 
     expand(0, {})

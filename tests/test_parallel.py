@@ -222,6 +222,34 @@ def test_unfold_matches_reference_on_the_size_law():
         assert len(out) == size
 
 
+def test_unfold_unifies_each_component_disjunct_once(monkeypatch):
+    """Unfolding the n=6 size law unifies each of its 25 component disjuncts
+    once, whatever the body order, not once per node of the product tree
+    (5,461 nodes with `e(B, B)` first, 9,556 with it last)."""
+    from ontorewrite import parallel
+    doc, tgds, ctx = pipeline(
+        "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
+    atoms = ", ".join(f"p_0(A{i})" for i in range(1, 7))
+    head_args = ", ".join(f"A{i}" for i in range(1, 7))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mgu(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "mgu", counting)
+    for body in (f"e(B, B), {atoms}", f"{atoms}, e(B, B)"):
+        for head, size in ((f"p({head_args})", 4 ** 6), ("p()", 84)):
+            for mode in ("none", "idec"):
+                res = xrewrite_parallel(query(f"{head} :- {body}.", doc), ctx,
+                                        RewriteOptions(subsumption=mode))
+                calls.clear()
+                out = unfold(res.component_ucqs,
+                             res.decomposition.reconciliation, ctx)
+                assert len(calls) == 25
+                assert len(out) == size
+
+
 def test_unfold_prunes_products_whose_head_constants_clash():
     a, b = const("a"), const("b")
     X, Y = var("X"), var("Y")

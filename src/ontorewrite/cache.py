@@ -1,16 +1,14 @@
-"""A small thread-safe LRU map used for the MGU, canonical-renaming and
-query-elimination caches.  Lookups and inserts may interleave across threads
-that share one rewriter context; a stale miss only costs a recomputation."""
+"""A small thread-safe LRU map used for the MGU cache.  Lookups and inserts
+may interleave across threads that share one rewriter context; a stale miss
+only costs a recomputation."""
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
 
-# Capacities, in entries, of the rewriter's caches.
+# Capacity, in entries, of the rewriter's MGU cache.
 MGU_CACHE_SIZE = 4500
-RENAME_CACHE_SIZE = 55000
-ELIM_CACHE_SIZE = 2000
 
 
 class LRUCache:

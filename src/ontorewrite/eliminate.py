@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .cache import ELIM_CACHE_SIZE, LRUCache
+from .cache import LRUCache
 from .graphs import (Position, atom_matches_injectively, build_cover_graph,
                      is_compatible)
 from .model import Atom, ConjunctiveQuery, TGD, VAR, make_query, ordered_body
@@ -25,7 +25,7 @@ def _positions_of(a: Atom, t) -> List[Position]:
 
 class EliminationContext:
     """Bundles a linear rule set with its cover graph, whose tightness
-    relation also serves atoms without shared terms, and the reduction cache."""
+    relation also serves atoms without shared terms."""
 
     def __init__(self, tgds: List[TGD], arities: Optional[dict] = None):
         for t in tgds:
@@ -33,7 +33,10 @@ class EliminationContext:
                 raise ValueError("query elimination requires linear rules")
         self.tgds = tgds
         self.cover_graph = build_cover_graph(tgds, arities)
-        self.cache = LRUCache(ELIM_CACHE_SIZE)
+        # Always empty: reduce_query keeps no memo.  Its only reader is the
+        # benchmark tracer's cache.elim_hit_ratio (perfbench/tracing.py);
+        # ROADMAP item 1 removes that hold, and then this attribute.
+        self.cache = LRUCache(0)
 
     def has_tight_chain(self, start: Atom, target_pred: str) -> bool:
         """Whether some tight sequence compatible to `start` ends in a rule
@@ -116,16 +119,9 @@ def eliminate(q: ConjunctiveQuery, strategy: List[Atom], ctx: EliminationContext
 
 def reduce_query(q: ConjunctiveQuery, ctx: EliminationContext) -> ConjunctiveQuery:
     """The reduced query: eliminate along the canonical strategy (body atoms
-    in canonical-rename order).  Results are cached."""
-    cached = ctx.cache.get(q)
-    if cached is not None:
-        return cached
+    in canonical-rename order)."""
     if len(q.body) <= 1:
-        ctx.cache.put(q, q)
         return q
-    strategy = ordered_body(q)
-    removed = eliminate(q, strategy, ctx)
-    reduced = make_query(q.head_pred, q.head_args,
-                         (a for a in q.body if a not in removed)) if removed else q
-    ctx.cache.put(q, reduced)
-    return reduced
+    removed = eliminate(q, ordered_body(q), ctx)
+    return make_query(q.head_pred, q.head_args,
+                      (a for a in q.body if a not in removed)) if removed else q

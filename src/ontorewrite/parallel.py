@@ -1,7 +1,7 @@
 """Decomposition-based rewriting: split the query on existential joins,
 rewrite each component independently, one after another, reconcile with a
 Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
-space; the components share the rewriter context and its caches, and one
+space; the components share the rewriter context and its MGU cache, and one
 step budget.
 
 Unfolding goes by position: component i's disjuncts unify with the
@@ -113,8 +113,7 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
 
 
 def unfold(component_rewritings: List[List[ConjunctiveQuery]],
-           reconciliation: ConjunctiveQuery,
-           ctx: Optional[RewriterContext] = None) -> List[ConjunctiveQuery]:
+           reconciliation: ConjunctiveQuery) -> List[ConjunctiveQuery]:
     """Cartesian expansion of the reconciliation rule over the disjuncts of
     each component rewriting, standardized apart, slot i against
     `reconciliation.body[i]`.  Unifiers keep the reconciliation's variables,
@@ -127,16 +126,15 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     applied to the body, and a product is the chosen bodies under `theta`,
     the composed reconciliation parts, which stays empty unless a component
     head holds a constant or repeats a variable.  Output deduplicated
-    modulo renaming by renaming key (`model.renaming_key`, through the
-    context's cache when one is given): a product none of whose non-head
-    variables joins two atoms is keyed without a canonical form."""
+    modulo renaming by renaming key (`model.renaming_key`): a product none
+    of whose non-head variables joins two atoms is keyed without a
+    canonical form."""
     slots = []
     for slot, disjuncts in enumerate(component_rewritings):
         standardized = [_standardize(d, slot) for d in disjuncts]
         slots.append([(Atom(d.head_pred, d.head_args), d.body)
                       for d in standardized])
     preferred = frozenset(reconciliation.variables())
-    canonical = ctx.canonical if ctx else renaming_key
     results: List[ConjunctiveQuery] = []
     seen = set()
     chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
@@ -162,7 +160,7 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
                 head_args = (theta.get(t, t) for t in head_args)
                 body = (subst_atom(theta, a) for a in body)
             query = make_query(reconciliation.head_pred, head_args, body)
-            key = canonical(query)
+            key = renaming_key(query)
             if key not in seen:
                 seen.add(key)
                 results.append(query)
@@ -196,7 +194,7 @@ class ParallelResult:
 def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                       options: Optional[RewriteOptions] = None) -> ParallelResult:
     """Decompose, rewrite each component in turn with an independent
-    rewriter sharing the context's graphs and caches, then unfold.  The
+    rewriter sharing the context's graphs and MGU cache, then unfold.  The
     query is reduced before decomposition when elimination applies."""
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
@@ -227,7 +225,7 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
         component_ucqs = [subsume.prune_ucq(u) for u in component_ucqs]
 
     unfold_start = time.perf_counter()
-    queries = unfold(component_ucqs, decomposition.reconciliation, ctx)
+    queries = unfold(component_ucqs, decomposition.reconciliation)
     unfold_time = time.perf_counter() - unfold_start
 
     if options.subsumption == "tail":

@@ -1,6 +1,6 @@
 """The backward-chaining rewriting loop: applicability, factorizability,
 rewriting and factorization steps, dedup modulo renaming, query
-provenance, caches and metrics.
+provenance, the MGU cache and metrics.
 
 Dedup compares renaming keys (`model.renaming_key`): the head and the sorted
 atom keys of a query none of whose non-head variables joins two atoms, the
@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import subsume
-from .cache import MGU_CACHE_SIZE, RENAME_CACHE_SIZE, LRUCache
+from .cache import MGU_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
-from .model import (CANONICAL_FORM_KEY, Atom, ConjunctiveQuery, TGD, Term,
-                    VAR, canonical_rename, make_query, mgu, sorted_atoms_key,
-                    subst_atom)
+from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, make_query, mgu,
+                    renaming_key, subst_atom)
+# Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
+# ROADMAP item 1 removes that hold.
+from .model import canonical_rename  # noqa: F401
 from .normalize import is_linear
 
 
@@ -48,6 +50,9 @@ class RewriteOptions:
         if self.subsumption not in SUBSUMPTION_MODES:
             raise ValueError(f"unknown subsumption mode {self.subsumption!r}; "
                              f"expected one of {', '.join(SUBSUMPTION_MODES)}")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"the step budget must be at least 0, "
+                             f"not {self.budget}")
 
 
 @dataclass
@@ -67,11 +72,9 @@ class Metrics:
 
 
 class RewriterContext:
-    """Shared state for one ontology: normalized rules, the MGU and renaming
-    caches, and lazily built elimination/affected structures.  The renaming
-    cache is reached only for queries whose renaming key is a canonical
-    form.  Callers may share one across threads: caches and lazy parts are
-    guarded by locks."""
+    """Shared state for one ontology: normalized rules, the MGU cache, and
+    lazily built elimination/affected structures.  Callers may share one
+    across threads: the cache and lazy parts are guarded by locks."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None):
@@ -80,21 +83,14 @@ class RewriterContext:
         self.arities = dict(arities or {})
         self.linear = is_linear(self.tgds)
         self.mgu_cache = LRUCache(MGU_CACHE_SIZE)
-        self.rename_cache = LRUCache(RENAME_CACHE_SIZE)
+        # Always empty: deduplication keys through model.renaming_key.  Its
+        # only reader is the benchmark tracer's cache.rename_hit_ratio
+        # (perfbench/tracing.py); ROADMAP item 1 removes that hold, and then
+        # this attribute.
+        self.rename_cache = LRUCache(0)
         self._elim: Optional[EliminationContext] = None
         self._affected = None
         self._lock = threading.Lock()
-
-    def canonical(self, q: ConjunctiveQuery) -> tuple:
-        """model.renaming_key(q); the renaming cache holds only the keys of
-        queries that need a canonical form."""
-        key = sorted_atoms_key(q)
-        if key is None:
-            key = self.rename_cache.get(q)
-            if key is None:
-                key = (CANONICAL_FORM_KEY, canonical_rename(q))
-                self.rename_cache.put(q, key)
-        return key
 
     def unify(self, atoms: Tuple[Atom, ...], preferred: FrozenSet) -> Optional[dict]:
         key = (frozenset(atoms), preferred)
@@ -259,7 +255,7 @@ class RewriteState:
 
     def admit(self, q: ConjunctiveQuery, label: str,
               parent: Optional[QueryEntry]) -> Optional[QueryEntry]:
-        canon = self.ctx.canonical(q)
+        canon = renaming_key(q)
         node = self.canon_index.get(canon)
         if node is not None:
             entry = self.entries[node]

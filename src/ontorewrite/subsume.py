@@ -31,16 +31,12 @@ def subsumes(q1: ConjunctiveQuery, q2: ConjunctiveQuery,
     return find_homomorphism(q1.body, target, fixed_head=(h1, h2)) is not None
 
 
-def _canon_key(q: ConjunctiveQuery):
-    c = canonical_rename(q)
-    return (c.head_pred, c.head_args, c.body)
-
-
 def _survivors(queries: List[ConjunctiveQuery]) -> List[bool]:
     """Which queries survive pairwise pruning: in canonical order each
     survivor drops every other survivor it subsumes.  Every dropped query is
     subsumed by a survivor, and no survivor subsumes another."""
-    order = sorted(range(len(queries)), key=lambda i: _canon_key(queries[i]))
+    order = sorted(range(len(queries)),
+                   key=lambda i: canonical_rename(queries[i]))
     bodies = [AtomIndex(q.body) for q in queries]
     alive = [True] * len(queries)
     for i in order:

@@ -108,6 +108,17 @@ def test_rewrite_budget_exhausted_exits_three(files, capsys):
     assert code == 3
 
 
+def test_rewrite_negative_budget_is_input_error(files, capsys):
+    onto = files("fin.dlog", FINANCIAL)
+    steps = files("q.dlog", f"? {FINANCIAL_QUERY}\n")
+    no_steps = files("q0.dlog", "p(A) :- unknown(A).\n")  # no rule resolves it
+    for qf, budget, expected in ((steps, "-1", 2), (steps, "0", 3),
+                                 (no_steps, "-1", 2), (no_steps, "0", 0)):
+        code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                       "--query", qf, "--budget", budget])
+        assert code == expected, (qf, budget, err)
+
+
 def test_rewrite_budget_on_growing_sticky_query_is_fast(files, capsys):
     # the rule is sticky, yet the query grows forever by private q-atoms:
     # p(A), q(Y1), ..., q(Yk); canonical renaming of those ties must not

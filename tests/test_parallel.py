@@ -64,7 +64,7 @@ def test_unfold_singleton_product():
     q = query("p(A,B) :- r(A,B), s(B,C).", doc)
     dec = decompose(q, ctx)
     singletons = [[cq] for cq in dec.component_queries]
-    out = unfold(singletons, dec.reconciliation, ctx)
+    out = unfold(singletons, dec.reconciliation)
     assert canon_set(out) == canon_set([q])
 
 
@@ -184,8 +184,8 @@ def _reference_unfold(component_rewritings, reconciliation):
     return results
 
 
-def _assert_unfold_matches_reference(component_ucqs, reconciliation, ctx=None):
-    got = unfold(component_ucqs, reconciliation, ctx)
+def _assert_unfold_matches_reference(component_ucqs, reconciliation):
+    got = unfold(component_ucqs, reconciliation)
     assert repr(got) == repr(_reference_unfold(component_ucqs, reconciliation))
     return got
 
@@ -202,10 +202,8 @@ def test_unfold_matches_reference_on_random_suites():
         for mode in ("none", "idec"):
             res = xrewrite_parallel(q, ctx, RewriteOptions(
                 elimination=False, subsumption=mode, budget=20000))
-            for unfold_ctx in (ctx, None):
-                _assert_unfold_matches_reference(
-                    res.component_ucqs, res.decomposition.reconciliation,
-                    unfold_ctx)
+            _assert_unfold_matches_reference(
+                res.component_ucqs, res.decomposition.reconciliation)
 
 
 def test_unfold_matches_reference_on_the_size_law():
@@ -218,7 +216,7 @@ def test_unfold_matches_reference_on_the_size_law():
                        (f"p() :- e(B, B), {atoms}.", 35)):
         res = xrewrite_parallel(query(text, doc), ctx)
         out = _assert_unfold_matches_reference(
-            res.component_ucqs, res.decomposition.reconciliation, ctx)
+            res.component_ucqs, res.decomposition.reconciliation)
         assert len(out) == size
 
 
@@ -245,7 +243,7 @@ def test_unfold_unifies_each_component_disjunct_once(monkeypatch):
                                         RewriteOptions(subsumption=mode))
                 calls.clear()
                 out = unfold(res.component_ucqs,
-                             res.decomposition.reconciliation, ctx)
+                             res.decomposition.reconciliation)
                 assert len(calls) == 25
                 assert len(out) == size
 

@@ -17,7 +17,7 @@ from .normalize import (MarkedTGDSet, classify, is_linear, is_multi_linear,
                         is_sticky, normalize_tgds, smark)
 from .graphs import (CoverGraph, PropagationGraph, affected_positions,
                      build_cover_graph, build_propagation_graph, is_compatible,
-                     is_tight, minimal_paths)
+                     is_tight)
 from .eliminate import (EliminationContext, cover_sets, covers, eliminate,
                         reduce_query, shared_terms)
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,

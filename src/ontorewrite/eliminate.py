@@ -4,28 +4,27 @@ strategy-driven eliminate pass, and the reduction wired into the rewriter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .cache import LRUCache
-from .graphs import (Position, atom_matches_injectively, build_cover_graph,
-                     is_compatible)
-from .model import Atom, ConjunctiveQuery, TGD, VAR, make_query, ordered_body
+from .graphs import Position, atom_matches_injectively, build_cover_graph
+from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, make_query,
+                    ordered_body)
 
 
 def shared_terms(q: ConjunctiveQuery, a: Atom) -> set:
     """T(q, a): the maximal subset of terms(a) containing only constants
     occurring in q and variables shared in q."""
-    shared = q.shared_variables()
+    return _shared_terms(q.shared_variables(), a)
+
+
+def _shared_terms(shared: set, a: Atom) -> set:
     return {t for t in a.args if t.kind != VAR or t in shared}
 
 
-def _positions_of(a: Atom, t) -> List[Position]:
-    return [(a.pred, i) for i, term in enumerate(a.args, start=1) if term == t]
-
-
 class EliminationContext:
-    """Bundles a linear rule set with its cover graph, whose tightness
-    relation also serves atoms without shared terms."""
+    """Bundles a linear rule set with its cover graph, the steps of the
+    coverage search in `covers`."""
 
     def __init__(self, tgds: List[TGD], arities: Optional[dict] = None):
         for t in tgds:
@@ -38,64 +37,63 @@ class EliminationContext:
         # ROADMAP item 1 removes that hold, and then this attribute.
         self.cache = LRUCache(0)
 
-    def has_tight_chain(self, start: Atom, target_pred: str) -> bool:
-        """Whether some tight sequence compatible to `start` ends in a rule
-        whose head predicate is `target_pred`."""
-        tight = self.cover_graph.tight
-        frontier = [k for k, t in enumerate(self.tgds)
-                    if atom_matches_injectively(t.body[0], start) is not None]
-        seen = set(frontier)
-        while frontier:
-            k = frontier.pop()
-            if self.tgds[k].head.pred == target_pred:
-                return True
-            for k2 in tight[k]:
-                if k2 not in seen:
-                    seen.add(k2)
-                    frontier.append(k2)
-        return False
-
 
 def covers(a: Atom, b: Atom, q: ConjunctiveQuery, ctx: EliminationContext) -> bool:
     """Whether atom `a` covers atom `b` w.r.t. q: removing b loses neither
     constants nor joins (T(q,b) sits inside a) and one tight rule sequence,
-    compatible to a, propagates every required term of a into b's positions
-    along minimal paths."""
-    if a == b:
+    compatible to a, carries each term of T(q,b) from its positions in a
+    into all its positions in b along the propagation graph.  One search
+    over (last rule, term positions) decides it: see `_covers`."""
+    return _covers(a, b, shared_terms(q, b), ctx)
+
+
+def _placed(a: Atom, terms: set) -> FrozenSet[Tuple[Term, Position]]:
+    """The pairs (t, p) of a term t in `terms` and a position p of `a`
+    that holds it."""
+    return frozenset((t, (a.pred, i)) for i, t in enumerate(a.args, start=1)
+                     if t in terms)
+
+
+def _covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
+    """The coverage search.  A state is the last rule k of a tight sequence
+    compatible to `a` and the pairs (t, p) such that k carries the term t
+    of `tb` to its head position p.  There are finitely many states (rules
+    times subsets of one atom's positions, per term), so the search ends.
+    It drops a state in which a term is held nowhere, or whose rule cannot
+    reach b's predicate: neither leads to acceptance."""
+    if a == b or not tb <= a.terms():
         return False
-    tb = shared_terms(q, b)
-    if not tb <= a.terms():
-        return False
-    if not tb:
-        # Condition on paths is vacuous; require a tight compatible sequence
-        # producing b's predicate.
-        return ctx.has_tight_chain(a, b.pred)
     cg = ctx.cover_graph
-    candidates: Optional[Set[tuple]] = None
-    for t in sorted(tb):
-        sources = _positions_of(a, t)
-        for pi in _positions_of(b, t):
-            here: Set[tuple] = set()
-            for src in sources:
-                here.update(cg.sequences(src, pi))
-            if candidates is None:
-                candidates = here
-            else:
-                candidates &= here
-            if not candidates:
-                return False
-    assert candidates is not None
-    for seq in sorted(candidates):
-        if is_compatible([ctx.tgds[k] for k in seq], a):
+    starts = [k for k in cg.by_body_pred.get(a.pred, ())
+              if b.pred in cg.reached_preds[k]
+              and atom_matches_injectively(ctx.tgds[k].body[0], a) is not None]
+    if not tb:
+        return bool(starts)
+    needed = _placed(b, tb)
+    frontier = [(k, _placed(a, tb)) for k in starts]
+    seen = set()
+    while frontier:
+        k, held = frontier.pop()
+        moves = cg.moves[k]
+        held = frozenset([(t, dst) for t, src in held
+                          for dst in moves.get(src, ())])
+        if len({t for t, _ in held}) < len(tb) or (k, held) in seen:
+            continue
+        seen.add((k, held))
+        if ctx.tgds[k].head.pred == b.pred and needed <= held:
             return True
+        frontier.extend([(k2, held) for k2 in cg.tight[k]
+                         if b.pred in cg.reached_preds[k2]])
     return False
 
 
 def cover_sets(q: ConjunctiveQuery, ctx: EliminationContext) -> Dict[Atom, Set[Atom]]:
+    shared = q.shared_variables()
     out: Dict[Atom, Set[Atom]] = {a: set() for a in q.body}
     for a in q.body:
+        ta = _shared_terms(shared, a)
         for b in q.body:
-            if a != b and covers(b, a, q, ctx):
+            if _covers(b, a, ta, ctx):
                 out[a].add(b)
     return out
 

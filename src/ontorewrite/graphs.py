@@ -1,13 +1,16 @@
-"""Propagation graph, minimal paths, tight sequences, cover graph and
-affected positions.
+"""Propagation graph, tight sequences, cover graph and affected positions.
 
 Positions are (predicate, index) pairs with 1-based indices.  All structures
-here are built once per rule set and then shared read-only.
+here are built once per rule set, in time polynomial in it, and then shared
+read-only.  The cover graph holds what `eliminate.covers` searches through:
+the tightness relation, each rule's moves along the propagation graph, the
+head predicates that tight steps reach from each rule, and the rules by
+body predicate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .model import TGD, VAR, atom_maps_onto, atom_matches_injectively
@@ -23,12 +26,6 @@ class PropagationGraph:
 
     nodes: List[Position]
     edges: List[Tuple[Position, Position, int]]
-    adjacency: Dict[Position, List[Tuple[Position, int]]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.adjacency:
-            for src, dst, label in self.edges:
-                self.adjacency.setdefault(src, []).append((dst, label))
 
 
 def schema_positions(tgds: Iterable[TGD], arities: Optional[dict] = None) -> List[Position]:
@@ -64,60 +61,6 @@ def build_propagation_graph(tgds: List[TGD], arities: Optional[dict] = None) -> 
     return PropagationGraph(nodes, edges)
 
 
-def _has_repeated_cycle(nodes: list, labels: list) -> bool:
-    """True if the freshly extended path violates minimality: an immediately
-    repeated labeled cycle ending at the last node."""
-    n = len(labels)  # number of edges; nodes has n + 1 entries
-    for j in range(1, n // 2 + 1):
-        if (nodes[n - 2 * j:n - j + 1] == nodes[n - j:n + 1]
-                and labels[n - 2 * j:n - j] == labels[n - j:n]):
-            return True
-    return False
-
-
-def minimal_paths_from(pg: PropagationGraph, source: Position,
-                       pair_ok=None) -> Dict[Position, Set[tuple]]:
-    """All minimal paths out of `source`: a map target -> set of label tuples.
-
-    A path is minimal when it contains no immediately repeated labeled cycle.
-    Graphs with three or more interleavable labeled cycles admit unboundedly
-    long minimal paths (square-free label walks), so the traversal also
-    bounds each labeled edge to two uses; a repeated cycle always repeats an
-    edge, hence every pruned walk is longer than some enumerated one with the
-    same endpoints.  `pair_ok(prev_label, next_label)` prunes label
-    transitions.
-    """
-    result: Dict[Position, Set[tuple]] = {}
-    nodes = [source]
-    labels: List[int] = []
-    edge_uses: Dict[Tuple[Position, Position, int], int] = {}
-
-    def dfs():
-        for dst, lab in pg.adjacency.get(nodes[-1], ()):
-            edge = (nodes[-1], dst, lab)
-            if edge_uses.get(edge, 0) >= 2:
-                continue
-            if pair_ok is not None and labels and not pair_ok(labels[-1], lab):
-                continue
-            edge_uses[edge] = edge_uses.get(edge, 0) + 1
-            nodes.append(dst)
-            labels.append(lab)
-            if not _has_repeated_cycle(nodes, labels):
-                result.setdefault(dst, set()).add(tuple(labels))
-                dfs()
-            nodes.pop()
-            labels.pop()
-            edge_uses[edge] -= 1
-
-    dfs()
-    return result
-
-
-def minimal_paths(pg: PropagationGraph, source: Position,
-                  target: Position) -> Set[tuple]:
-    return minimal_paths_from(pg, source).get(target, set())
-
-
 def is_tight(seq: List[TGD]) -> bool:
     """Consecutive rules admit a homomorphism mapping the next body ONTO the
     previous head.  Rules must be linear; a single rule is trivially tight."""
@@ -144,42 +87,44 @@ def is_compatible(seq: List[TGD], target) -> bool:
 
 @dataclass
 class CoverGraph:
-    """Pair-keyed closure of the propagation graph: for each position pair,
-    every tight minimal-path label sequence (as rule-index tuples).  `tight`
-    is the tightness relation on rule pairs: k2 is in tight[k] iff the body
-    of rule k2 maps onto the head of rule k."""
+    """The steps of the atom-coverage search, for a linear rule set.
 
-    tgds: List[TGD]
-    reach: Dict[Tuple[Position, Position], List[tuple]]
+    `tight[k]` holds the rules k2 whose body maps onto the head of rule k.
+    `moves[k]` maps each body position of rule k to the head positions its
+    variable reaches: the propagation graph's edges labeled k.
+    `reached_preds[k]` holds the head predicates of the rules that tight
+    steps reach from rule k, k itself included.  `by_body_pred` lists the
+    rules by the predicate of their body, where a search starts."""
+
     tight: Dict[int, FrozenSet[int]]
-
-    def sequences(self, src: Position, dst: Position) -> List[tuple]:
-        return self.reach.get((src, dst), [])
+    moves: Dict[int, Dict[Position, Set[Position]]]
+    reached_preds: Dict[int, FrozenSet[str]]
+    by_body_pred: Dict[str, List[int]]
 
 
 def build_cover_graph(tgds: List[TGD],
                       arities: Optional[dict] = None) -> CoverGraph:
     if any(len(t.body) != 1 for t in tgds):
         raise ValueError("the cover graph is defined for linear rules only")
-    pg = build_propagation_graph(tgds, arities)
     tight = {k: frozenset(k2 for k2, t2 in enumerate(tgds)
                           if atom_maps_onto(t2.body[0], t.head) is not None)
              for k, t in enumerate(tgds)}
-
-    # tightness is prefix-closed, so pruning on consecutive pairs during the
-    # traversal enumerates exactly the tight minimal sequences
-    def pair_tight(prev: int, nxt: int) -> bool:
-        return nxt in tight[prev]
-
-    reach: Dict[Tuple[Position, Position], List[tuple]] = {}
-    for src in pg.nodes:
-        if src not in pg.adjacency:
-            continue
-        for dst, seqs in minimal_paths_from(pg, src, pair_tight).items():
-            kept = sorted(seqs)
-            if kept:
-                reach[(src, dst)] = kept
-    return CoverGraph(tgds, reach, tight)
+    moves: Dict[int, Dict[Position, Set[Position]]] = {k: {} for k in tight}
+    for src, dst, k in build_propagation_graph(tgds, arities).edges:
+        moves[k].setdefault(src, set()).add(dst)
+    reached_preds = {}
+    for k in tight:
+        seen, frontier = {k}, [k]
+        while frontier:
+            for k2 in tight[frontier.pop()]:
+                if k2 not in seen:
+                    seen.add(k2)
+                    frontier.append(k2)
+        reached_preds[k] = frozenset(tgds[k2].head.pred for k2 in seen)
+    by_body_pred: Dict[str, List[int]] = {}
+    for k, t in enumerate(tgds):
+        by_body_pred.setdefault(t.body[0].pred, []).append(k)
+    return CoverGraph(tight, moves, reached_preds, by_body_pred)
 
 
 def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:
@@ -227,12 +172,9 @@ def format_propagation_graph(pg: PropagationGraph, rule_names=None) -> str:
 
 
 def format_cover_graph(cg: CoverGraph, rule_names=None) -> str:
+    """The tightness relation, one `rK -> rJ` line per tight pair."""
     def name(k):
         return rule_names[k] if rule_names else f"r{k + 1}"
 
-    lines = []
-    for (src, dst), seqs in sorted(cg.reach.items()):
-        for seq in seqs:
-            lines.append(f"{src[0]}[{src[1]}] -> {dst[0]}[{dst[1]}] : "
-                         + ",".join(name(k) for k in seq))
-    return "\n".join(lines)
+    return "\n".join(f"{name(k)} -> {name(k2)}"
+                     for k in sorted(cg.tight) for k2 in sorted(cg.tight[k]))

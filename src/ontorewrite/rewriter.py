@@ -15,7 +15,6 @@ rewriting once (`subsume.prune_tail_state`).
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,8 +72,7 @@ class Metrics:
 
 class RewriterContext:
     """Shared state for one ontology: normalized rules, the MGU cache, and
-    lazily built elimination/affected structures.  Callers may share one
-    across threads: the cache and lazy parts are guarded by locks."""
+    lazily built elimination/affected structures."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None):
@@ -90,7 +88,6 @@ class RewriterContext:
         self.rename_cache = LRUCache(0)
         self._elim: Optional[EliminationContext] = None
         self._affected = None
-        self._lock = threading.Lock()
 
     def unify(self, atoms: Tuple[Atom, ...], preferred: FrozenSet) -> Optional[dict]:
         key = (frozenset(atoms), preferred)
@@ -102,10 +99,9 @@ class RewriterContext:
         return result
 
     def elimination(self) -> EliminationContext:
-        with self._lock:
-            if self._elim is None:
-                self._elim = EliminationContext(self.tgds, self.arities)
-            return self._elim
+        if self._elim is None:
+            self._elim = EliminationContext(self.tgds, self.arities)
+        return self._elim
 
     def elimination_for(self, option: Optional[bool]) -> Optional[EliminationContext]:
         """The elimination context a rewriting with the `elimination` option
@@ -120,10 +116,9 @@ class RewriterContext:
         return self.elimination()
 
     def affected(self):
-        with self._lock:
-            if self._affected is None:
-                self._affected = affected_positions(self.tgds)
-            return self._affected
+        if self._affected is None:
+            self._affected = affected_positions(self.tgds)
+        return self._affected
 
     def mentions_aux(self, q: ConjunctiveQuery) -> bool:
         return any(a.pred in self.aux_preds for a in q.body)

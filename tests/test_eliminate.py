@@ -23,6 +23,24 @@ t(X,Y) -> s(X,Y,Y).
 """
 
 
+# p(T,S,U,V) covers q(T,A,B,S) through r1 r1 r2: S needs both rotations,
+# although T's positions p[1] p[1] p[1] repeat a labelled cycle
+ROTATION = """
+p(X,Y,Z,W) -> p(X,W,Y,Z).
+p(X,Y,Z,W) -> q(X,Y,Z,W).
+"""
+ROTATION_QUERY = "q0(T,S) :- p(T,S,U,V), q(T,A,B,S)."
+
+# a normalized rule set on which enumerating minimal paths took millions
+# of steps; the coverage search ends at once.  p1(A) covers p4(B,A,C).
+LOOPING = """
+p4(X,X,X) -> p4(X,X,X).
+p1(Z) -> aux_1_1(Z,W).
+aux_1_1(Z,W) -> p4(W,Z,W).
+p3(X,X) -> p2(X,V).
+"""
+
+
 def _ctx(text):
     doc = parse_ontology(text)
     tgds, _, _ = normalize_tgds(doc.tgds)
@@ -60,6 +78,35 @@ def test_covers_financial_stock_portfolio_implies_fin_instrument():
     fin_instrument, stock_portfolio = q.body[0], q.body[1]
     assert covers(stock_portfolio, fin_instrument, q, ec)
     assert not covers(fin_instrument, stock_portfolio, q, ec)
+
+
+def test_covers_through_a_repeated_rotation():
+    from conftest import pipeline
+    from ontorewrite.chase import certain_answers, evaluate_ucq
+    from ontorewrite.rewriter import RewriteOptions, xrewrite
+    doc, ec = _ctx(ROTATION)
+    q = parse_query(ROTATION_QUERY, dict(doc.arities))
+    p_atom, q_atom = q.body
+    assert covers(p_atom, q_atom, q, ec)
+    assert reduce_query(q, ec).body == (p_atom,)
+    doc, tgds, ctx = pipeline(ROTATION)
+    ucq = xrewrite(q, ctx, RewriteOptions(elimination=True)).queries
+    assert len(ucq) == 3
+    db = parse_ontology("p(a,b,c,d).").facts
+    expected, saturated = certain_answers(q, db, tgds)
+    assert saturated and expected
+    assert evaluate_ucq(ucq, db) == expected
+
+
+def test_context_on_looping_rules_is_immediate():
+    import time
+    doc = parse_ontology(LOOPING)
+    tgds, _, _ = normalize_tgds(doc.tgds)
+    start = time.perf_counter()
+    ec = EliminationContext(tgds, doc.arities)
+    assert time.perf_counter() - start < 0.5
+    q = parse_query("q0(A) :- p4(A,A,A), p1(A).", dict(doc.arities))
+    assert not covers(q.body[1], q.body[0], q, ec)
 
 
 def test_atom_never_covers_itself():
@@ -167,25 +214,44 @@ def test_reduction_is_invariant_under_renaming_and_body_order():
     assert shrunk > 0
 
 
+def _reduction_keeps_answers(rules, q, db) -> bool:
+    """False when the normalized rules are not linear; otherwise asserts
+    that q and its reduction have the same certain answers over db."""
+    from ontorewrite.chase import certain_answers
+    tgds, _, _ = normalize_tgds(rules)
+    if not is_linear(tgds):
+        return False
+    ec = EliminationContext(tgds, _arities(rules))
+    reduced = reduce_query(q, ec)
+    full, _ = certain_answers(q, db, tgds, 300)
+    less, _ = certain_answers(reduced, db, tgds, 300)
+    assert full == less, (q, reduced, db)
+    return True
+
+
+def _arities(rules) -> dict:
+    arities = {}
+    for r in rules:
+        for at in r.body + r.head:
+            arities.setdefault(at.pred, len(at.args))
+    return arities
+
+
 def test_elimination_safety_against_chase_oracle():
     from conftest import random_database, random_linear_rules, random_query
-    from ontorewrite.chase import certain_answers
     rng = random.Random(99)
+    for text, query in ((ROTATION, ROTATION_QUERY),
+                        (LOOPING, "q0(A) :- p1(A), p4(B,A,C).")):
+        rules = parse_ontology(text).tgds
+        pool = sorted(_arities(rules).items())
+        q = parse_query(query, _arities(rules))
+        for _ in range(20):
+            db = random_database(rng, pool=pool)
+            assert _reduction_keeps_answers(rules, q, db)
+            assert _reduction_keeps_answers(
+                rules, random_query(rng, max_atoms=4, pool=pool), db)
     checked = 0
-    while checked < 25:
+    while checked < 300:
         rules = random_linear_rules(rng, max_rules=4)
-        tgds, _, _ = normalize_tgds(rules)
-        if not is_linear(tgds):
-            continue
-        arities = {}
-        for r in rules:
-            for at in r.body + r.head:
-                arities.setdefault(at.pred, len(at.args))
-        ec = EliminationContext(tgds, arities)
-        q = random_query(rng)
-        reduced = reduce_query(q, ec)
-        db = random_database(rng)
-        full, _ = certain_answers(q, db, tgds, 300)
-        less, _ = certain_answers(reduced, db, tgds, 300)
-        assert full == less, (q, reduced, db)
-        checked += 1
+        checked += _reduction_keeps_answers(rules, random_query(rng),
+                                            random_database(rng))

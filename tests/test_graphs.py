@@ -1,8 +1,9 @@
 import pytest
 
+from ontorewrite.eliminate import EliminationContext, covers
 from ontorewrite.graphs import (affected_positions, build_cover_graph,
-                                build_propagation_graph, is_compatible,
-                                is_tight, minimal_paths)
+                                build_propagation_graph, format_cover_graph,
+                                is_compatible, is_tight)
 from ontorewrite.model import atom, var
 from ontorewrite.normalize import normalize_tgds
 from ontorewrite.parser import parse_ontology
@@ -13,6 +14,12 @@ PG_EXAMPLE = """
 p(X,Y) -> r(X,Y,Z).
 r(X,Y,c) -> s(X,Y,Y).
 s(X,X,Y) -> p(X,Y).
+"""
+
+
+ROTATION = """
+p(X,Y,Z,W) -> p(X,W,Y,Z).
+p(X,Y,Z,W) -> q(X,Y,Z,W).
 """
 
 
@@ -30,7 +37,8 @@ def test_propagation_graph_example_edges():
         (("r", 1), ("s", 1)), (("r", 2), ("s", 2)), (("r", 2), ("s", 3)),
         (("s", 1), ("p", 1)), (("s", 2), ("p", 1)), (("s", 3), ("p", 2)),
     }
-    assert ("r", 3) in pg.nodes and ("r", 3) not in pg.adjacency
+    assert ("r", 3) in pg.nodes
+    assert all(src != ("r", 3) for src, _, _ in pg.edges)
 
 
 def test_propagation_graph_empty_rule_set():
@@ -58,41 +66,6 @@ def test_edge_count_matches_naive_triple_loop():
     assert naive == set(pg.edges)
 
 
-def test_minimal_path_example():
-    tgds, pg = _pg(PG_EXAMPLE)
-    seqs = minimal_paths(pg, ("s", 3), ("r", 2))
-    assert (2, 0) in seqs  # labels sigma3 sigma1
-    # the doubled cycle s3 p2 r2 s3 p2 r2 s3 would carry labels repeated
-    # twice; no returned sequence contains an immediately repeated square
-    for seq in seqs:
-        n = len(seq)
-        for j in range(1, n // 2 + 1):
-            assert not (seq[n - 2 * j:n - j] == seq[n - j:n]
-                        and seq[n - 2 * j:n - j])
-
-
-def test_minimal_paths_cycles_from_node_to_itself():
-    tgds, pg = _pg(PG_EXAMPLE)
-    seqs = minimal_paths(pg, ("s", 3), ("s", 3))
-    assert seqs  # the cycle traversed once
-    assert all(len(s) >= 1 for s in seqs)
-
-
-def test_minimal_paths_terminate_on_interleavable_cycles():
-    # square-free label walks are unbounded here; the traversal must still
-    # terminate (bounded edge reuse) and keep the short useful sequences
-    doc = parse_ontology("""
-        t(X,Y) -> r(X,Y,Z).
-        r(X,Y,Z) -> s(Y,W,X).
-        s(X,Y,Z) -> t(Z,X).
-        t(X,Y) -> s(X,Y,Y).
-    """)
-    tgds, _, _ = normalize_tgds(doc.tgds)
-    pg = build_propagation_graph(tgds, doc.arities)
-    seqs = minimal_paths(pg, ("t", 1), ("s", 1))
-    assert (3,) in seqs
-
-
 def test_tight_examples():
     doc = parse_ontology("r(X,Y) -> t(Y,Z).  t(X,X) -> s(X).")
     tgds, _, _ = normalize_tgds(doc.tgds)
@@ -118,32 +91,40 @@ def test_compatible_requires_one_to_one_match():
 
 
 def test_cover_graph_financial_reachability(financial):
-    doc, tgds, ctx, _ = financial
-    cg = build_cover_graph(tgds, doc.arities)
-    chains = cg.sequences(("stockPortfolio", 2), ("finInstrument", 1))
-    assert chains
-    # sigma2's normalization chain followed by sigma8
-    assert any(tgds[seq[-1]].head.pred == "finInstrument" and
-               tgds[seq[0]].body[0].pred == "stockPortfolio" for seq in chains)
-    chains2 = cg.sequences(("listComponent", 2), ("finIndex", 1))
-    assert chains2
-    assert all(tgds[seq[0]].body[0].pred == "listComponent" for seq in chains2)
+    # listComponent(X,Y) -> finIndex(Y,Z,W) carries the join variable C
+    doc, tgds, _, q = financial
+    list_component, fin_index = q.body[3], q.body[4]
+    ec = EliminationContext(tgds, doc.arities)
+    assert covers(list_component, fin_index, q, ec)
+    assert not covers(fin_index, list_component, q, ec)
 
 
 def test_cover_graph_empty_ontology():
     cg = build_cover_graph([], {"r": 2})
-    assert cg.reach == {}
+    assert cg.tight == {} and cg.moves == {} and cg.reached_preds == {}
+    assert cg.by_body_pred == {}
+    assert format_cover_graph(cg) == ""
 
 
 def test_cover_graph_sequences_validate():
-    doc = parse_ontology(PG_EXAMPLE)
-    tgds, _, _ = normalize_tgds(doc.tgds)
-    cg = build_cover_graph(tgds, doc.arities)
-    pg = build_propagation_graph(tgds, doc.arities)
-    for (src, dst), seqs in cg.reach.items():
-        for seq in seqs:
-            assert is_tight([tgds[i] for i in seq])
-            assert seq in minimal_paths(pg, src, dst)
+    for text in (PG_EXAMPLE, ROTATION):
+        doc = parse_ontology(text)
+        tgds, _, _ = normalize_tgds(doc.tgds)
+        cg = build_cover_graph(tgds, doc.arities)
+        pg = build_propagation_graph(tgds, doc.arities)
+        for k in range(len(tgds)):
+            assert ({(src, dst) for src, dsts in cg.moves[k].items()
+                     for dst in dsts}
+                    == {(src, dst) for src, dst, lab in pg.edges if lab == k})
+        for k in range(len(tgds)):
+            closure = {k}
+            while True:
+                grown = closure | {k2 for k1 in closure for k2 in range(len(tgds))
+                                   if is_tight([tgds[k1], tgds[k2]])}
+                if grown == closure:
+                    break
+                closure = grown
+            assert cg.reached_preds[k] == {tgds[j].head.pred for j in closure}
 
 
 def test_cover_graph_tightness_relation_is_the_tight_pairs(financial):

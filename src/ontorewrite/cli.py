@@ -14,7 +14,7 @@ from . import emit
 from .graphs import (build_cover_graph, build_propagation_graph,
                      format_cover_graph, format_propagation_graph)
 from .model import ConjunctiveQuery, as_index
-from .normalize import classify, normalize_tgds, smark
+from .normalize import classify, is_linear, normalize_tgds, smark
 from .parser import ParseError, parse_ontology, parse_query
 from .rewriter import (SUBSUMPTION_MODES, BudgetExhaustedError,
                        RewriteOptions, RewriterContext, xrewrite)
@@ -128,7 +128,8 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
     # one instance, so its join indexes serve every check and the answers
     instance = as_index(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
-        rewritten = xrewrite(check, ctx, RewriteOptions(elimination=False)).queries
+        rewritten = xrewrite(check, ctx, RewriteOptions(
+            elimination=False, budget=args.budget)).queries
         if chase_mod.evaluate_ucq(rewritten, instance):
             violations.append(f"nc violated: {nc}")
     if violations:
@@ -173,11 +174,11 @@ def cmd_chase(args) -> int:
 def cmd_graph(args) -> int:
     doc = _load_ontology(args.ontology)
     tgds, _, _ = normalize_tgds(doc.tgds)
-    pg = build_propagation_graph(tgds, doc.arities)
+    pg = build_propagation_graph(tgds)
     sys.stdout.write("propagation graph:\n")
     sys.stdout.write(format_propagation_graph(pg) + "\n")
-    if all(len(t.body) == 1 for t in tgds):
-        cg = build_cover_graph(tgds, doc.arities)
+    if is_linear(tgds):
+        cg = build_cover_graph(tgds)
         sys.stdout.write("cover graph:\n")
         sys.stdout.write(format_cover_graph(cg) + "\n")
     return OK

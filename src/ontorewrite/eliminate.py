@@ -4,7 +4,7 @@ strategy-driven eliminate pass, and the reduction wired into the rewriter.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .cache import LRUCache
 from .graphs import Position, atom_matches_injectively, build_cover_graph
@@ -24,14 +24,12 @@ def _shared_terms(shared: set, a: Atom) -> set:
 
 class EliminationContext:
     """Bundles a linear rule set with its cover graph, the steps of the
-    coverage search in `covers`."""
+    coverage search in `covers`.  Building the cover graph rejects a rule
+    set that is not linear."""
 
-    def __init__(self, tgds: List[TGD], arities: Optional[dict] = None):
-        for t in tgds:
-            if len(t.body) != 1:
-                raise ValueError("query elimination requires linear rules")
+    def __init__(self, tgds: List[TGD]):
         self.tgds = tgds
-        self.cover_graph = build_cover_graph(tgds, arities)
+        self.cover_graph = build_cover_graph(tgds)
         # Always empty: reduce_query keeps no memo.  Its only reader is the
         # benchmark tracer's cache.elim_hit_ratio (perfbench/tracing.py);
         # ROADMAP item 1 removes that hold, and then this attribute.
@@ -88,6 +86,7 @@ def _covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
 
 
 def cover_sets(q: ConjunctiveQuery, ctx: EliminationContext) -> Dict[Atom, Set[Atom]]:
+    """For each body atom a, the atoms of q that cover it."""
     shared = q.shared_variables()
     out: Dict[Atom, Set[Atom]] = {a: set() for a in q.body}
     for a in q.body:
@@ -99,19 +98,19 @@ def cover_sets(q: ConjunctiveQuery, ctx: EliminationContext) -> Dict[Atom, Set[A
 
 
 def eliminate(q: ConjunctiveQuery, strategy: List[Atom], ctx: EliminationContext) -> Set[Atom]:
-    """Scan atoms in strategy order; an atom whose current cover set is
-    nonempty is eliminable and disappears from the remaining cover sets.
-    The eliminated count is strategy-independent."""
+    """Scan atoms in strategy order; an atom that some atom not yet
+    eliminated covers is eliminable, and the search for a covering atom
+    stops at the first.  This eliminates what scanning the `cover_sets`
+    table would, without deciding the pairs it never reads.  The eliminated
+    count is strategy-independent."""
     if sorted(strategy) != sorted(q.body):
         raise ValueError("strategy must be a permutation of the query body")
-    cover = cover_sets(q, ctx)
+    shared = q.shared_variables()
     eliminated: Set[Atom] = set()
     for a in strategy:
-        if cover[a]:
+        ta = _shared_terms(shared, a)
+        if any(_covers(b, a, ta, ctx) for b in q.body if b not in eliminated):
             eliminated.add(a)
-            for b in q.body:
-                if b not in eliminated:
-                    cover[b].discard(a)
     return eliminated
 
 

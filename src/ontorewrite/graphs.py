@@ -2,16 +2,18 @@
 
 Positions are (predicate, index) pairs with 1-based indices.  All structures
 here are built once per rule set, in time polynomial in it, and then shared
-read-only.  The cover graph holds what `eliminate.covers` searches through:
-the tightness relation, each rule's moves along the propagation graph, the
-head predicates that tight steps reach from each rule, and the rules by
-body predicate.
+read-only.  The propagation graph is held as its labeled edges alone, the
+only part its readers use.  The cover graph holds what `eliminate.covers`
+searches through: the tightness relation, each rule's moves along the
+propagation graph, the head predicates that tight steps reach from each
+rule, and the rules by body predicate.  `build_cover_graph` is where
+elimination checks that the rule set is linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .model import TGD, VAR, atom_maps_onto, atom_matches_injectively
 
@@ -20,28 +22,14 @@ Position = Tuple[str, int]
 
 @dataclass
 class PropagationGraph:
-    """Labeled directed multigraph over schema positions.  An edge
-    (pi_b -> pi_h) labeled by rule index k exists iff some variable occurs at
-    pi_b in the body and at pi_h in the head of rule k."""
+    """Labeled directed multigraph over schema positions, held as its edges.
+    An edge (pi_b -> pi_h) labeled by rule index k exists iff some variable
+    occurs at pi_b in the body and at pi_h in the head of rule k."""
 
-    nodes: List[Position]
     edges: List[Tuple[Position, Position, int]]
 
 
-def schema_positions(tgds: Iterable[TGD], arities: Optional[dict] = None) -> List[Position]:
-    seen: Dict[str, int] = dict(arities or {})
-    for t in tgds:
-        for a in list(t.body) + [t.head]:
-            seen.setdefault(a.pred, len(a.args))
-    out: List[Position] = []
-    for pred in seen:
-        for i in range(1, seen[pred] + 1):
-            out.append((pred, i))
-    return out
-
-
-def build_propagation_graph(tgds: List[TGD], arities: Optional[dict] = None) -> PropagationGraph:
-    nodes = schema_positions(tgds, arities)
+def build_propagation_graph(tgds: List[TGD]) -> PropagationGraph:
     edges: List[Tuple[Position, Position, int]] = []
     seen = set()
     for k, t in enumerate(tgds):
@@ -58,7 +46,7 @@ def build_propagation_graph(tgds: List[TGD], arities: Optional[dict] = None) -> 
                     if e not in seen:
                         seen.add(e)
                         edges.append(e)
-    return PropagationGraph(nodes, edges)
+    return PropagationGraph(edges)
 
 
 def is_tight(seq: List[TGD]) -> bool:
@@ -102,15 +90,14 @@ class CoverGraph:
     by_body_pred: Dict[str, List[int]]
 
 
-def build_cover_graph(tgds: List[TGD],
-                      arities: Optional[dict] = None) -> CoverGraph:
+def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
     if any(len(t.body) != 1 for t in tgds):
         raise ValueError("the cover graph is defined for linear rules only")
     tight = {k: frozenset(k2 for k2, t2 in enumerate(tgds)
                           if atom_maps_onto(t2.body[0], t.head) is not None)
              for k, t in enumerate(tgds)}
     moves: Dict[int, Dict[Position, Set[Position]]] = {k: {} for k in tight}
-    for src, dst, k in build_propagation_graph(tgds, arities).edges:
+    for src, dst, k in build_propagation_graph(tgds).edges:
         moves[k].setdefault(src, set()).add(dst)
     reached_preds = {}
     for k in tight:
@@ -161,20 +148,12 @@ def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:
     return out
 
 
-def format_propagation_graph(pg: PropagationGraph, rule_names=None) -> str:
-    def name(k):
-        return rule_names[k] if rule_names else f"r{k + 1}"
-
-    lines = []
-    for src, dst, label in sorted(pg.edges, key=lambda e: (e[0], e[1], e[2])):
-        lines.append(f"{src[0]}[{src[1]}] -> {dst[0]}[{dst[1]}] : {name(label)}")
-    return "\n".join(lines)
+def format_propagation_graph(pg: PropagationGraph) -> str:
+    return "\n".join(f"{src[0]}[{src[1]}] -> {dst[0]}[{dst[1]}] : r{label + 1}"
+                     for src, dst, label in sorted(pg.edges))
 
 
-def format_cover_graph(cg: CoverGraph, rule_names=None) -> str:
+def format_cover_graph(cg: CoverGraph) -> str:
     """The tightness relation, one `rK -> rJ` line per tight pair."""
-    def name(k):
-        return rule_names[k] if rule_names else f"r{k + 1}"
-
-    return "\n".join(f"{name(k)} -> {name(k2)}"
+    return "\n".join(f"r{k + 1} -> r{k2 + 1}"
                      for k in sorted(cg.tight) for k2 in sorted(cg.tight[k]))

@@ -140,11 +140,8 @@ class TGD(NamedTuple):
         return vs
 
     def existential_var(self) -> Optional[Term]:
-        body_vars = self.body_variables()
-        for t in self.head.args:
-            if t.kind == VAR and t not in body_vars:
-                return t
-        return None
+        i = self.existential_position()
+        return None if i is None else self.head.args[i - 1]
 
     def existential_position(self) -> Optional[int]:
         """1-based argument index of the existential variable, or None."""

@@ -11,7 +11,7 @@ linearity and stickiness and grows the rule set at most quadratically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from .model import Atom, TGD, VAR
 from .parser import RawTGD
@@ -37,8 +37,7 @@ def fresh_prefix(base: str, used_preds: Set[str]) -> str:
     return base
 
 
-def normalize_tgds(rules: Iterable[RawTGD], used_preds: Optional[Set[str]] = None
-                   ) -> Tuple[List[TGD], List[int], Set[str]]:
+def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[str]]:
     """Split raw rules into normal form.
 
     Returns (normalized rules, provenance, auxiliary predicates) where
@@ -47,12 +46,7 @@ def normalize_tgds(rules: Iterable[RawTGD], used_preds: Optional[Set[str]] = Non
     (base escalated if a user predicate collides with the reserved prefix).
     """
     rules = list(rules)
-    if used_preds is None:
-        used_preds = set()
-        for r in rules:
-            for a in r.body + r.head:
-                used_preds.add(a.pred)
-    base = fresh_prefix("aux", used_preds)
+    base = fresh_prefix("aux", {a.pred for r in rules for a in r.body + r.head})
 
     out: List[TGD] = []
     provenance: List[int] = []
@@ -125,15 +119,14 @@ def is_multi_linear(rules: Iterable) -> bool:
 @dataclass
 class MarkedTGDSet:
     """The result of the variable-marking procedure: for each rule, the set
-    of marked body-variable occurrences as (atom index, argument index) pairs
-    (0-based), closed under the propagation step."""
+    of its marked body variables, closed under the propagation step.  Every
+    body occurrence of a marked variable is marked."""
 
     rules: list
     marks: list = field(default_factory=list)
 
     def marked_vars(self, rule_index: int) -> set:
-        raw = _as_raw(self.rules[rule_index])
-        return {raw.body[ai].args[pi] for ai, pi in self.marks[rule_index]}
+        return self.marks[rule_index]
 
     def body_occurrence_counts(self, rule_index: int) -> dict:
         raw = _as_raw(self.rules[rule_index])
@@ -146,53 +139,35 @@ class MarkedTGDSet:
 
 
 def smark(rules: Iterable) -> MarkedTGDSet:
-    """Initial marking (body variable absent from some head atom) followed by
-    the propagation step, run to fixpoint."""
+    """Initial marking (a body variable absent from some head atom) followed
+    by the propagation step, run to fixpoint.  Both mark every body
+    occurrence of a variable at once, so each rule's marking is a set of
+    variables."""
     raws = [_as_raw(r) for r in rules]
-    marked: List[Set[Tuple[int, int]]] = []
-
-    # Initial marking.
-    for raw in raws:
-        marks: Set[Tuple[int, int]] = set()
-        body_vars = set()
-        for a in raw.body:
-            body_vars.update(a.variables())
-        for v in body_vars:
-            if any(v not in a.variables() for a in raw.head):
-                for ai, a in enumerate(raw.body):
-                    for pi, t in enumerate(a.args):
-                        if t == v:
-                            marks.add((ai, pi))
-        marked.append(marks)
+    body_vars = [set().union(*(a.variables() for a in raw.body)) for raw in raws]
+    marked: List[Set] = [{v for v in bv
+                          if any(v not in a.variables() for a in raw.head)}
+                         for raw, bv in zip(raws, body_vars)]
 
     # Propagation to fixpoint: for a rule sigma and a universally quantified
     # variable V of a head atom a, if some body atom b (of any rule) with the
     # predicate of a carries a marked variable at each position where V occurs
-    # in a, then every body occurrence of V in sigma is marked.
+    # in a, then V is marked in sigma.
     changed = True
     while changed:
         changed = False
         for ri, raw in enumerate(raws):
-            body_vars = set()
-            for a in raw.body:
-                body_vars.update(a.variables())
             for head_atom in raw.head:
                 for v in head_atom.variables():
-                    if v not in body_vars:
+                    if v not in body_vars[ri] or v in marked[ri]:
                         continue
                     positions = [pi for pi, t in enumerate(head_atom.args) if t == v]
-                    witness = any(
-                        b.pred == head_atom.pred
-                        and all(b.args[pi].kind == VAR and (ai, pi) in marked[rj]
-                                for pi in positions)
-                        for rj, other in enumerate(raws)
-                        for ai, b in enumerate(other.body))
-                    if witness:
-                        for ai, a in enumerate(raw.body):
-                            for pi, t in enumerate(a.args):
-                                if t == v and (ai, pi) not in marked[ri]:
-                                    marked[ri].add((ai, pi))
-                                    changed = True
+                    if any(b.pred == head_atom.pred
+                           and all(b.args[pi] in marked[rj] for pi in positions)
+                           for rj, other in enumerate(raws)
+                           for b in other.body):
+                        marked[ri].add(v)
+                        changed = True
     return MarkedTGDSet(list(rules), marked)
 
 

@@ -100,7 +100,7 @@ class RewriterContext:
 
     def elimination(self) -> EliminationContext:
         if self._elim is None:
-            self._elim = EliminationContext(self.tgds, self.arities)
+            self._elim = EliminationContext(self.tgds)
         return self._elim
 
     def elimination_for(self, option: Optional[bool]) -> Optional[EliminationContext]:

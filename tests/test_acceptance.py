@@ -86,7 +86,7 @@ def test_criterion_01_example_suite_golden():
     # Cover-set example values
     doc5 = parse_ontology(ELIM_EXAMPLE)
     tgds5, _, _ = normalize_tgds(doc5.tgds)
-    ec = EliminationContext(tgds5, doc5.arities)
+    ec = EliminationContext(tgds5)
     q5 = parse_query("p(A) :- t(A,B), r(A,B,C), s(A,B,B).", dict(doc5.arities))
     a5, b5, c5 = q5.body
     cs = ow.cover_sets(q5, ec)
@@ -216,11 +216,7 @@ def test_criterion_06_elimination_strategy_invariance():
         tgds, _, _ = normalize_tgds(rules)
         if len(tgds) > 8:
             continue
-        arities = {}
-        for r in rules:
-            for at in r.body + r.head:
-                arities.setdefault(at.pred, len(at.args))
-        ec = EliminationContext(tgds, arities)
+        ec = EliminationContext(tgds)
         q = random_query(rng, max_atoms=5)
         sizes = {len(eliminate(q, list(p), ec))
                  for p in itertools.permutations(q.body)}

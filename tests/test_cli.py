@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -54,6 +57,23 @@ def test_rewrite_with_database_prints_answers(files, capsys):
                                    "--database", db])
     assert code == 0
     assert out.strip() == "(a)"
+
+
+def test_rewrite_budget_bounds_the_constraint_checks(files):
+    # the check query of the negative constraint rewrites forever under the
+    # sticky rule; the query alone answers at once
+    onto = files("o.dlog", "p(X), q(Y) -> p(X).\ns(X), p(X) -> !.\n")
+    qf = files("q.dlog", "a(A) :- r(A).\n")
+    db = files("d.dlog", "r(a). s(b).\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontorewrite.cli", "rewrite", "--ontology", onto,
+         "--query", qf, "--database", db, "--budget", "30"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "budget" in proc.stderr
 
 
 def test_rewrite_inconsistent_database_exits_one(files, capsys):

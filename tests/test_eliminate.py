@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -44,7 +45,7 @@ p3(X,X) -> p2(X,V).
 def _ctx(text):
     doc = parse_ontology(text)
     tgds, _, _ = normalize_tgds(doc.tgds)
-    return doc, EliminationContext(tgds, doc.arities)
+    return doc, EliminationContext(tgds)
 
 
 def test_shared_terms_example():
@@ -103,7 +104,7 @@ def test_context_on_looping_rules_is_immediate():
     doc = parse_ontology(LOOPING)
     tgds, _, _ = normalize_tgds(doc.tgds)
     start = time.perf_counter()
-    ec = EliminationContext(tgds, doc.arities)
+    ec = EliminationContext(tgds)
     assert time.perf_counter() - start < 0.5
     q = parse_query("q0(A) :- p4(A,A,A), p1(A).", dict(doc.arities))
     assert not covers(q.body[1], q.body[0], q, ec)
@@ -127,6 +128,28 @@ def test_eliminate_nothing_when_cover_sets_empty():
     doc, ec = _ctx("t(X,Y) -> r(X,Y,Z).")
     q = parse_query("p(A) :- t(A,B), s(A).", dict(doc.arities))
     assert eliminate(q, list(q.body), ec) == set()
+
+
+def test_eliminate_stops_at_the_first_covering_atom(monkeypatch):
+    # finInstrument(A) is covered by both stockPortfolio and listComponent;
+    # the scan stops at the first, so each successful search eliminates
+    eliminate_mod = importlib.import_module("ontorewrite.eliminate")
+    doc, ec = _ctx(FINANCIAL)
+    q = parse_query(FINANCIAL_QUERY, dict(doc.arities))
+    fin_instrument, stock_portfolio, _, list_component, _ = q.body
+    assert {stock_portfolio, list_component} <= cover_sets(q, ec)[fin_instrument]
+    found = []
+    search = eliminate_mod._covers
+
+    def counted(a, b, tb, ctx):
+        covered = search(a, b, tb, ctx)
+        found.append(covered)
+        return covered
+
+    monkeypatch.setattr(eliminate_mod, "_covers", counted)
+    removed = eliminate(q, list(q.body), ec)
+    assert fin_instrument in removed and len(removed) == 3
+    assert sum(found) == len(removed)
 
 
 def test_eliminate_rejects_non_permutation():
@@ -169,7 +192,7 @@ def test_rejects_non_linear_rules():
     doc = parse_ontology("r(X,Y), s(Y) -> t(X).")
     tgds, _, _ = normalize_tgds(doc.tgds)
     with pytest.raises(ValueError):
-        EliminationContext(tgds, doc.arities)
+        EliminationContext(tgds)
 
 
 def test_strategy_invariance_exhaustive_small():
@@ -221,7 +244,7 @@ def _reduction_keeps_answers(rules, q, db) -> bool:
     tgds, _, _ = normalize_tgds(rules)
     if not is_linear(tgds):
         return False
-    ec = EliminationContext(tgds, _arities(rules))
+    ec = EliminationContext(tgds)
     reduced = reduce_query(q, ec)
     full, _ = certain_answers(q, db, tgds, 300)
     less, _ = certain_answers(reduced, db, tgds, 300)

@@ -26,7 +26,7 @@ p(X,Y,Z,W) -> q(X,Y,Z,W).
 def _pg(text):
     doc = parse_ontology(text)
     tgds, _, _ = normalize_tgds(doc.tgds)
-    return tgds, build_propagation_graph(tgds, doc.arities)
+    return tgds, build_propagation_graph(tgds)
 
 
 def test_propagation_graph_example_edges():
@@ -37,13 +37,11 @@ def test_propagation_graph_example_edges():
         (("r", 1), ("s", 1)), (("r", 2), ("s", 2)), (("r", 2), ("s", 3)),
         (("s", 1), ("p", 1)), (("s", 2), ("p", 1)), (("s", 3), ("p", 2)),
     }
-    assert ("r", 3) in pg.nodes
     assert all(src != ("r", 3) for src, _, _ in pg.edges)
 
 
 def test_propagation_graph_empty_rule_set():
-    pg = build_propagation_graph([], {"r": 2})
-    assert pg.edges == [] and pg.nodes == [("r", 1), ("r", 2)]
+    assert build_propagation_graph([]).edges == []
 
 
 def test_propagation_graph_swap_rule():
@@ -55,7 +53,7 @@ def test_propagation_graph_swap_rule():
 def test_edge_count_matches_naive_triple_loop():
     doc = parse_ontology(PG_EXAMPLE)
     tgds, _, _ = normalize_tgds(doc.tgds)
-    pg = build_propagation_graph(tgds, doc.arities)
+    pg = build_propagation_graph(tgds)
     naive = set()
     for k, t in enumerate(tgds):
         for a in t.body:
@@ -94,13 +92,13 @@ def test_cover_graph_financial_reachability(financial):
     # listComponent(X,Y) -> finIndex(Y,Z,W) carries the join variable C
     doc, tgds, _, q = financial
     list_component, fin_index = q.body[3], q.body[4]
-    ec = EliminationContext(tgds, doc.arities)
+    ec = EliminationContext(tgds)
     assert covers(list_component, fin_index, q, ec)
     assert not covers(fin_index, list_component, q, ec)
 
 
 def test_cover_graph_empty_ontology():
-    cg = build_cover_graph([], {"r": 2})
+    cg = build_cover_graph([])
     assert cg.tight == {} and cg.moves == {} and cg.reached_preds == {}
     assert cg.by_body_pred == {}
     assert format_cover_graph(cg) == ""
@@ -110,8 +108,8 @@ def test_cover_graph_sequences_validate():
     for text in (PG_EXAMPLE, ROTATION):
         doc = parse_ontology(text)
         tgds, _, _ = normalize_tgds(doc.tgds)
-        cg = build_cover_graph(tgds, doc.arities)
-        pg = build_propagation_graph(tgds, doc.arities)
+        cg = build_cover_graph(tgds)
+        pg = build_propagation_graph(tgds)
         for k in range(len(tgds)):
             assert ({(src, dst) for src, dsts in cg.moves[k].items()
                      for dst in dsts}

@@ -1,9 +1,10 @@
 import random
 
-from ontorewrite.model import atom, var
-from ontorewrite.normalize import (classify, is_linear, is_multi_linear,
-                                   is_sticky, normalize_tgds, smark)
-from ontorewrite.parser import parse_ontology
+from ontorewrite.model import VAR, atom, var
+from ontorewrite.normalize import (_as_raw, classify, is_linear,
+                                   is_multi_linear, is_sticky, normalize_tgds,
+                                   smark)
+from ontorewrite.parser import RawTGD, parse_ontology
 
 X, Y, Z, V, W = (var(n) for n in "XYZVW")
 
@@ -115,6 +116,109 @@ def test_marking_is_deterministic_fixpoint():
     m1 = smark(doc.tgds)
     m2 = smark(doc.tgds)
     assert m1.marks == m2.marks
+
+
+# -- variable-level marking against the occurrence-level marking it replaced --
+
+def _reference_smark(rules):
+    """The occurrence-level marking kept as the reference: for each rule,
+    the marked body occurrences as (atom index, argument index) pairs."""
+    raws = [_as_raw(r) for r in rules]
+    marked = []
+    for raw in raws:
+        marks = set()
+        body_vars = set()
+        for a in raw.body:
+            body_vars.update(a.variables())
+        for v in body_vars:
+            if any(v not in a.variables() for a in raw.head):
+                for ai, a in enumerate(raw.body):
+                    for pi, t in enumerate(a.args):
+                        if t == v:
+                            marks.add((ai, pi))
+        marked.append(marks)
+    changed = True
+    while changed:
+        changed = False
+        for ri, raw in enumerate(raws):
+            body_vars = set()
+            for a in raw.body:
+                body_vars.update(a.variables())
+            for head_atom in raw.head:
+                for v in head_atom.variables():
+                    if v not in body_vars:
+                        continue
+                    positions = [pi for pi, t in enumerate(head_atom.args) if t == v]
+                    witness = any(
+                        b.pred == head_atom.pred
+                        and all(b.args[pi].kind == VAR and (ai, pi) in marked[rj]
+                                for pi in positions)
+                        for rj, other in enumerate(raws)
+                        for ai, b in enumerate(other.body))
+                    if witness:
+                        for ai, a in enumerate(raw.body):
+                            for pi, t in enumerate(a.args):
+                                if t == v and (ai, pi) not in marked[ri]:
+                                    marked[ri].add((ai, pi))
+                                    changed = True
+    return marked
+
+
+def _assert_marking_matches_reference(rules):
+    raws = [_as_raw(r) for r in rules]
+    reference = _reference_smark(rules)
+    marking = smark(rules)
+    reference_sticky = True
+    for ri, raw in enumerate(raws):
+        occurrences = {(ai, pi) for ai, a in enumerate(raw.body)
+                       for pi, t in enumerate(a.args)
+                       if t in marking.marked_vars(ri)}
+        assert occurrences == reference[ri], (rules, ri)
+        reference_sticky &= len(reference[ri]) == len(
+            {raw.body[ai].args[pi] for ai, pi in reference[ri]})
+    assert is_sticky(rules) == reference_sticky, rules
+    return reference_sticky
+
+
+def _random_multi_atom_rules(rng, max_rules=5):
+    """Rules with one to three body atoms and no restriction on joins."""
+    from conftest import random_atom
+    rules = []
+    for _ in range(rng.randint(1, max_rules)):
+        vars_ = [var(v) for v in "XYZU"[:rng.randint(1, 4)]]
+        body = tuple(random_atom(rng, vars_) for _ in range(rng.randint(1, 3)))
+        pool = sorted({t for a in body for t in a.args if t.kind == VAR},
+                      key=lambda t: t.name) + [var("V")]
+        heads = tuple(random_atom(rng, pool, allow_const=0.0)
+                      for _ in range(rng.randint(1, 2)))
+        rules.append(RawTGD(body, heads))
+    return rules
+
+
+def test_marking_matches_occurrence_reference_on_examples():
+    from conftest import FINANCIAL
+    doc = parse_ontology("""
+        r(X,Y) -> r(Y,Z).
+        r(X,Y) -> s(X).
+        s(X), s(Y) -> p(X,Y).
+        r(X,Y), r(Z,X) -> s(X).
+    """)
+    assert _assert_marking_matches_reference(doc.tgds)
+    fin = parse_ontology(FINANCIAL).tgds
+    assert _assert_marking_matches_reference(fin)
+    assert _assert_marking_matches_reference(normalize_tgds(fin)[0])
+
+
+def test_marking_matches_occurrence_reference_on_random_suites():
+    from conftest import random_linear_rules, random_sticky_rules
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(150):
+        for rules in (random_linear_rules(rng), random_sticky_rules(rng),
+                      _random_multi_atom_rules(rng)):
+            verdicts.add(_assert_marking_matches_reference(rules))
+            _assert_marking_matches_reference(normalize_tgds(rules)[0])
+    assert verdicts == {True, False}
 
 
 def test_normalization_preserves_linearity_and_stickiness():

@@ -15,7 +15,7 @@ from .graphs import (build_cover_graph, build_propagation_graph,
                      format_cover_graph, format_propagation_graph)
 from .model import ConjunctiveQuery, as_index
 from .normalize import classify, is_linear, normalize_tgds, smark
-from .parser import ParseError, parse_ontology, parse_query
+from .parser import ParseError, parse_ontology
 from .rewriter import (SUBSUMPTION_MODES, BudgetExhaustedError,
                        RewriteOptions, RewriterContext, xrewrite)
 from .parallel import xrewrite_parallel
@@ -39,25 +39,29 @@ def _load_ontology(path: str):
     return parse_ontology(_read(path))
 
 
-def _load_query(path: str, arities: dict) -> ConjunctiveQuery:
-    text = _read(path)
-    try:
-        return parse_query(text, arities)
-    except ParseError:
-        doc = parse_ontology(text)
-        if len(doc.queries) != 1:
-            raise InputError(f"{path} must contain exactly one query")
-        return doc.queries[0]
+def _check_arities(atoms, doc, what: str) -> None:
+    """Each atom has the ontology's arity for its predicate (a predicate the
+    ontology does not mention takes any arity)."""
+    for a in atoms:
+        if len(a.args) != doc.arities.get(a.pred, len(a.args)):
+            raise InputError(f"{what} {a} does not have the ontology's "
+                             f"arity {doc.arities[a.pred]} for {a.pred}")
+
+
+def _load_query(path: str, doc) -> ConjunctiveQuery:
+    """The one query of a query file; its head predicate names the answers
+    and may clash with the ontology's, its body atoms may not."""
+    queries = parse_ontology(_read(path)).queries
+    if len(queries) != 1:
+        raise InputError(f"{path} must contain exactly one query")
+    _check_arities(queries[0].body, doc, "query atom")
+    return queries[0]
 
 
 def _load_database(path: str, doc) -> list:
-    """The facts of a database file, each with the ontology's arity for its
-    predicate (a predicate the ontology does not mention takes any arity)."""
+    """The facts of a database file."""
     db = parse_ontology(_read(path)).facts
-    for a in db:
-        if len(a.args) != doc.arities.get(a.pred, len(a.args)):
-            raise InputError(f"database fact {a} does not have the ontology's "
-                             f"arity {doc.arities[a.pred]} for {a.pred}")
+    _check_arities(db, doc, "database fact")
     return db
 
 
@@ -74,7 +78,7 @@ def _rewrite_options(args) -> RewriteOptions:
 
 def cmd_rewrite(args) -> int:
     doc = _load_ontology(args.ontology)
-    query = _load_query(args.query, dict(doc.arities))
+    query = _load_query(args.query, doc)
     ctx = _context(doc)
 
     if args.guarantee_termination:
@@ -83,6 +87,16 @@ def cmd_rewrite(args) -> int:
             raise InputError(
                 "termination is not guaranteed: the rule set is neither "
                 "linear, multi-linear nor sticky; rerun with --budget")
+    if args.database is None and args.output == "datalog":
+        if args.no_parallel:
+            raise InputError("--output=datalog requires the parallel pipeline "
+                             "(drop --no-parallel)")
+        if args.subsumption == "tail":
+            # the folded program is not unfolded, so nothing prunes it whole
+            raise InputError("--output=datalog cannot honour --subsumption=tail "
+                             "(use idec or irew)")
+    if args.database is None and args.output == "sql" and args.mapping is None:
+        raise InputError("--output=sql requires --mapping")
 
     options = _rewrite_options(args)
     presult = None
@@ -102,17 +116,12 @@ def cmd_rewrite(args) -> int:
     elif args.output == "ucq":
         sys.stdout.write(emit.serialize_ucq(queries))
     elif args.output == "datalog":
-        if presult is None:
-            raise InputError("--output=datalog requires the parallel pipeline "
-                             "(drop --no-parallel)")
         comp_ucqs = presult.component_ucqs
         reconciliation = presult.decomposition.reconciliation
         sys.stdout.write(emit.to_datalog(comp_ucqs, reconciliation))
         # --stats then describes the printed rules, not the unfolded UCQ
         queries = [q for u in comp_ucqs for q in u] + [reconciliation]
     elif args.output == "sql":
-        if args.mapping is None:
-            raise InputError("--output=sql requires --mapping")
         mapping = emit.SchemaMapping.from_dict(json.loads(_read(args.mapping)))
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
@@ -186,7 +195,7 @@ def cmd_graph(args) -> int:
 
 def cmd_eval(args) -> int:
     doc = _load_ontology(args.ontology)
-    query = _load_query(args.query, dict(doc.arities))
+    query = _load_query(args.query, doc)
     db = _load_database(args.database, doc) if args.database else doc.facts
     answers, saturated = chase_mod.certain_answers(query, db, doc.tgds, args.steps)
     for t in sorted(answers):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from .model import CONST, ConjunctiveQuery, Term, VAR
-from .parser import format_query
 
 
 class SchemaMapping:
@@ -104,19 +103,15 @@ def to_sql(queries: List[ConjunctiveQuery], mapping: SchemaMapping) -> str:
 
 
 def serialize_ucq(queries: List[ConjunctiveQuery]) -> str:
-    return "\n".join(format_query(q) for q in queries) + "\n"
+    return "\n".join(map(str, queries)) + "\n"
 
 
 def to_datalog(component_rewritings: List[List[ConjunctiveQuery]],
                reconciliation: ConjunctiveQuery) -> str:
     """The folded program: every component disjunct as a rule over its
     component predicate, then the reconciliation rule."""
-    lines = []
-    for ucq in component_rewritings:
-        for q in ucq:
-            lines.append(format_query(q))
-    lines.append(format_query(reconciliation))
-    return "\n".join(lines) + "\n"
+    return serialize_ucq([q for ucq in component_rewritings for q in ucq]
+                         + [reconciliation])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core symbolic algebra: terms, atoms, conjunctive queries, rules,
 substitutions, unification, homomorphism search, canonical renaming and
-the renaming keys that deduplication compares.
+the renaming keys that deduplication compares.  The str of a term, atom,
+query or rule is its text in the format that `parser` reads back.
 
 Terms, atoms, queries and rules are immutable and may be shared freely,
 also between threads.  The one mutable structure is AtomIndex, the hashed
@@ -10,6 +11,7 @@ against; query subsumption, the chase and answer evaluation all use it.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 # Term kinds.  Constants and nulls share a total order in which every null
@@ -20,6 +22,9 @@ NULL = 2
 
 _KIND_NAMES = {CONST: "constant", VAR: "variable", NULL: "null"}
 
+# A constant the parser reads back unquoted; any other is written quoted.
+_PLAIN_CONST = re.compile(r"[a-z0-9_][A-Za-z0-9_^~]*$")
+
 
 class Term(NamedTuple):
     kind: int
@@ -29,6 +34,9 @@ class Term(NamedTuple):
         return f"{_KIND_NAMES[self.kind][0]}:{self.name}"
 
     def __str__(self):
+        if self.kind == CONST and not _PLAIN_CONST.match(self.name):
+            escaped = self.name.replace("\\", "\\\\").replace("'", "\\'")
+            return f"'{escaped}'"
         return self.name
 
 
@@ -55,9 +63,7 @@ class Atom(NamedTuple):
         return {t for t in self.args if t.kind == VAR}
 
     def __str__(self):
-        if not self.args:
-            return f"{self.pred}()"
-        return f"{self.pred}({', '.join(str(t) for t in self.args)})"
+        return f"{self.pred}({', '.join(map(str, self.args))})"
 
 
 def atom(pred: str, *args: Term) -> Atom:
@@ -113,10 +119,8 @@ class ConjunctiveQuery(NamedTuple):
         return all(t.kind != VAR or t in body_vars for t in self.head_args)
 
     def __str__(self):
-        head = f"{self.head_pred}({', '.join(str(t) for t in self.head_args)})"
-        if not self.body:
-            return f"{head} :- ."
-        return f"{head} :- {', '.join(str(a) for a in self.body)}."
+        head = Atom(self.head_pred, self.head_args)
+        return f"{head} :- {', '.join(map(str, self.body))}."
 
 
 def make_query(head_pred: str, head_args: Iterable[Term], body: Iterable[Atom]) -> ConjunctiveQuery:
@@ -162,7 +166,7 @@ class TGD(NamedTuple):
         return vs
 
     def __str__(self):
-        return f"{', '.join(str(a) for a in self.body)} -> {self.head}."
+        return f"{', '.join(map(str, self.body))} -> {self.head}."
 
 
 # ---------------------------------------------------------------------------
@@ -465,56 +469,76 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical renaming.
+# Canonical renaming and renaming keys.
 #
 # Variables are mapped one-to-one onto the reserved ordered alphabet
 # #1, #2, ... in first-use order, after choosing a deterministic body order:
 # the one whose sequence of atom keys is lexicographically smallest, so that
 # two queries equal modulo bijective variable renaming (and body permutation)
 # yield identical canonical forms.  Head variables are named first, in head
-# order, which keeps distinguished-argument order significant.
+# order, which keeps distinguished-argument order significant.  The head
+# with its variables numbered and the key sequence determine the canonical
+# form, so together they are the renaming key that deduplication compares.
 #
-# The order is found by walking the body and placing, at each step, the atom
-# of smallest key; the walk branches only where atoms tie for it.  Tied atoms
-# whose unnamed variables occur in no other remaining atom are
-# interchangeable: renaming the one's variables into the other's maps either
-# tail onto the other, so only the first of them is tried.  A body of k
-# atoms q(Yi) thus costs O(k^2) key comparisons, not k!.  Ties that this
-# does not resolve, as in a cycle over one binary predicate, still branch.
-#
-# Deduplication compares renaming keys (below), which build this form only
-# for queries whose non-head variables join two atoms; subsumption's order
-# and elimination's strategy take it for every query.
+# When no unnamed variable occurs in two atoms, placing an atom re-keys no
+# other, and the order is the atoms sorted by key.  Otherwise it is found by
+# walking the body and placing, at each step, the atom of smallest key; the
+# walk branches only where atoms tie for it.  Tied atoms whose unnamed
+# variables occur in no other remaining atom are interchangeable: renaming
+# the one's variables into the other's maps either tail onto the other, so
+# only the first of them is tried.  The body p(X), q(X, Y1), ..., q(X, Yk)
+# thus costs O(k^2) key comparisons, not k!.  Ties that this does not
+# resolve, as in a cycle over one binary predicate, still branch.
 
 
 def _canonical_var(i: int) -> Term:
     return Term(VAR, f"#{i}")
 
 
-def _atom_key(a: Atom, assignment: dict):
-    """Sort key an atom would have if placed next: per argument, a constant,
-    then a named variable's canonical index, then an unnamed variable's rank
+def _private_keys(body, assignment: dict) -> Optional[list]:
+    """Per atom of body, the sort key it would have if placed next, or None
+    as soon as an unnamed variable occurs in a second atom.  Per argument a
+    key holds (0, term) for a term that is not a variable, (1, canonical
+    index) for a named variable and (2, rank) for an unnamed one, its rank
     among the atom's unnamed variables in arg order.  Atoms keyed at the same
     step would number their unnamed variables from the same index, so ranks
     compare as those indices would; and a key changes only when one of the
     atom's variables is named."""
-    key = [a.pred]
-    fresh: dict = {}
-    for t in a.args:
-        if t.kind != VAR:
-            key.append((0, t.name))
-        elif t in assignment:
-            key.append((1, assignment[t]))
-        else:
-            key.append((2, fresh.setdefault(t, len(fresh))))
-    return tuple(key)
+    placed: set = set()  # the unnamed variables of the atoms keyed so far
+    keys = []
+    for a in body:
+        key = [a.pred]
+        own: dict = {}
+        for t in a.args:
+            if t.kind != VAR:
+                key.append((0, t))
+            elif t in assignment:
+                key.append((1, assignment[t]))
+            else:
+                rank = own.get(t)
+                if rank is None:
+                    if t in placed:
+                        return None
+                    rank = own[t] = len(own)
+                key.append((2, rank))
+        placed.update(own)
+        keys.append(tuple(key))
+    return keys
 
 
-def _canonical_order(body, assignment, next_idx):
-    """The body atoms in the order of smallest key sequence, the first such
-    order in body order on ties, and the canonical index of every variable.
-    `assignment` names the head variables from #1 up to next_idx - 1 and is
-    left unchanged."""
+def _atom_key(a: Atom, assignment: dict) -> tuple:
+    return _private_keys((a,), assignment)[0]
+
+
+def _canonical_order(body, assignment):
+    """The positions of the body atoms in the order of smallest key
+    sequence, the first such order in body order on ties, and that key
+    sequence.  `assignment` names the head variables #1, #2, ... and is left
+    unchanged."""
+    keys = _private_keys(body, assignment)
+    if keys is not None:
+        order = sorted(range(len(body)), key=keys.__getitem__)
+        return order, [keys[i] for i in order]
     occurs: Dict[Term, List[int]] = {}  # unnamed variable -> atoms holding it
     for i, a in enumerate(body):
         for t in a.args:
@@ -566,8 +590,8 @@ def _canonical_order(body, assignment, next_idx):
     def walk(remaining, assign, idx, keys):
         """Place the remaining atoms (positions in body) in the order of
         smallest key sequence, naming their variables from idx on; returns
-        the positions in that order, their keys and the final assignment.
-        Takes over remaining, assign and keys, the state at entry."""
+        the positions in that order and their keys.  Takes over remaining,
+        assign and keys, the state at entry."""
         order = []
         form = []
         while remaining:
@@ -584,104 +608,66 @@ def _canonical_order(body, assignment, next_idx):
                     sub_idx = place(i, sub_remaining, sub_assign, idx, sub_keys)
                     tail = walk(sub_remaining, sub_assign, sub_idx, sub_keys)
                     if best_tail is None or tail[1] < best_tail[1]:
-                        best_tail = ([i] + tail[0], tail[1], tail[2])
+                        best_tail = ([i] + tail[0], tail[1])
                 order.extend(best_tail[0])
                 form.extend(best_tail[1])
-                return order, form, best_tail[2]
+                return order, form
             order.append(tied[0])
             idx = place(tied[0], remaining, assign, idx, keys)
-        return order, form, assign
+        return order, form
 
     keys = [_atom_key(a, assignment) for a in body]
-    order, _, assign = walk(list(range(len(body))), dict(assignment), next_idx, keys)
-    return [body[i] for i in order], assign
+    return walk(list(range(len(body))), dict(assignment), len(assignment) + 1,
+                keys)
 
 
 def _head_assignment(q: ConjunctiveQuery):
-    """The head variables named #1, #2, ... in head order, and the next
-    free index."""
+    """The head variables named #1, #2, ... in head order, and the head
+    with each variable replaced by its index."""
     assignment: dict = {}
-    for t in q.head_args:
-        if t.kind == VAR and t not in assignment:
-            assignment[t] = len(assignment) + 1
-    return assignment, len(assignment) + 1
+    head = tuple([assignment.setdefault(t, len(assignment) + 1)
+                  if t.kind == VAR else t for t in q.head_args])
+    return assignment, head
 
 
 def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """The canonical form of q: constants map to themselves, variables onto
     #1, #2, ... so that renamings and body permutations coincide."""
-    order, assignment = _canonical_order(q.body, *_head_assignment(q))
+    assignment, _ = _head_assignment(q)
+    order, _ = _canonical_order(q.body, assignment)
     sub = {t: _canonical_var(i) for t, i in assignment.items()}
+    idx = len(sub) + 1
+    body = []
+    for i in order:
+        a = q.body[i]
+        for t in a.args:
+            if t.kind == VAR and t not in sub:
+                sub[t] = _canonical_var(idx)
+                idx += 1
+        body.append(subst_atom(sub, a))
     head = tuple(sub.get(t, t) for t in q.head_args)
-    body = tuple(subst_atom(sub, a) for a in order)
-    return ConjunctiveQuery(q.head_pred, head, body)
+    return ConjunctiveQuery(q.head_pred, head, tuple(body))
 
 
 def ordered_body(q: ConjunctiveQuery) -> list:
     """Body atoms of q in canonical-rename order (original atoms)."""
-    return _canonical_order(q.body, *_head_assignment(q))[0]
+    order, _ = _canonical_order(q.body, _head_assignment(q)[0])
+    return [q.body[i] for i in order]
 
 
 def same_modulo_renaming(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return canonical_rename(q1) == canonical_rename(q2)
 
 
-# ---------------------------------------------------------------------------
-# Renaming keys.
-#
-# Deduplication needs only a key that is equal for two queries exactly when
-# their canonical forms are, not the form itself.  When no variable outside
-# the head occurs in two body atoms, the head plus the multiset of the atoms'
-# keys is such a key: pairing atoms of equal keys renames each atom's private
-# variables into the other's, one-to-one because no two atoms share one.
-# Only the other queries need the canonical labelling of canonical_rename.
-# Whether a query has the property does not change under renaming, so two
-# queries equal modulo renaming always get the same kind of key; the kinds
-# are tagged so that they never compare equal.
-
-SORTED_ATOMS_KEY = 0
-CANONICAL_FORM_KEY = 1
-
-
-def sorted_atoms_key(q: ConjunctiveQuery) -> Optional[tuple]:
-    """renaming_key(q) when no variable outside the head occurs in two body
-    atoms, else None.  The head pattern holds per argument the term itself,
-    or a variable's first head position; an atom's key holds per argument
-    (0, term) for a term that is not a variable, (1, head position) for a
-    head variable and (2, rank) for another variable, its rank among the
-    atom's other variables in arg order.  The atom keys are sorted by
-    value."""
-    head: dict = {}
-    pattern = tuple([head.setdefault(t, i) if t.kind == VAR else t
-                     for i, t in enumerate(q.head_args)])
-    placed: set = set()  # the non-head variables of the atoms keyed so far
-    keys = []
-    for a in q.body:
-        key = [a.pred]
-        own: dict = {}
-        for t in a.args:
-            if t.kind != VAR:
-                key.append((0, t))
-            elif t in head:
-                key.append((1, head[t]))
-            else:
-                rank = own.get(t)
-                if rank is None:
-                    if t in placed:
-                        return None
-                    rank = own[t] = len(own)
-                key.append((2, rank))
-        placed.update(own)
-        keys.append(tuple(key))
-    keys.sort()
-    return (SORTED_ATOMS_KEY, q.head_pred, pattern, tuple(keys))
-
-
 def renaming_key(q: ConjunctiveQuery) -> tuple:
     """A hashable key equal for two queries exactly when their canonical
-    forms are: sorted_atoms_key(q) where it applies, else the canonical
-    form, tagged."""
-    key = sorted_atoms_key(q)
-    if key is None:
-        key = (CANONICAL_FORM_KEY, canonical_rename(q))
-    return key
+    forms are: the head predicate, the head with its variables numbered and
+    the key sequence of the canonical order, which for a body whose atoms
+    share no non-head variable is its atom keys sorted."""
+    assignment, head = _head_assignment(q)
+    keys = _private_keys(q.body, assignment)
+    if keys is None:
+        keys = _canonical_order(q.body, assignment)[1]
+    else:
+        keys.sort()
+    return (q.head_pred, head, tuple(keys))

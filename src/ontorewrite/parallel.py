@@ -126,9 +126,9 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     applied to the body, and a product is the chosen bodies under `theta`,
     the composed reconciliation parts, which stays empty unless a component
     head holds a constant or repeats a variable.  Output deduplicated
-    modulo renaming by renaming key (`model.renaming_key`): a product none
-    of whose non-head variables joins two atoms is keyed without a
-    canonical form."""
+    modulo renaming by renaming key (`model.renaming_key`), which for a
+    product none of whose non-head variables joins two atoms sorts its
+    atom keys."""
     slots = []
     for slot, disjuncts in enumerate(component_rewritings):
         standardized = [_standardize(d, slot) for d in disjuncts]

@@ -304,43 +304,11 @@ def parse_query(text: str, arities: Optional[dict] = None) -> ConjunctiveQuery:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (round-trips through the parser).
-
-_PLAIN_CONST = re.compile(r"[a-z0-9_][A-Za-z0-9_^~]*$")
-
-
-def format_term(t: Term) -> str:
-    if t.kind == CONST and not _PLAIN_CONST.match(t.name):
-        escaped = t.name.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    return t.name
-
-
-def format_atom(a: Atom) -> str:
-    return f"{a.pred}({', '.join(format_term(t) for t in a.args)})"
-
-
-def format_query(q: ConjunctiveQuery) -> str:
-    head = f"{q.head_pred}({', '.join(format_term(t) for t in q.head_args)})"
-    return f"{head} :- {', '.join(format_atom(a) for a in q.body)}."
-
-
-def format_raw_tgd(t: RawTGD) -> str:
-    return (f"{', '.join(format_atom(a) for a in t.body)} -> "
-            f"{', '.join(format_atom(a) for a in t.head)}.")
+# Serialization: every statement's str is its text, which parses back.
 
 
 def serialize_ontology(doc: OntologyDocument) -> str:
-    lines = []
-    for t in doc.tgds:
-        lines.append(format_raw_tgd(t))
-    for nc in doc.ncs:
-        lines.append(f"{', '.join(format_atom(a) for a in nc.body)} -> !.")
-    for fd in doc.fds:
-        lines.append(f"fd {fd.pred}: {','.join(map(str, fd.lhs))} -> "
-                     f"{','.join(map(str, fd.rhs))}.")
-    for fact in doc.facts:
-        lines.append(f"{format_atom(fact)}.")
-    for q in doc.queries:
-        lines.append(f"? {format_query(q)}")
+    lines = [str(s) for s in (*doc.tgds, *doc.ncs, *doc.fds)]
+    lines += [f"{fact}." for fact in doc.facts]
+    lines += [f"? {q}" for q in doc.queries]
     return "\n".join(lines) + "\n"

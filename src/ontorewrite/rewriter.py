@@ -2,9 +2,9 @@
 rewriting and factorization steps, dedup modulo renaming, query
 provenance, the MGU cache and metrics.
 
-Dedup compares renaming keys (`model.renaming_key`): the head and the sorted
-atom keys of a query none of whose non-head variables joins two atoms, the
-canonical form of any other query.
+Dedup compares renaming keys (`model.renaming_key`): the numbered head and
+the atom keys in canonical order, which for a query none of whose non-head
+variables joins two atoms are its atom keys sorted.
 
 Queries are labeled r/f by the step that produced them (the input query is r)
 and explored/unexplored; the final rewriting collects the explored r-labeled

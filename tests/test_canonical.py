@@ -1,8 +1,8 @@
 """Canonical renaming: the walk that skips interchangeable ties against the
 plain branch-and-bound it replaced, kept here as the reference, plus the
 symmetric stress and hash-seed independence.  Renaming keys: the partition
-they induce against canonical_rename's, and deduplication that builds no
-canonical form where no non-head variable joins two atoms."""
+they induce against canonical_rename's, and deduplication that sorts atom
+keys without walking where no non-head variable joins two atoms."""
 
 import os
 import random
@@ -10,12 +10,11 @@ import subprocess
 import sys
 import time
 
-from ontorewrite import model, rewriter
+from ontorewrite import model
 from ontorewrite.cli import main
-from ontorewrite.model import (CANONICAL_FORM_KEY, SORTED_ATOMS_KEY, VAR, Atom,
-                               ConjunctiveQuery, canonical_rename, const,
-                               make_query, null, ordered_body, renaming_key,
-                               sorted_atoms_key, subst_atom, var)
+from ontorewrite.model import (VAR, Atom, ConjunctiveQuery, canonical_rename,
+                               const, make_query, null, ordered_body,
+                               renaming_key, subst_atom, var)
 from ontorewrite.rewriter import RewriteOptions, xrewrite
 
 from conftest import FINANCIAL, FINANCIAL_QUERY, pipeline, query
@@ -28,7 +27,7 @@ def _reference_key(a, assignment, next_idx):
     fresh = {}
     for t in a.args:
         if t.kind != VAR:
-            key.append((0, t.name))
+            key.append((0, t))
         elif t in assignment:
             key.append((1, assignment[t]))
         else:
@@ -222,9 +221,14 @@ def test_renaming_key_partitions_like_canonical_rename():
                     make_query(q.head_pred, q.head_args[::-1], q.body)]
     assert _partition(queries, renaming_key) == _partition(queries,
                                                            canonical_rename)
-    kinds = [renaming_key(q)[0] for q in queries]
-    assert kinds.count(SORTED_ATOMS_KEY) > 2000
-    assert kinds.count(CANONICAL_FORM_KEY) > 2000
+    sorted_keys = sum(_is_private(q) for q in queries)
+    assert sorted_keys > 2000
+    assert len(queries) - sorted_keys > 2000
+
+
+def _is_private(q):
+    """Whether renaming_key(q) sorts atom keys instead of walking."""
+    return model._private_keys(q.body, model._head_assignment(q)[0]) is not None
 
 
 def _same_class(q1, q2):
@@ -261,45 +265,38 @@ def test_renaming_key_hand_cases():
     assert _same_class(
         make_query("h", [A], [Atom("p", (A,)), Atom("q", (Y,)), Atom("q", (Z,))]),
         make_query("h", [B], [Atom("q", (Z,)), Atom("p", (B,)), Atom("q", (Y,))]))
-    # a body joined only through a non-head variable takes the fallback
+    # a body joined only through a non-head variable differs from the same
+    # atoms without the join
     joined = make_query("h", [A], [Atom("r", (A, Y)), Atom("s", (Y,))])
-    assert sorted_atoms_key(joined) is None
-    assert renaming_key(joined) == (CANONICAL_FORM_KEY, canonical_rename(joined))
-    # and differs from the same atoms without the join, a fast key
     unjoined = make_query("h", [A], [Atom("r", (A, Y)), Atom("s", (Z,))])
-    assert renaming_key(unjoined)[0] == SORTED_ATOMS_KEY
     assert not _same_class(joined, unjoined)
 
 
-def test_fast_keys_never_equal_fallback_keys():
-    rng = random.Random(7)
-    fast, fallback = set(), set()
-    for _ in range(2000):
-        key = renaming_key(random_tied_query(rng))
-        (fast if key[0] == SORTED_ATOMS_KEY else fallback).add(key)
-    assert fast and fallback
-    assert not fast & fallback
-
-
-def _count_canonical_renames(monkeypatch):
+def _count_walks_from_renaming_key(monkeypatch):
+    """The bodies that renaming_key hands to _canonical_order from now on."""
     calls = []
+    original = model._canonical_order
 
-    def counting(q, original=model.canonical_rename):
-        calls.append(q)
-        return original(q)
-    for owner in (model, rewriter):
-        monkeypatch.setattr(owner, "canonical_rename", counting)
+    def counting(body, assignment):
+        if sys._getframe(1).f_code is model.renaming_key.__code__:
+            calls.append(body)
+        return original(body, assignment)
+    monkeypatch.setattr(model, "_canonical_order", counting)
     return calls
 
 
 def test_financial_rewriting_deduplicates_without_canonical_forms(monkeypatch):
     doc, tgds, ctx = pipeline(FINANCIAL)
     q = query(FINANCIAL_QUERY, doc)
-    calls = _count_canonical_renames(monkeypatch)
+    calls = _count_walks_from_renaming_key(monkeypatch)
     for elimination in (False, None):
         res = xrewrite(q, ctx, RewriteOptions(elimination=elimination))
         assert res.metrics.generated > 0
     assert calls == []
+    # the count sees a query whose non-head variable joins two atoms
+    A, Y = var("A"), var("Y")
+    renaming_key(make_query("h", [A], [Atom("r", (A, Y)), Atom("s", (Y,))]))
+    assert len(calls) == 1
 
 
 def test_growing_sticky_query_deduplicates_without_canonical_forms(
@@ -308,7 +305,7 @@ def test_growing_sticky_query_deduplicates_without_canonical_forms(
     onto.write_text("p(X), q(Y) -> p(X).\n")
     qf = tmp_path / "q.dlog"
     qf.write_text("a(A) :- p(A).\n")
-    calls = _count_canonical_renames(monkeypatch)
+    calls = _count_walks_from_renaming_key(monkeypatch)
     code = main(["rewrite", "--ontology", str(onto), "--query", str(qf),
                  "--budget", "100"])
     capsys.readouterr()

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from ontorewrite.cli import main
+from ontorewrite.model import Atom, const
+from ontorewrite.parser import parse_ontology
 
 from conftest import FINANCIAL, FINANCIAL_QUERY
 
@@ -106,6 +108,17 @@ def test_rewrite_database_arity_mismatch_is_input_error(files, capsys):
     assert "arity 2" in err
 
 
+@pytest.mark.parametrize("command", ["rewrite", "eval"])
+def test_query_arity_mismatch_is_input_error(files, capsys, command):
+    onto = files("o.dlog", "r(X) -> s(X).\n")
+    qf = files("q.dlog", "p(X) :- r(X, Y).\n")
+    db = files("d.dlog", "r(a).\n")
+    code, out, err = _run(capsys, [command, "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert code == 2
+    assert "query atom r(X, Y)" in err and "arity 1" in err and out == ""
+
+
 def test_rewrite_fd_check_is_linear_in_the_database(files, capsys):
     onto = files("o.dlog", "fatherOf(a0,b0).\nfd fatherOf: 1 -> 2.\n")
     qf = files("q.dlog", "p(A) :- fatherOf(A, B).\n")
@@ -203,6 +216,31 @@ def test_rewrite_datalog_output_honours_idec(files, capsys):
     assert stats[:3] == ["size=4", "atoms=6", "joins=0"]
 
 
+def test_rewrite_datalog_output_refuses_tail(files, capsys):
+    # the unpruned program has 3 component rules; the tail UCQ 2 disjuncts
+    onto = files("o.dlog", "a(X) -> b(X).\na(X), d(X) -> b(X).\n")
+    qf = files("q.dlog", "p(X) :- b(X).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--subsumption", "tail", "--output", "datalog"])
+    assert code == 2
+    assert "tail" in err and out == ""
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--subsumption", "tail"])
+    assert code == 0 and len(out.splitlines()) == 2
+    # refused before rewriting, so a rewriting that exhausts its budget
+    # still reports the bad combination, not the budget
+    onto = files("o.dlog", "p(X), q(Y) -> p(X).\n")
+    qf = files("q.dlog", "a(A) :- p(A).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--budget", "30"])
+    assert code == 3
+    for extra in (["--subsumption", "tail"], ["--no-parallel"]):
+        code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query",
+                                       qf, "--budget", "30", "--output",
+                                       "datalog"] + extra)
+        assert code == 2 and out == "", extra
+
+
 @pytest.mark.parametrize("rules, query, facts", [
     ("p_1(X) -> p_0(X).\np_2(X) -> p_0(X).\n",
      "p() :- p_0(A), p_0(B).\n", "p_1(a).\n"),
@@ -253,6 +291,18 @@ def test_chase_subcommand(files, capsys):
     assert code == 0
     assert "s(b, a)." in out
     assert "saturated=false" in out
+
+
+def test_chase_output_parses_back(files, capsys):
+    onto = files("o.dlog", "person(X) -> livesIn(X, Y).\n"
+                           "person('Bob'). livesIn(ann, 'New York').\n")
+    code, out, err = _run(capsys, ["chase", "--ontology", onto])
+    assert code == 0
+    facts = parse_ontology(out).facts
+    assert [f"{a}." for a in facts] == out.splitlines()[:-1]
+    assert len(facts) == 3
+    assert Atom("person", (const("Bob"),)) in facts
+    assert Atom("livesIn", (const("ann"), const("New York"))) in facts
 
 
 def test_graph_subcommand(files, capsys):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ontorewrite.model import const
+from ontorewrite.model import Atom, const, make_query, var
 from ontorewrite.parser import (FunctionalDependency, ParseError,
-                                format_query, parse_ontology, parse_query,
+                                parse_ontology, parse_query,
                                 serialize_ontology)
 
 
@@ -123,12 +123,31 @@ def test_round_trip_random_ontologies():
 
 def test_round_trip_query():
     q = parse_query("p(A, B) :- r(A, 'x y'), s(B, B, c).")
-    assert parse_query(format_query(q)) == q
+    assert parse_query(str(q)) == q
+
+
+# constants that parse back only when quoted
+QUOTED = ["Bob", "New York", "o'neil", "a\\b", "", "'", "\\", "-1", "x-y"]
+
+
+def test_round_trip_constants_that_need_quotes():
+    A = var("A")
+    for name in QUOTED:
+        c = const(name)
+        assert str(c).startswith("'"), name
+        q = make_query("p", [A, c], [Atom("r", (A, c)), Atom("s", (c,))])
+        assert parse_query(str(q)) == q, str(q)
+        doc = parse_ontology("r(X, Y) -> s(Y).\n")
+        doc.facts = [Atom("r", (c, const("b")))]
+        doc.queries = [q]
+        again = parse_ontology(serialize_ontology(doc))
+        assert (again.tgds, again.facts, again.queries) == \
+            (doc.tgds, doc.facts, doc.queries), name
 
 
 def test_round_trip_rewriting_output_with_fresh_variables():
     # rewriting outputs may carry step-renamed variables like Z^1 or D~0
     q = parse_query("p(B, C) :- hasCollaborator(A, B, C), hasCollaborator(A, 'Y^1', Z~0).")
-    assert parse_query(format_query(q)) == q
+    assert parse_query(str(q)) == q
     q2 = parse_query("p(A) :- r(A, X^3).")
     assert [t.name for t in q2.body[0].args] == ["A", "X^3"]

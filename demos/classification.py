@@ -29,7 +29,7 @@ print(f"\nlinear={verdict['linear']}  multi_linear={verdict['multi_linear']}  "
 marking = ow.smark(doc.tgds)
 print("marked body variables:")
 for i in range(len(doc.tgds)):
-    names = sorted(v.name for v in marking.marked_vars(i))
+    names = sorted(v.name for v in marking[i])
     print(f"  rule {i + 1}: {', '.join(names) if names else '-'}")
 
 # Transitivity breaks stickiness: the join variable is marked (it is absent
@@ -38,7 +38,7 @@ TRANSITIVE = "r(X,Y) -> r(Y,Z).  r(X,Y), r(Y,Z) -> r(X,Z)."
 doc2 = ow.parse_ontology(TRANSITIVE)
 print(f"\ntransitive set sticky? {ow.is_sticky(doc2.tgds)}")
 m2 = ow.smark(doc2.tgds)
-print(f"rule 2 marked variables: {sorted(v.name for v in m2.marked_vars(1))}")
+print(f"rule 2 marked variables: {sorted(v.name for v in m2[1])}")
 
 # Multi-linear: several body atoms, but each carries all body variables.
 doc3 = ow.parse_ontology("r(X,Y), s(X,Y) -> p(X).")

@@ -13,11 +13,10 @@ from .model import (Atom, ConjunctiveQuery, TGD, Term, apply, atom,
 from .parser import (FunctionalDependency, NegativeConstraint,
                      OntologyDocument, ParseError, RawTGD, parse_ontology,
                      parse_query)
-from .normalize import (MarkedTGDSet, classify, is_linear, is_multi_linear,
-                        is_sticky, normalize_tgds, smark)
-from .graphs import (CoverGraph, PropagationGraph, affected_positions,
-                     build_cover_graph, build_propagation_graph, is_compatible,
-                     is_tight)
+from .normalize import (classify, is_linear, is_multi_linear, is_sticky,
+                        normalize_tgds, smark)
+from .graphs import (CoverGraph, affected_positions, build_cover_graph,
+                     build_propagation_graph, is_compatible, is_tight)
 from .eliminate import (EliminationContext, cover_sets, covers, eliminate,
                         reduce_query, shared_terms)
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,

@@ -19,13 +19,11 @@ NEQ_PRED = "neq"
 
 class ChaseInstance(AtomIndex):
     """The chase's instance: its atoms with their join indexes, the counter
-    naming fresh nulls, the applied (rule, frontier values) pairs in order,
-    and whether the chase reached a fixpoint."""
+    naming fresh nulls, and whether the chase reached a fixpoint."""
 
     def __init__(self):
         super().__init__()
         self.null_counter = 0
-        self.applications: List[Tuple[int, tuple]] = []
         self.saturated = False
 
     def fresh_null(self) -> Term:
@@ -84,7 +82,6 @@ def chase_up_to(db: Iterable[Atom], rules: Iterable, k: int) -> ChaseInstance:
             if instance.add(fact):
                 new_facts.append(fact)
         applications += 1
-        instance.applications.append((ri, _frontier_key(rule, h)))
         for fact in new_facts:
             discover(fact)
     instance.saturated = cursor >= len(pending)

@@ -146,10 +146,15 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
             sys.stderr.write(v + "\n")
         return CONSTRAINT_VIOLATION
 
-    answers = sorted(chase_mod.evaluate_ucq(queries, instance))
-    for t in answers:
-        sys.stdout.write("(" + ", ".join(term.name for term in t) + ")\n")
+    _write_answers(chase_mod.evaluate_ucq(queries, instance))
     return OK
+
+
+def _write_answers(answers) -> None:
+    """One line per answer tuple, sorted, each term as it is written in a
+    .dlog file."""
+    for t in sorted(answers):
+        sys.stdout.write("(" + ", ".join(map(str, t)) + ")\n")
 
 
 def cmd_classify(args) -> int:
@@ -162,11 +167,10 @@ def cmd_classify(args) -> int:
     if raw_verdict != norm_verdict:
         for key in ("linear", "multi_linear", "sticky"):
             sys.stdout.write(f"raw_{key}={str(raw_verdict[key]).lower()}\n")
-    marking = smark(doc.tgds)
     sys.stdout.write("marking:\n")
-    for ri, rule in enumerate(doc.tgds):
-        names = sorted(v.name for v in marking.marked_vars(ri))
-        sys.stdout.write(f"  rule {ri + 1}: {', '.join(names) if names else '-'}\n")
+    for ri, marked in enumerate(smark(doc.tgds), start=1):
+        names = sorted(v.name for v in marked)
+        sys.stdout.write(f"  rule {ri}: {', '.join(names) if names else '-'}\n")
     return OK
 
 
@@ -198,8 +202,7 @@ def cmd_eval(args) -> int:
     query = _load_query(args.query, doc)
     db = _load_database(args.database, doc) if args.database else doc.facts
     answers, saturated = chase_mod.certain_answers(query, db, doc.tgds, args.steps)
-    for t in sorted(answers):
-        sys.stdout.write("(" + ", ".join(term.name for term in t) + ")\n")
+    _write_answers(answers)
     sys.stdout.write(f"% saturated={str(saturated).lower()}\n")
     return OK
 

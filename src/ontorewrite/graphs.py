@@ -2,12 +2,12 @@
 
 Positions are (predicate, index) pairs with 1-based indices.  All structures
 here are built once per rule set, in time polynomial in it, and then shared
-read-only.  The propagation graph is held as its labeled edges alone, the
-only part its readers use.  The cover graph holds what `eliminate.covers`
-searches through: the tightness relation, each rule's moves along the
-propagation graph, the head predicates that tight steps reach from each
-rule, and the rules by body predicate.  `build_cover_graph` is where
-elimination checks that the rule set is linear.
+read-only.  The propagation graph is the list of its labeled edges.  The
+cover graph holds what `eliminate.covers` searches through: the tightness
+relation, each rule's moves along the propagation graph, the head
+predicates that tight steps reach from each rule, and the rules by body
+predicate.  `build_cover_graph` is where elimination checks that the rule
+set is linear.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from .model import TGD, VAR, atom_maps_onto, atom_matches_injectively
 
 Position = Tuple[str, int]
+Edge = Tuple[Position, Position, int]  # (body position, head position, rule)
 
 
-@dataclass
-class PropagationGraph:
-    """Labeled directed multigraph over schema positions, held as its edges.
-    An edge (pi_b -> pi_h) labeled by rule index k exists iff some variable
-    occurs at pi_b in the body and at pi_h in the head of rule k."""
-
-    edges: List[Tuple[Position, Position, int]]
-
-
-def build_propagation_graph(tgds: List[TGD]) -> PropagationGraph:
-    edges: List[Tuple[Position, Position, int]] = []
+def build_propagation_graph(tgds: List[TGD]) -> List[Edge]:
+    """The propagation graph, a labeled directed multigraph over schema
+    positions, as its edges in rule order: an edge (pi_b, pi_h, k) exists
+    iff some variable occurs at pi_b in the body and at pi_h in the head of
+    rule k."""
+    edges: List[Edge] = []
     seen = set()
     for k, t in enumerate(tgds):
         head_positions: Dict = {}
@@ -46,7 +42,7 @@ def build_propagation_graph(tgds: List[TGD]) -> PropagationGraph:
                     if e not in seen:
                         seen.add(e)
                         edges.append(e)
-    return PropagationGraph(edges)
+    return edges
 
 
 def is_tight(seq: List[TGD]) -> bool:
@@ -97,7 +93,7 @@ def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
                           if atom_maps_onto(t2.body[0], t.head) is not None)
              for k, t in enumerate(tgds)}
     moves: Dict[int, Dict[Position, Set[Position]]] = {k: {} for k in tight}
-    for src, dst, k in build_propagation_graph(tgds).edges:
+    for src, dst, k in build_propagation_graph(tgds):
         moves[k].setdefault(src, set()).add(dst)
     reached_preds = {}
     for k in tight:
@@ -148,9 +144,9 @@ def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:
     return out
 
 
-def format_propagation_graph(pg: PropagationGraph) -> str:
+def format_propagation_graph(edges: List[Edge]) -> str:
     return "\n".join(f"{src[0]}[{src[1]}] -> {dst[0]}[{dst[1]}] : r{label + 1}"
-                     for src, dst, label in sorted(pg.edges))
+                     for src, dst, label in sorted(edges))
 
 
 def format_cover_graph(cg: CoverGraph) -> str:

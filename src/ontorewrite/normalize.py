@@ -6,11 +6,14 @@ are split into a chain through fresh auxiliary predicates that carry the
 frontier variables plus the existentials introduced so far; the chain's last
 predicate fans out to the original head atoms.  The transformation preserves
 linearity and stickiness and grows the rule set at most quadratically.
+
+Classification decides linearity, multi-linearity and stickiness on raw or
+normalized rules.  `smark` returns each rule's marked body variables as a
+plain list of sets, and `is_sticky` counts their body occurrences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, List, Set, Tuple
 
 from .model import Atom, TGD, VAR
@@ -116,33 +119,12 @@ def is_multi_linear(rules: Iterable) -> bool:
     return True
 
 
-@dataclass
-class MarkedTGDSet:
-    """The result of the variable-marking procedure: for each rule, the set
-    of its marked body variables, closed under the propagation step.  Every
-    body occurrence of a marked variable is marked."""
-
-    rules: list
-    marks: list = field(default_factory=list)
-
-    def marked_vars(self, rule_index: int) -> set:
-        return self.marks[rule_index]
-
-    def body_occurrence_counts(self, rule_index: int) -> dict:
-        raw = _as_raw(self.rules[rule_index])
-        counts: dict = {}
-        for a in raw.body:
-            for t in a.args:
-                if t.kind == VAR:
-                    counts[t] = counts.get(t, 0) + 1
-        return counts
-
-
-def smark(rules: Iterable) -> MarkedTGDSet:
-    """Initial marking (a body variable absent from some head atom) followed
-    by the propagation step, run to fixpoint.  Both mark every body
-    occurrence of a variable at once, so each rule's marking is a set of
-    variables."""
+def smark(rules: Iterable) -> List[Set]:
+    """The variable-marking procedure: for each rule, in order, the set of
+    its marked body variables.  The initial marking (a body variable absent
+    from some head atom) is followed by the propagation step, run to
+    fixpoint.  Both mark every body occurrence of a variable at once, so
+    each rule's marking is a set of variables."""
     raws = [_as_raw(r) for r in rules]
     body_vars = [set().union(*(a.variables() for a in raw.body)) for raw in raws]
     marked: List[Set] = [{v for v in bv
@@ -168,17 +150,17 @@ def smark(rules: Iterable) -> MarkedTGDSet:
                            for b in other.body):
                         marked[ri].add(v)
                         changed = True
-    return MarkedTGDSet(list(rules), marked)
+    return marked
 
 
 def is_sticky(rules: Iterable) -> bool:
     """No rule body contains a marked variable occurring two or more times."""
-    ms = smark(rules)
-    for ri in range(len(ms.rules)):
-        counts = ms.body_occurrence_counts(ri)
-        for v in ms.marked_vars(ri):
-            if counts.get(v, 0) >= 2:
-                return False
+    rules = list(rules)
+    for rule, marked in zip(rules, smark(rules)):
+        occurrences = [t for a in _as_raw(rule).body for t in a.args
+                       if t in marked]
+        if len(occurrences) != len(set(occurrences)):
+            return False
     return True
 
 

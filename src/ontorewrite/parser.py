@@ -195,12 +195,15 @@ class _Parser:
         tok = self.peek()
         head = self.parse_atom(arities)
         self.expect(":-")
+        return self.parse_query_body(head, tok, arities)
+
+    def parse_query_body(self, head: Atom, tok: _Token,
+                         arities: dict) -> ConjunctiveQuery:
+        """The rest of a query after `head :-`; tok is the head's first
+        token, where errors point."""
         body = self.parse_atom_list(arities)
         self.expect(".")
         q = make_query(head.pred, head.args, body)
-        for t in head.args:
-            if t.kind not in (VAR, CONST):
-                raise self.error("nulls cannot appear in queries", tok)
         if not q.is_safe():
             missing = sorted(t.name for t in head.args
                              if t.kind == VAR and all(t not in a.args for a in body))
@@ -253,8 +256,7 @@ class _Parser:
             self.next()
             doc.queries.append(self.parse_query_statement(doc.arities))
             return
-        # Look ahead for a query written without the ? prefix.
-        mark = self.pos
+        # A fact, a rule, a constraint, or a query without the ? prefix.
         atoms = self.parse_atom_list(doc.arities)
         nxt = self.next()
         if nxt.text == ".":
@@ -269,8 +271,7 @@ class _Parser:
         if nxt.text == ":-":
             if len(atoms) != 1:
                 raise self.error("a query has a single head atom", tok)
-            self.pos = mark
-            doc.queries.append(self.parse_query_statement(doc.arities))
+            doc.queries.append(self.parse_query_body(atoms[0], tok, doc.arities))
             return
         if nxt.text != "->":
             raise self.error(f"expected '.', '->' or ':-', found {nxt.text!r}", nxt)

@@ -6,11 +6,13 @@ Dedup compares renaming keys (`model.renaming_key`): the numbered head and
 the atom keys in canonical order, which for a query none of whose non-head
 variables joins two atoms are its atom keys sorted.
 
-Queries are labeled r/f by the step that produced them (the input query is r)
-and explored/unexplored; the final rewriting collects the explored r-labeled
-queries whose bodies mention no auxiliary normalization predicate.  The loop
-prunes nothing: a subsumption mode other than `none` prunes the finished
-rewriting once (`subsume.prune_tail_state`).
+Queries are labeled r/f by the step that produced them (the input query is
+r).  Every step's output is deduplicated against all queries so far, and a
+rewriting step that reaches an f-labeled query relabels it r.  The loop runs
+until its queue is empty, so every admitted query is explored, and the final
+rewriting collects the r-labeled queries whose bodies mention no auxiliary
+normalization predicate.  The loop prunes nothing: a subsumption mode other
+than `none` prunes the finished rewriting once (`subsume.prune_tail_state`).
 """
 
 from __future__ import annotations
@@ -220,13 +222,12 @@ class QueryEntry:
     node: int
     query: ConjunctiveQuery
     label: str  # 'r' or 'f'
-    explored: bool = False
     pruned: bool = False  # dropped by subsumption after the loop
     parents: Set[int] = field(default_factory=set)
 
 
 class RewriteState:
-    """The labeled query set with its canonical-form index, FIFO of
+    """The labeled query set with its renaming-key index, FIFO of
     unexplored queries, provenance (each entry's parents) and counters."""
 
     def __init__(self, ctx: RewriterContext):
@@ -235,14 +236,6 @@ class RewriteState:
         self.canon_index: Dict[tuple, int] = {}  # renaming key -> node
         self.queue: deque = deque()
         self.metrics = Metrics()
-        self.step = 0
-
-    def _new_entry(self, q: ConjunctiveQuery, label: str, canon) -> QueryEntry:
-        entry = QueryEntry(len(self.entries), q, label)
-        self.entries.append(entry)
-        self.canon_index[canon] = entry.node
-        self.queue.append(entry.node)
-        return entry
 
     def _add_edge(self, parent: Optional[QueryEntry], child: QueryEntry):
         if parent is not None and parent.node != child.node:
@@ -258,17 +251,20 @@ class RewriteState:
                 entry.label = "r"  # an r-producer reached an f-only query
             self._add_edge(parent, entry)
             return None
-        entry = self._new_entry(q, label, canon)
+        entry = QueryEntry(len(self.entries), q, label)
+        self.entries.append(entry)
+        self.canon_index[canon] = entry.node
+        self.queue.append(entry.node)
         self._add_edge(parent, entry)
         return entry
 
     # -- results -------------------------------------------------------------
 
     def final_entries(self) -> List[QueryEntry]:
-        """The entries whose queries the rewriting outputs: explored,
-        r-labeled, not pruned, and free of auxiliary predicates."""
+        """The entries whose queries the rewriting outputs: r-labeled, not
+        pruned, and free of auxiliary predicates."""
         return [e for e in self.entries
-                if e.label == "r" and e.explored and not e.pruned
+                if e.label == "r" and not e.pruned
                 and not self.ctx.mentions_aux(e.query)]
 
     def final_queries(self) -> List[ConjunctiveQuery]:
@@ -306,10 +302,12 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
              options: Optional[RewriteOptions] = None) -> RewriteResult:
     """Exhaustively apply rewriting and factorization steps until fixpoint.
 
-    New queries are deduplicated modulo bijective variable renaming: a
-    rewriting-step output against existing r-queries, a factorization output
-    against all queries.  With elimination on (default for linear rule sets)
-    every admitted query is first reduced through atom coverage.
+    Every step's output is deduplicated modulo bijective variable renaming
+    against all queries so far; a rewriting-step output that renames an
+    f-labeled query relabels it r.  The n-th rewriting step that yields a
+    query renames its rule apart by n.  With elimination on (default for
+    linear rule sets) every step's output is first reduced through atom
+    coverage.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
@@ -336,10 +334,10 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                 S = (a,)
                 if not _existential_free(tgd, S, shared):
                     continue
-                out = rewrite_step(cur, S, tgd, state.step + 1, preferred, ctx)
+                out = rewrite_step(cur, S, tgd, state.metrics.generated + 1,
+                                   preferred, ctx)
                 if out is None:
                     continue
-                state.step += 1
                 state.metrics.generated += 1
                 if elim:
                     out = reduce_query(out, elim)
@@ -355,7 +353,6 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                     if elim:
                         out = reduce_query(out, elim)
                     state.admit(out, "f", entry)
-        entry.explored = True
         state.metrics.explored += 1
 
     if options.subsumption != "none":

@@ -313,12 +313,8 @@ def test_criterion_09_sticky_classification():
         s(X), s(Y) -> p(X,Y).
         r(X,Y), r(Z,X) -> s(X).
     """)
-    marking = smark(doc.tgds)
     X, Y, Z = var("X"), var("Y"), var("Z")
-    assert marking.marked_vars(0) == {X, Y}
-    assert marking.marked_vars(1) == {Y}
-    assert marking.marked_vars(2) == set()
-    assert marking.marked_vars(3) == {Y, Z}
+    assert smark(doc.tgds) == [{X, Y}, {Y}, set(), {Y, Z}]
     assert is_sticky(doc.tgds)
 
     non_sticky = parse_ontology("r(X,Y) -> r(Y,Z).  r(X,Y), r(Y,Z) -> r(X,Z).")

@@ -321,6 +321,18 @@ def test_eval_subcommand(files, capsys):
     assert "(a)" in out and "saturated=true" in out
 
 
+@pytest.mark.parametrize("command", ["rewrite", "eval"])
+def test_answers_quote_constants_that_need_it(files, capsys, command):
+    # a one-column answer holding a comma must not read as two columns
+    onto = files("o.dlog", "person(X) -> named(X).\n")
+    qf = files("q.dlog", "p(X) :- named(X).\n")
+    db = files("d.dlog", "person('a, b'). person(ann). person('Bob').\n")
+    code, out, err = _run(capsys, [command, "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert code == 0
+    assert out.splitlines()[:3] == ["('Bob')", "('a, b')", "(ann)"]
+
+
 @pytest.mark.parametrize("command", ["eval", "chase"])
 def test_database_arity_mismatch_is_input_error(files, capsys, command):
     onto = files("o.dlog", "r(X,Y) -> s(a).\n")

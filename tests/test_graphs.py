@@ -31,22 +31,22 @@ def _pg(text):
 
 def test_propagation_graph_example_edges():
     tgds, pg = _pg(PG_EXAMPLE)
-    edges = {(src, dst) for src, dst, _ in pg.edges}
+    edges = {(src, dst) for src, dst, _ in pg}
     assert edges == {
         (("p", 1), ("r", 1)), (("p", 2), ("r", 2)),
         (("r", 1), ("s", 1)), (("r", 2), ("s", 2)), (("r", 2), ("s", 3)),
         (("s", 1), ("p", 1)), (("s", 2), ("p", 1)), (("s", 3), ("p", 2)),
     }
-    assert all(src != ("r", 3) for src, _, _ in pg.edges)
+    assert all(src != ("r", 3) for src, _, _ in pg)
 
 
 def test_propagation_graph_empty_rule_set():
-    assert build_propagation_graph([]).edges == []
+    assert build_propagation_graph([]) == []
 
 
 def test_propagation_graph_swap_rule():
     tgds, pg = _pg("r(X,Y) -> r(Y,X).")
-    assert {(s, d, l) for s, d, l in pg.edges} == {
+    assert {(s, d, l) for s, d, l in pg} == {
         (("r", 1), ("r", 2), 0), (("r", 2), ("r", 1), 0)}
 
 
@@ -61,7 +61,7 @@ def test_edge_count_matches_naive_triple_loop():
                 for j, hterm in enumerate(t.head.args, start=1):
                     if term.kind == 1 and term == hterm:
                         naive.add(((a.pred, i), (t.head.pred, j), k))
-    assert naive == set(pg.edges)
+    assert naive == set(pg)
 
 
 def test_tight_examples():
@@ -113,7 +113,7 @@ def test_cover_graph_sequences_validate():
         for k in range(len(tgds)):
             assert ({(src, dst) for src, dsts in cg.moves[k].items()
                      for dst in dsts}
-                    == {(src, dst) for src, dst, lab in pg.edges if lab == k})
+                    == {(src, dst) for src, dst, lab in pg if lab == k})
         for k in range(len(tgds)):
             closure = {k}
             while True:

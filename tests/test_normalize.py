@@ -82,27 +82,21 @@ def test_smarking_four_rule_example():
         s(X), s(Y) -> p(X,Y).
         r(X,Y), r(Z,X) -> s(X).
     """)
-    marking = smark(doc.tgds)
-    assert marking.marked_vars(0) == {X, Y}
-    assert marking.marked_vars(1) == {Y}
-    assert marking.marked_vars(2) == set()
-    assert marking.marked_vars(3) == {Y, Z}
+    assert smark(doc.tgds) == [{X, Y}, {Y}, set(), {Y, Z}]
     assert is_sticky(doc.tgds)
 
 
 def test_single_occurrence_marked_variable_is_sticky():
     doc = parse_ontology("r(X,Y) -> p(X).")
-    marking = smark(doc.tgds)
-    assert marking.marked_vars(0) == {Y}
+    assert smark(doc.tgds) == [{Y}]
     assert is_sticky(doc.tgds)
 
 
 def test_transitivity_style_set_is_not_sticky():
     # the join variable is marked (absent from the head) and occurs twice
     doc = parse_ontology("r(X,Y) -> r(Y,Z).  r(X,Y), r(Y,Z) -> r(X,Z).")
-    marking = smark(doc.tgds)
-    counts = marking.body_occurrence_counts(1)
-    assert any(counts[v] >= 2 for v in marking.marked_vars(1))
+    body_terms = [t for a in doc.tgds[1].body for t in a.args]
+    assert any(body_terms.count(v) >= 2 for v in smark(doc.tgds)[1])
     assert not is_sticky(doc.tgds)
 
 
@@ -113,9 +107,7 @@ def test_marking_is_deterministic_fixpoint():
         s(X), s(Y) -> p(X,Y).
         r(X,Y), r(Z,X) -> s(X).
     """)
-    m1 = smark(doc.tgds)
-    m2 = smark(doc.tgds)
-    assert m1.marks == m2.marks
+    assert smark(doc.tgds) == smark(doc.tgds)
 
 
 # -- variable-level marking against the occurrence-level marking it replaced --
@@ -172,7 +164,7 @@ def _assert_marking_matches_reference(rules):
     for ri, raw in enumerate(raws):
         occurrences = {(ai, pi) for ai, a in enumerate(raw.body)
                        for pi, t in enumerate(a.args)
-                       if t in marking.marked_vars(ri)}
+                       if t in marking[ri]}
         assert occurrences == reference[ri], (rules, ri)
         reference_sticky &= len(reference[ri]) == len(
             {raw.body[ai].args[pi] for ai, pi in reference[ri]})

@@ -256,6 +256,25 @@ def test_linear_bound_on_produced_queries():
             assert len(entry.query.body) <= len(q.body)
 
 
+def test_every_admitted_query_is_explored_random():
+    # The loop runs until its queue is empty, and a budget stop raises, so
+    # a finished rewriting has explored every query it admitted.
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    rng = random.Random(13)
+    for i in range(60):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        ctx = rules_context(rules)
+        q = random_query(rng, pool=QUERY_POOL)
+        for elimination in (None, False):
+            for mode in ("none", "tail"):
+                res = xrewrite(q, ctx, RewriteOptions(
+                    elimination=elimination, subsumption=mode, budget=20000))
+                assert res.metrics.explored == len(res.state.entries), (rules, q)
+                assert not res.state.queue
+
+
 def test_sticky_freshness_of_produced_queries():
     from conftest import random_sticky_rules, random_query, rules_context
     rng = random.Random(11)

@@ -5,7 +5,7 @@ Run from a checkout, at two commits, and compare the printed lines:
 
     python3 tools/rewrite_digest.py
 
-It prints the number of rewritings and the SHA-256 of their
+The first line gives the number of rewritings and the SHA-256 of their
 `emit.serialize_ucq` text, each preceded by its label:
 
 - every operation of every `perfbench/workloads.py` workload at seeds 7
@@ -15,28 +15,40 @@ It prints the number of rewritings and the SHA-256 of their
   apiece, rewritten on the sequential and the decomposed path under
   subsumption none, tail and idec, with elimination at its default and off.
 
-A rewriting that exhausts its budget counts with the text "budget".  Nothing
-is written; the benchmark's modules are only imported.
+A rewriting that exhausts its budget counts with the text "budget".
+
+The second line gives the number of rule-set analyses and the SHA-256 of
+their text: the exit code and output of `ontorewrite graph` and `ontorewrite
+classify`, run through `cli.main`, on the financial ontology of
+`tests/conftest.py` and on each random suite's rule set.
+
+Only temporary ontology files for the CLI are written; the benchmark's
+modules are only imported.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
-from ontorewrite import emit  # noqa: E402
+from ontorewrite import cli, emit  # noqa: E402
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
 from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
 
 import workloads  # noqa: E402
-from conftest import (QUERY_POOL, random_linear_rules,  # noqa: E402
-                      random_query, random_sticky_rules, rules_context)
+from conftest import (FINANCIAL, QUERY_POOL,  # noqa: E402
+                      random_linear_rules, random_query, random_sticky_rules,
+                      rules_context)
 
 SEEDS = (7, 8)
 SUITE_SEED = 2024
@@ -58,37 +70,69 @@ def workload_rewritings():
                 w.close()
 
 
-def suite_rewritings():
-    """(label, UCQ or None when the budget ran out) for every random suite
-    under every path, subsumption mode and elimination setting."""
+def suites():
+    """(label, rule set, query) for every random suite, a linear and a
+    sticky rule set per suite, in the order the generators draw them."""
     rng = random.Random(SUITE_SEED)
     for i in range(SUITES):
         for kind, rules in (("linear", random_linear_rules(rng)),
                             ("sticky", random_sticky_rules(rng, max_rules=4))):
-            ctx = rules_context(rules)
-            q = random_query(rng, pool=QUERY_POOL)
-            for path, rewrite in (("seq", xrewrite), ("par", xrewrite_parallel)):
-                for mode in ("none", "tail", "idec"):
-                    for elimination in (None, False):
-                        options = RewriteOptions(elimination=elimination,
-                                                 subsumption=mode,
-                                                 budget=BUDGET)
-                        label = f"suite/{i}/{kind}/{path}/{mode}/{elimination}"
-                        try:
-                            yield label, rewrite(q, ctx, options).queries
-                        except BudgetExhaustedError:
-                            yield label, None
+            yield f"suite/{i}/{kind}", rules, random_query(rng, pool=QUERY_POOL)
+
+
+def suite_rewritings():
+    """(label, UCQ or None when the budget ran out) for every random suite
+    under every path, subsumption mode and elimination setting."""
+    for suite, rules, q in suites():
+        ctx = rules_context(rules)
+        for path, rewrite in (("seq", xrewrite), ("par", xrewrite_parallel)):
+            for mode in ("none", "tail", "idec"):
+                for elimination in (None, False):
+                    options = RewriteOptions(elimination=elimination,
+                                             subsumption=mode, budget=BUDGET)
+                    label = f"{suite}/{path}/{mode}/{elimination}"
+                    try:
+                        yield label, rewrite(q, ctx, options).queries
+                    except BudgetExhaustedError:
+                        yield label, None
+
+
+def analyses(tmp: str):
+    """(label, text) for `graph` and `classify` on the financial ontology
+    and on every random suite's rule set: the exit code, then the output."""
+    ontologies = [("financial", FINANCIAL)]
+    ontologies += [(suite, "".join(f"{r}\n" for r in rules))
+                   for suite, rules, _ in suites()]
+    path = os.path.join(tmp, "ontology.dlog")
+    for name, text in ontologies:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("graph", "classify"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main([command, "--ontology", path])
+            yield f"{name}/{command}", f"{code}\n{out.getvalue()}"
+
+
+def digest(items):
+    """The number of (label, text) pairs and the SHA-256 of them all."""
+    sha = hashlib.sha256()
+    count = 0
+    for label, text in items:
+        sha.update(f"{label}\n{text}".encode())
+        count += 1
+    return count, sha.hexdigest()
 
 
 def main() -> int:
-    digest = hashlib.sha256()
-    count = 0
-    for rewritings in (workload_rewritings(), suite_rewritings()):
-        for label, ucq in rewritings:
-            text = "budget\n" if ucq is None else emit.serialize_ucq(ucq)
-            digest.update(f"{label}\n{text}".encode())
-            count += 1
-    print(f"{count} rewritings sha256={digest.hexdigest()}")
+    rewritings = itertools.chain(workload_rewritings(), suite_rewritings())
+    count, sha = digest(
+        (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
+        for label, ucq in rewritings)
+    print(f"{count} rewritings sha256={sha}")
+    with tempfile.TemporaryDirectory() as tmp:
+        count, sha = digest(analyses(tmp))
+    print(f"{count} analyses sha256={sha}")
     return 0
 
 

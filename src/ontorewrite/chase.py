@@ -41,6 +41,8 @@ def chase_up_to(db: Iterable[Atom], rules: Iterable, k: int) -> ChaseInstance:
     after k applications or at a fixpoint.  Each applicable (rule, body
     homomorphism) pair is applied at most once; existential variables take
     fresh nulls following all existing values."""
+    if k < 0:
+        raise ValueError(f"the chase step budget must be at least 0, not {k}")
     raws = [_as_raw(r) for r in rules]
     instance = ChaseInstance()
     for a in db:

@@ -87,7 +87,11 @@ def cmd_rewrite(args) -> int:
             raise InputError(
                 "termination is not guaranteed: the rule set is neither "
                 "linear, multi-linear nor sticky; rerun with --budget")
-    if args.database is None and args.output == "datalog":
+    if args.database is not None and args.output != "ucq":
+        # with a database rewrite prints answers, not the rewriting
+        raise InputError(f"--output={args.output} cannot be combined with "
+                         "--database, which prints answers")
+    if args.output == "datalog":
         if args.no_parallel:
             raise InputError("--output=datalog requires the parallel pipeline "
                              "(drop --no-parallel)")
@@ -95,7 +99,7 @@ def cmd_rewrite(args) -> int:
             # the folded program is not unfolded, so nothing prunes it whole
             raise InputError("--output=datalog cannot honour --subsumption=tail "
                              "(use idec or irew)")
-    if args.database is None and args.output == "sql" and args.mapping is None:
+    if args.output == "sql" and args.mapping is None:
         raise InputError("--output=sql requires --mapping")
 
     options = _rewrite_options(args)

@@ -495,7 +495,7 @@ def _canonical_var(i: int) -> Term:
     return Term(VAR, f"#{i}")
 
 
-def _private_keys(body, assignment: dict) -> Optional[list]:
+def private_atom_keys(body, assignment: dict) -> Optional[list]:
     """Per atom of body, the sort key it would have if placed next, or None
     as soon as an unnamed variable occurs in a second atom.  Per argument a
     key holds (0, term) for a term that is not a variable, (1, canonical
@@ -503,7 +503,13 @@ def _private_keys(body, assignment: dict) -> Optional[list]:
     among the atom's unnamed variables in arg order.  Atoms keyed at the same
     step would number their unnamed variables from the same index, so ranks
     compare as those indices would; and a key changes only when one of the
-    atom's variables is named."""
+    atom's variables is named.
+
+    A key depends only on its atom and the assignment.  So when the keys of
+    a duplicate-free body exist under `head_assignment(q)`, `renaming_key(q)`
+    is `private_renaming_key` of them, the keys sorted; and the keys of a
+    body made of parts that share no unnamed variable are the keys of the
+    parts, each computed on its own."""
     placed: set = set()  # the unnamed variables of the atoms keyed so far
     keys = []
     for a in body:
@@ -527,7 +533,7 @@ def _private_keys(body, assignment: dict) -> Optional[list]:
 
 
 def _atom_key(a: Atom, assignment: dict) -> tuple:
-    return _private_keys((a,), assignment)[0]
+    return private_atom_keys((a,), assignment)[0]
 
 
 def _canonical_order(body, assignment):
@@ -535,7 +541,7 @@ def _canonical_order(body, assignment):
     sequence, the first such order in body order on ties, and that key
     sequence.  `assignment` names the head variables #1, #2, ... and is left
     unchanged."""
-    keys = _private_keys(body, assignment)
+    keys = private_atom_keys(body, assignment)
     if keys is not None:
         order = sorted(range(len(body)), key=keys.__getitem__)
         return order, [keys[i] for i in order]
@@ -621,7 +627,7 @@ def _canonical_order(body, assignment):
                 keys)
 
 
-def _head_assignment(q: ConjunctiveQuery):
+def head_assignment(q: ConjunctiveQuery):
     """The head variables named #1, #2, ... in head order, and the head
     with each variable replaced by its index."""
     assignment: dict = {}
@@ -633,7 +639,7 @@ def _head_assignment(q: ConjunctiveQuery):
 def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """The canonical form of q: constants map to themselves, variables onto
     #1, #2, ... so that renamings and body permutations coincide."""
-    assignment, _ = _head_assignment(q)
+    assignment, _ = head_assignment(q)
     order, _ = _canonical_order(q.body, assignment)
     sub = {t: _canonical_var(i) for t, i in assignment.items()}
     idx = len(sub) + 1
@@ -651,7 +657,7 @@ def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
 
 def ordered_body(q: ConjunctiveQuery) -> list:
     """Body atoms of q in canonical-rename order (original atoms)."""
-    order, _ = _canonical_order(q.body, _head_assignment(q)[0])
+    order, _ = _canonical_order(q.body, head_assignment(q)[0])
     return [q.body[i] for i in order]
 
 
@@ -664,10 +670,16 @@ def renaming_key(q: ConjunctiveQuery) -> tuple:
     forms are: the head predicate, the head with its variables numbered and
     the key sequence of the canonical order, which for a body whose atoms
     share no non-head variable is its atom keys sorted."""
-    assignment, head = _head_assignment(q)
-    keys = _private_keys(q.body, assignment)
+    assignment, head = head_assignment(q)
+    keys = private_atom_keys(q.body, assignment)
     if keys is None:
-        keys = _canonical_order(q.body, assignment)[1]
-    else:
-        keys.sort()
-    return (q.head_pred, head, tuple(keys))
+        return (q.head_pred, head,
+                tuple(_canonical_order(q.body, assignment)[1]))
+    return private_renaming_key(q.head_pred, head, keys)
+
+
+def private_renaming_key(head_pred: str, head: tuple, keys) -> tuple:
+    """`renaming_key` of a query with this head predicate and numbered head
+    (see `head_assignment`) whose duplicate-free body has these atom keys
+    (see `private_atom_keys`)."""
+    return (head_pred, head, tuple(sorted(keys)))

@@ -6,10 +6,14 @@ step budget.
 
 Unfolding goes by position: component i's disjuncts unify with the
 reconciliation's i-th body atom.  Each disjunct unifies once per distinct
-target atom, not once per product, and its body is substituted then; a
-product only concatenates the chosen bodies, under the bindings of the
-reconciliation's variables when a component head holds a constant or
-repeats a variable.
+target atom, not once per product, and its body is substituted and its atom
+keys computed then; a product only concatenates the chosen bodies, under
+the bindings of the reconciliation's variables when a component head holds
+a constant or repeats a variable.  Products are deduplicated modulo
+renaming.  A product with no such bindings, whose chosen bodies all have
+atom keys and whose reconciliation variables are all head variables, is
+keyed by its bodies' atom keys, sorted, and built only when that key is
+new; any other product is built and keyed by `model.renaming_key`.
 
 Components are rewritten without subsumption.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
@@ -20,11 +24,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from .eliminate import reduce_query
-from .model import (Atom, ConjunctiveQuery, Term, VAR, compose, make_query,
-                    mgu, renaming_key, subst_atom, subst_query)
+from .model import (Atom, ConjunctiveQuery, Term, VAR, compose,
+                    head_assignment, make_query, mgu, private_atom_keys,
+                    private_renaming_key, renaming_key, subst_atom,
+                    subst_atoms, subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriteResult, RewriterContext, xrewrite)
@@ -122,58 +129,87 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
     A disjunct's unifier γ with its target atom binds only its own
     variables and the reconciliation's, and maps both to the
     reconciliation's variables or to constants.  So each (slot, target)
-    pair is unified once, memoized as the reconciliation part of γ and γ
-    applied to the body, and a product is the chosen bodies under `theta`,
-    the composed reconciliation parts, which stays empty unless a component
-    head holds a constant or repeats a variable.  Output deduplicated
-    modulo renaming by renaming key (`model.renaming_key`), which for a
-    product none of whose non-head variables joins two atoms sorts its
-    atom keys."""
+    pair is unified once, memoized as the reconciliation part of γ, γ
+    applied to the body, and that body's atom keys under the
+    reconciliation's head assignment (`model.private_atom_keys`), None when
+    a variable outside the head joins two of its atoms.  A product is the
+    chosen bodies under `theta`, the composed reconciliation parts, which
+    stays empty unless a component head holds a constant or repeats a
+    variable.
+
+    The output is deduplicated modulo renaming by renaming key.  When
+    `theta` is empty, every chosen body has keys and every reconciliation
+    variable is a head variable, no variable outside the head joins two of
+    the product's atoms: slots share only reconciliation variables.  The
+    product's key is then `model.private_renaming_key` of the chosen
+    bodies' atom keys, duplicate atoms dropped, which is `renaming_key` of
+    its query; the query is built only when that key is new.  Any other
+    product is built and keyed by `renaming_key`."""
     slots = []
     for slot, disjuncts in enumerate(component_rewritings):
         standardized = [_standardize(d, slot) for d in disjuncts]
         slots.append([(Atom(d.head_pred, d.head_args), d.body)
                       for d in standardized])
     preferred = frozenset(reconciliation.variables())
+    head_pred, head_args = reconciliation.head_pred, reconciliation.head_args
+    assignment, numbered_head = head_assignment(reconciliation)
+    keyed = preferred.issubset(assignment)
     results: List[ConjunctiveQuery] = []
     seen = set()
     chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
+    chosen_keys: List[Optional[list]] = []  # their atom keys
     unifiers: Dict[Tuple[int, Atom], list] = {}
 
     def unify(slot: int, target: Atom) -> list:
-        pairs = unifiers.get((slot, target))
-        if pairs is None:
-            pairs = unifiers[slot, target] = []
+        parts = unifiers.get((slot, target))
+        if parts is None:
+            parts = unifiers[slot, target] = []
             for head_atom, body in slots[slot]:
                 gamma = mgu((target, head_atom), preferred=preferred)
                 if gamma is not None:
-                    pairs.append((
+                    body = subst_atoms(gamma, body)
+                    parts.append((
                         {v: t for v, t in gamma.items() if v in preferred},
-                        tuple(subst_atom(gamma, a) for a in body)))
-        return pairs
+                        body, private_atom_keys(body, assignment)))
+        return parts
 
-    def expand(slot: int, theta: dict):
+    def expand(slot: int, theta: dict, fast: bool):
         if slot == len(slots):
-            head_args = reconciliation.head_args
-            body = (a for atoms in chosen for a in atoms)
-            if theta:
-                head_args = (theta.get(t, t) for t in head_args)
-                body = (subst_atom(theta, a) for a in body)
-            query = make_query(reconciliation.head_pred, head_args, body)
-            key = renaming_key(query)
-            if key not in seen:
-                seen.add(key)
-                results.append(query)
+            if fast:
+                # the duplicate-free body with its atom keys
+                atom_keys = dict(zip(chain.from_iterable(chosen),
+                                     chain.from_iterable(chosen_keys)))
+                key = private_renaming_key(head_pred, numbered_head,
+                                           atom_keys.values())
+                if key in seen:
+                    return
+                query = ConjunctiveQuery(head_pred, head_args,
+                                         tuple(atom_keys))
+            else:
+                args = head_args
+                body = chain.from_iterable(chosen)
+                if theta:
+                    args = (theta.get(t, t) for t in head_args)
+                    body = (subst_atom(theta, a) for a in body)
+                query = make_query(head_pred, args, body)
+                key = renaming_key(query)
+                if key in seen:
+                    return
+            seen.add(key)
+            results.append(query)
             return
         target = reconciliation.body[slot]
         if theta:
             target = subst_atom(theta, target)
-        for bound, body in unify(slot, target):
+        for bound, body, keys in unify(slot, target):
             chosen.append(body)
-            expand(slot + 1, compose(theta, bound) if bound else theta)
+            chosen_keys.append(keys)
+            expand(slot + 1, compose(theta, bound) if bound else theta,
+                   fast and not bound and keys is not None)
+            chosen_keys.pop()
             chosen.pop()
 
-    expand(0, {})
+    expand(0, {}, keyed)
     return results
 
 

@@ -228,7 +228,8 @@ def test_renaming_key_partitions_like_canonical_rename():
 
 def _is_private(q):
     """Whether renaming_key(q) sorts atom keys instead of walking."""
-    return model._private_keys(q.body, model._head_assignment(q)[0]) is not None
+    assignment = model.head_assignment(q)[0]
+    return model.private_atom_keys(q.body, assignment) is not None
 
 
 def _same_class(q1, q2):

@@ -189,6 +189,24 @@ def test_rewrite_sql_without_mapping_is_input_error(files, capsys):
     assert code == 2
 
 
+def test_rewrite_database_refuses_datalog_and_sql_output(files, capsys):
+    # with --database rewrite prints answers, so an --output other than the
+    # default would go unhonoured
+    onto = files("o.dlog", COLLAB)
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    db = files("d.dlog", "project(a). inArea(a, db).\n")
+    mapping = files("m.json", json.dumps({}))
+    base = ["rewrite", "--ontology", onto, "--query", qf, "--database", db]
+    for extra in (["--output", "sql"], ["--output", "sql", "--mapping", mapping],
+                  ["--output", "datalog"],
+                  ["--output", "datalog", "--subsumption", "tail"]):
+        code, out, err = _run(capsys, base + extra)
+        assert (code, out) == (2, ""), extra
+        assert "--database" in err, extra
+    code, out, err = _run(capsys, base + ["--output", "ucq"])
+    assert (code, out) == (0, "(a)\n")
+
+
 def test_rewrite_datalog_output(files, capsys):
     onto = files("fin.dlog", FINANCIAL)
     qf = files("q.dlog", f"? {FINANCIAL_QUERY}\n")
@@ -291,6 +309,23 @@ def test_chase_subcommand(files, capsys):
     assert code == 0
     assert "s(b, a)." in out
     assert "saturated=false" in out
+
+
+@pytest.mark.parametrize("command", ["chase", "eval"])
+def test_negative_steps_are_input_errors(files, capsys, command):
+    onto = files("o.dlog", COLLAB + "project(a). inArea(a, db).\n")
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    query = ["--query", qf] if command == "eval" else []
+    for steps in ("-1", "-5"):
+        code, out, err = _run(capsys, [command, "--ontology", onto,
+                                       "--steps", steps] + query)
+        assert (code, out) == (2, ""), steps
+        assert "at least 0" in err
+    # no step leaves the rule unapplied, so the chase is not saturated
+    code, out, err = _run(capsys, [command, "--ontology", onto,
+                                   "--steps", "0"] + query)
+    assert code == 0
+    assert out.splitlines()[-1] == "% saturated=false"
 
 
 def test_chase_output_parses_back(files, capsys):

@@ -6,11 +6,12 @@ import sys
 import pytest
 
 from ontorewrite.model import (VAR, Atom, Term, atom, canonical_rename, const,
-                               make_query, mgu, subst_atom, subst_query, var)
+                               make_query, mgu, renaming_key, subst_atom,
+                               subst_query, var)
 from ontorewrite.parallel import decompose, unfold, xrewrite_parallel
 from ontorewrite.rewriter import BudgetExhaustedError, RewriteOptions, xrewrite
 
-from conftest import canon_set, pipeline, query
+from conftest import FINANCIAL, canon_set, pipeline, query
 
 A, B, C = var("A"), var("B"), var("C")
 
@@ -248,7 +249,70 @@ def test_unfold_unifies_each_component_disjunct_once(monkeypatch):
                 assert len(out) == size
 
 
-def test_unfold_prunes_products_whose_head_constants_clash():
+def _fallback_keys(monkeypatch):
+    """The queries `unfold` keys with `renaming_key` from now on: the
+    products it does not key from its memoized atom keys."""
+    from ontorewrite import parallel
+    keyed = []
+
+    def counting(q):
+        keyed.append(q)
+        return renaming_key(q)
+
+    monkeypatch.setattr(parallel, "renaming_key", counting)
+    return keyed
+
+
+def test_unfold_keys_by_renaming_key_when_slots_share_a_non_head_variable(
+        monkeypatch):
+    # C joins two listComponent slots outside the head, so no product is
+    # keyed from the components' atom keys
+    doc, tgds, ctx = pipeline(FINANCIAL)
+    q = query("p(A,B) :- listComponent(A,C), listComponent(B,C), "
+              "finInstrument(A).", doc)
+    res = xrewrite_parallel(q, ctx, RewriteOptions(elimination=False))
+    recon = res.decomposition.reconciliation
+    assert [a.args[-1] for a in recon.body[:2]] == [var("C")] * 2
+    fallback = _fallback_keys(monkeypatch)
+    out = _assert_unfold_matches_reference(res.component_ucqs, recon)
+    assert [len(u) for u in res.component_ucqs] == [1, 1, 5]
+    assert len(out) == len(fallback) == 5
+
+
+def test_unfold_keys_by_renaming_key_when_a_disjunct_joins_its_own_atoms(
+        monkeypatch):
+    # Y joins r and s inside one disjunct; only its products fall back
+    X, Y = var("X"), var("Y")
+    recon = make_query("p", [A, B], [atom("c_1", A), atom("c_2", B)])
+    u1 = [make_query("c_1", [X], [atom("r", X, Y), atom("s", Y)]),
+          make_query("c_1", [X], [atom("t", X, Y)])]
+    u2 = [make_query("c_2", [X], [atom("u", X)]),
+          make_query("c_2", [X], [atom("r", X, Y), atom("s", Y)])]
+    fallback = _fallback_keys(monkeypatch)
+    out = _assert_unfold_matches_reference([u1, u2], recon)
+    assert len(out) == 4
+    assert len(fallback) == 3
+
+
+def test_unfold_drops_an_atom_that_two_slots_contribute(monkeypatch):
+    # s(B) or t(B) comes from both slots in three of the four products;
+    # once it is dropped, two of them repeat the first
+    X, Y = var("X"), var("Y")
+    recon = make_query("p", [A, B], [atom("c_1", A, B), atom("c_2", B)])
+    u1 = [make_query("c_1", [X, Y], [atom("r", X, Y), atom("s", Y)]),
+          make_query("c_1", [X, Y], [atom("r", X, Y), atom("s", Y),
+                                     atom("t", Y)])]
+    u2 = [make_query("c_2", [Y], [atom("t", Y)]),
+          make_query("c_2", [Y], [atom("s", Y)])]
+    fallback = _fallback_keys(monkeypatch)
+    out = _assert_unfold_matches_reference([u1, u2], recon)
+    assert fallback == []
+    assert out == [
+        make_query("p", [A, B], [atom("r", A, B), atom("s", B), atom("t", B)]),
+        make_query("p", [A, B], [atom("r", A, B), atom("s", B)])]
+
+
+def test_unfold_prunes_products_whose_head_constants_clash(monkeypatch):
     a, b = const("a"), const("b")
     X, Y = var("X"), var("Y")
     recon = make_query("p", [A, B], [atom("c_1", A, B), atom("c_2", B),
@@ -261,9 +325,12 @@ def test_unfold_prunes_products_whose_head_constants_clash():
           make_query("c_2", [X], [atom("w", X, Y)])]
     u3 = [make_query("c_3", [b], [atom("x", b)]),
           make_query("c_3", [Y], [atom("y", Y)])]
+    fallback = _fallback_keys(monkeypatch)
     out = _assert_unfold_matches_reference([u1, u2, u3], recon)
-    # 18 products; the clashing constants drop 6 of them
+    # 18 products; the clashing constants drop 6 of them; every slot-1
+    # disjunct binds a head variable, so every product is keyed as built
     assert len(out) == 12
+    assert len(fallback) == 12
     assert make_query("p", [b, b], [atom("s", b), atom("v", b),
                                     atom("x", b)]) in out
 

@@ -3,14 +3,26 @@ oracle, and the check queries derived from functional dependencies and
 negative constraints.
 
 Bodies are matched against instances by `model.homomorphisms`, the planned,
-hash-indexed join that query subsumption uses too."""
+hash-indexed join that query subsumption uses too.
+
+A query is answered by one join when it is Boolean, which stops at its
+first homomorphism, or when its body is one group of atoms linked by shared
+variables.  Any other body splits into such groups: each is joined once for
+its constant-only rows over the head variables it holds, a group holding
+none only has to match, and the answers are the product of the rows.  A
+UCQ's disjuncts are often such products of a few small parts (the
+decomposed rewriting unfolds into them), so `evaluate_ucq` memoizes each
+group's rows for the duration of one call, keyed by the group's atoms and
+its projection: the same atoms and projection over the same instance always
+give the same rows, and every disjunct holding the group reuses them."""
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import (Atom, AtomIndex, CONST, ConjunctiveQuery, NULL, Term, VAR,
-                    as_index, homomorphisms)
+                    as_index, connected_components, homomorphisms)
 from .normalize import _as_raw
 from .parser import FunctionalDependency, NegativeConstraint, RawTGD
 
@@ -93,28 +105,81 @@ def chase_up_to(db: Iterable[Atom], rules: Iterable, k: int) -> ChaseInstance:
 def evaluate_cq(q: ConjunctiveQuery, instance) -> Set[tuple]:
     """All constant-only answer tuples of q over an instance (an AtomIndex
     such as a ChaseInstance, or any iterable of atoms); tuples containing
-    nulls are excluded.  A Boolean query stops at its first homomorphism."""
-    instance = as_index(instance)
-    answers: Set[tuple] = set()
-    for h in homomorphisms(q.body, instance, {}):
-        if not q.head_args:
-            return {()}
-        t = tuple(h.get(arg, arg) for arg in q.head_args)
-        if all(term.kind == CONST for term in t):
-            answers.add(t)
-    return answers
+    nulls are excluded.  A Boolean query, or a body that is one group of
+    atoms linked by shared variables, is one join; a Boolean one stops at
+    its first homomorphism.  Any other body is joined group by group, and
+    its answers are the product of the groups' rows (see `_answers`)."""
+    return _answers(q, as_index(instance), {})
 
 
 def evaluate_ucq(queries: Iterable[ConjunctiveQuery], instance) -> Set[tuple]:
     """The union of the disjuncts' answers; once a Boolean disjunct has
-    answered, the remaining Boolean disjuncts are skipped."""
+    answered, the remaining Boolean disjuncts are skipped.  The rows of each
+    group of a split body are memoized, keyed by the group's atoms and the
+    head variables it holds, so every disjunct holding the same group shares
+    one join: the same atoms and projection over the same instance always
+    give the same rows.  The memo lives only as long as the call, since the
+    instance may grow after it."""
     instance = as_index(instance)
+    memo: Dict[tuple, Set[tuple]] = {}
     out: Set[tuple] = set()
     for q in queries:
         if not q.head_args and () in out:
             continue
-        out |= evaluate_cq(q, instance)
+        out |= _answers(q, instance, memo)
     return out
+
+
+def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: dict) -> Set[tuple]:
+    """q's answers over the index, by one join or group by group (see the
+    module docstring), each group's rows taken from the memo or joined into
+    it.  An empty group leaves no answers; else the answers are the product
+    of the rows in head order, the head's constants passed through.  A head
+    variable in no atom leaves no answers, as it does in one join."""
+    head = q.head_args
+    groups = connected_components(q.body, _is_var) if head else ()
+    if len(groups) < 2:
+        return _rows(q.body, head, index)
+    head_vars = [t for t in dict.fromkeys(head) if t.kind == VAR]
+    names: List[Term] = []  # the head variables of the groups with rows
+    parts = []  # their rows
+    for group in groups:
+        held = {t for a in group for t in a.args}
+        projection = tuple([v for v in head_vars if v in held])
+        key = (group, projection)
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = _rows(group, projection, index)
+        if not rows:
+            return set()
+        if projection:
+            names.extend(projection)
+            parts.append(rows)
+    if len(names) < len(head_vars):
+        return set()
+    answers = set()
+    for combo in product(*parts):
+        h = dict(zip(names, chain.from_iterable(combo)))
+        answers.add(tuple([h.get(t, t) for t in head]))
+    return answers
+
+
+def _is_var(t: Term) -> bool:
+    return t.kind == VAR
+
+
+def _rows(body, terms: tuple, index: AtomIndex) -> Set[tuple]:
+    """The constant-only images of terms under the body's homomorphisms into
+    the index; with no terms, {()} at the first homomorphism, else empty."""
+    joins = homomorphisms(body, index, {})
+    if not terms:
+        return {()} if next(joins, None) is not None else set()
+    rows = set()
+    for h in joins:
+        row = tuple([h.get(t, t) for t in terms])
+        if all(term.kind == CONST for term in row):
+            rows.add(row)
+    return rows
 
 
 def certain_answers(q: ConjunctiveQuery, db: Iterable[Atom], rules: Iterable,

@@ -129,6 +129,35 @@ def make_query(head_pred: str, head_args: Iterable[Term], body: Iterable[Atom]) 
     return ConjunctiveQuery(head_pred, tuple(head_args), tuple(seen))
 
 
+def connected_components(atoms: Iterable[Atom], linked) -> List[Tuple[Atom, ...]]:
+    """The groups of atoms joined by chains of shared terms for which
+    `linked(term)` holds, each in the atoms' order, in order of their first
+    atom.  One sweep over the arguments, with union-find over atom positions
+    in which every group's root is its first atom."""
+    atoms = tuple(atoms)
+    parent = list(range(len(atoms)))
+    holder: Dict[Term, int] = {}  # linked term -> the first atom holding it
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(atoms):
+        for t in a.args:
+            if linked(t):
+                j = holder.setdefault(t, i)
+                if j != i:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+    groups: Dict[int, List[Atom]] = {}
+    for i, a in enumerate(atoms):
+        groups.setdefault(find(i), []).append(a)
+    return [tuple(g) for g in groups.values()]
+
+
 class TGD(NamedTuple):
     """A tuple-generating dependency in normal form: a conjunctive body and a
     single head atom carrying at most one existential variable, occurring once.

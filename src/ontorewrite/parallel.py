@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .eliminate import reduce_query
 from .model import (Atom, ConjunctiveQuery, Term, VAR, compose,
-                    head_assignment, make_query, mgu, private_atom_keys,
-                    private_renaming_key, renaming_key, subst_atom,
-                    subst_atoms, subst_query)
+                    connected_components, head_assignment, make_query, mgu,
+                    private_atom_keys, private_renaming_key, renaming_key,
+                    subst_atom, subst_atoms, subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriteResult, RewriterContext, xrewrite)
@@ -74,33 +74,11 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
         return any(positions <= aff for aff in affected.values() if aff)
 
     confined_vars = {v for v in var_positions if confined(v)}
-
-    # Connected components of the atom graph linking atoms that share a
-    # confined variable.
-    body = list(q.body)
-    component_of = list(range(len(body)))
-
-    def find(i):
-        while component_of[i] != i:
-            component_of[i] = component_of[component_of[i]]
-            i = component_of[i]
-        return i
-
-    for v in confined_vars:
-        holders = [i for i, a in enumerate(body) if v in a.args]
-        for i in holders[1:]:
-            ra, rb = find(holders[0]), find(i)
-            if ra != rb:
-                component_of[max(ra, rb)] = min(ra, rb)
-
-    groups: Dict[int, List[Atom]] = {}
-    for i, a in enumerate(body):
-        groups.setdefault(find(i), []).append(a)
-    components = [tuple(groups[r]) for r in sorted(groups)]
+    components = connected_components(q.body, confined_vars.__contains__)
 
     # Global variable order: first occurrence across head then body.
     var_order = [t for t in dict.fromkeys(
-        list(q.head_args) + [t for a in body for t in a.args]) if t.kind == VAR]
+        list(q.head_args) + [t for a in q.body for t in a.args]) if t.kind == VAR]
 
     comp_vars = [set().union(*(a.variables() for a in comp))
                  for comp in components]

@@ -7,8 +7,10 @@ from ontorewrite.chase import (ChaseInstance, certain_answers, chase_up_to,
                                evaluate_cq, evaluate_ucq, fd_check_queries,
                                fd_violations, materialize_neq,
                                nc_check_queries)
-from ontorewrite.model import (Atom, CONST, VAR, as_index, atom, const,
-                               homomorphisms, null, var)
+from ontorewrite import chase
+from ontorewrite.model import (Atom, CONST, ConjunctiveQuery, VAR, as_index,
+                               atom, connected_components, const,
+                               homomorphisms, null, subst_atom, var)
 from ontorewrite.parser import parse_ontology, parse_query
 
 A, B, X = var("A"), var("B"), var("X")
@@ -225,11 +227,156 @@ def _random_facts(rng):
 def test_evaluate_cq_agrees_with_brute_force_on_random_queries():
     from conftest import QUERY_POOL, random_query
     rng = random.Random(4242)
+    split = 0  # non-Boolean queries answered group by group
     for _ in range(300):
         q = random_query(rng, max_atoms=4, pool=QUERY_POOL)
         facts = _random_facts(rng)
         assert evaluate_cq(q, facts) == _brute_answers(q, facts), (q, facts)
         assert _homomorphisms(q.body, facts) == _brute_homomorphisms(q.body, facts)
+        split += bool(q.head_args) and len(_groups(q)) > 1
+    assert split >= 50
+
+
+def _groups(q):
+    return connected_components(q.body, lambda t: t.kind == VAR)
+
+
+def _random_product_ucq(rng):
+    """Disjuncts that are products of a few random component bodies, one
+    drawn per slot from that slot's pool, with the slots' variables kept
+    apart, so that identical groups repeat across disjuncts.  The head
+    variables are drawn from all slots; a disjunct may hold none of one."""
+    from conftest import QUERY_POOL, random_query
+    slots = []
+    for s in range(rng.randint(2, 3)):
+        bodies = []
+        for _ in range(rng.randint(1, 3)):
+            body = random_query(rng, max_atoms=2, pool=QUERY_POOL).body
+            sub = {t: var(f"{t.name}{s}") for at in body for t in at.args
+                   if t.kind == VAR}
+            bodies.append(tuple(subst_atom(sub, at) for at in body))
+        slots.append(bodies)
+    variables = sorted({t for bodies in slots for body in bodies
+                        for at in body for t in at.args if t.kind == VAR})
+    head = tuple(rng.sample(variables, min(len(variables), rng.randint(0, 3))))
+    if rng.random() < 0.2:
+        head += (const("a"),)
+    return [ConjunctiveQuery("q", head, tuple(itertools.chain(*bodies)))
+            for bodies in itertools.product(*slots)]
+
+
+def test_evaluate_ucq_of_random_products_agrees_with_brute_force():
+    rng = random.Random(4444)
+    repeated = 0  # groups that a disjunct shares with an earlier one
+    for _ in range(300):
+        ucq = _random_product_ucq(rng)
+        facts = _random_facts(rng)
+        expected = set().union(*(_brute_answers(q, facts) for q in ucq))
+        assert evaluate_ucq(ucq, facts) == expected, (ucq, facts)
+        seen = set()
+        for q in ucq:
+            assert evaluate_cq(q, facts) == _brute_answers(q, facts), (q, facts)
+            if q.head_args:
+                groups = set(_groups(q))
+                repeated += len(groups & seen)
+                seen |= groups
+    assert repeated >= 1000
+
+
+def test_evaluate_cq_answers_split_bodies_like_brute_force():
+    z = null("z1")
+    c = const("c")
+    facts = [atom("r", a, a), atom("r", a, b), atom("r", b, b), atom("r", b, c),
+             atom("r", z, z), atom("r", c, z), atom("s", b), atom("s", z),
+             atom("r", a), atom("s", a, b)]
+    cases = {
+        "q(X, c) :- r(X, X), s(Y).": {(a, c), (b, c)},  # a head constant
+        "q(X, Y) :- r(X, X), r(c, Y).": set(),  # only a null row for Y
+        "q(X) :- r(X, X), s(b).": {(a,), (b,)},  # a true ground atom
+        "q(X) :- r(X, X), s(c).": set(),  # a false ground atom
+        # a group holding no head variable beside two that do
+        "q(Y, X) :- r(X, b), s(Y), r(Z, Z).": {(b, a), (b, b)},
+        "q(X, Y) :- r(X, b), s(Y), r(Z, c), s(Z).": {(a, b), (b, b)},
+        "q(X, Y) :- r(X, b), s(Y), r(Z, a), s(Z).": set(),
+    }
+    for text, expected in cases.items():
+        q = parse_query(text)
+        assert len(_groups(q)) > 1, text
+        assert evaluate_cq(q, facts) == _brute_answers(q, facts) == expected, text
+    # a head variable in no atom, with one group and with two
+    Y = var("Y")
+    for body in ((atom("r", X, X),), (atom("r", X, X), atom("s", a, B))):
+        q = ConjunctiveQuery("q", (X, Y), body)
+        assert evaluate_cq(q, facts) == _brute_answers(q, facts) == set()
+    ucq = [parse_query(text) for text in cases]
+    assert evaluate_ucq(ucq, facts) == set().union(*cases.values())
+
+
+def _counting_joins(monkeypatch):
+    """The bodies `chase` joins from now on, one per join started."""
+    joined = []
+
+    def counting(body, *args, **kwargs):
+        joined.append(tuple(body))
+        return homomorphisms(body, *args, **kwargs)
+
+    monkeypatch.setattr(chase, "homomorphisms", counting)
+    return joined
+
+
+def test_evaluate_ucq_joins_each_shared_group_once(monkeypatch):
+    """The n=6 size law's 4,096 disjuncts are products of 25 one-atom
+    groups, and `evaluate_ucq` joins each group once, not each disjunct."""
+    from conftest import pipeline, query
+    from ontorewrite.parallel import xrewrite_parallel
+    doc, _, ctx = pipeline(
+        "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
+    names = [f"A{i}" for i in range(1, 7)]
+    q = query(f"p({', '.join(names)}) :- "
+              f"{', '.join(f'p_0({v})' for v in names)}, e(B, B).", doc)
+    ucq = xrewrite_parallel(q, ctx).queries
+    assert len(ucq) == 4 ** 6
+    ks = [const(f"k{i}") for i in range(4)]
+    facts = [atom(f"p_{i}", k) for i, k in enumerate(ks)]
+    facts.append(atom("e", a, a))
+    joined = _counting_joins(monkeypatch)
+    assert evaluate_ucq(ucq, facts) == set(itertools.product(ks, repeat=6))
+    assert len(joined) == 25
+    assert len(set(joined)) == 25
+
+
+def test_evaluate_ucq_joins_a_connected_disjunct_once(monkeypatch, financial):
+    doc, _, ctx, q = financial
+    ucq = ow.xrewrite(q, ctx, ow.RewriteOptions(elimination=False)).queries
+    connected = [d for d in ucq if len(_groups(d)) == 1]
+    assert len(connected) == len(ucq) > 50
+    facts = parse_ontology("""
+        stockPortfolio(c1, s1, n1). company(c2, x, y). listComponent(s1, i1).
+        finIndex(i1, u, v). stock(s2, a, b). hasStock(s1, c1).
+        finInstrument(s1). legalPerson(c1).
+    """).facts
+    joined = _counting_joins(monkeypatch)
+    answers = set()
+    for d in connected:
+        joined.clear()
+        answers |= evaluate_ucq([d], facts)
+        assert joined == [d.body], d
+    assert answers
+    joined.clear()
+    assert evaluate_ucq(ucq, facts) == answers
+    assert len(joined) == len(ucq)
+
+
+def test_boolean_ucq_joins_until_a_disjunct_answers(monkeypatch):
+    facts = [atom("r", a), atom("s", b)]
+    ucq = [parse_query(text) for text in
+           ("p() :- r(X), s(Y).", "p() :- r(X), s(X).", "p() :- t(X).")]
+    joined = _counting_joins(monkeypatch)
+    assert evaluate_ucq(ucq, facts) == {()}
+    assert joined == [ucq[0].body]  # one join, not one per group
+    joined.clear()
+    assert evaluate_ucq(ucq[1:], facts) == set()
+    assert len(joined) == 2
 
 
 def test_evaluate_cq_agrees_with_brute_force_on_hand_made_cases():

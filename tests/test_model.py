@@ -2,8 +2,8 @@ import itertools
 import random
 
 from ontorewrite.model import (Atom, ConjunctiveQuery, VAR, apply, atom,
-                               canonical_rename, compose, const,
-                               find_homomorphism, make_query, mgu,
+                               canonical_rename, compose, connected_components,
+                               const, find_homomorphism, make_query, mgu,
                                same_modulo_renaming, subst_atom, var)
 
 A, B, C, X, Y, Z = (var(n) for n in "ABCXYZ")
@@ -34,6 +34,21 @@ def test_apply_respects_composition():
         s2 = {v: rng.choice(terms) for v in rng.sample([A, B, C, X, Y], 3)}
         at = Atom("r", tuple(rng.choice(terms) for _ in range(3)))
         assert apply(s2, apply(s1, at)) == apply(compose(s1, s2), at)
+
+
+def test_connected_components_group_by_linked_terms_in_first_atom_order():
+    body = [atom("r", A, B), atom("s", C), atom("t", X, a), atom("r", C, Y),
+            atom("u", a), atom("s", Y, X), atom("v", Z, B)]
+    is_var = lambda t: t.kind == VAR
+    assert connected_components(body, is_var) == [
+        (atom("r", A, B), atom("v", Z, B)),
+        (atom("s", C), atom("t", X, a), atom("r", C, Y), atom("s", Y, X)),
+        (atom("u", a),)]
+    # only the linked terms join atoms: here the constant a, not B or Y
+    assert connected_components(body, {a}.__contains__) == [
+        (atom("r", A, B),), (atom("s", C),), (atom("t", X, a), atom("u", a)),
+        (atom("r", C, Y),), (atom("s", Y, X),), (atom("v", Z, B),)]
+    assert connected_components([], is_var) == []
 
 
 def test_mgu_rewriting_step_example():

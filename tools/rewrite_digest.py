@@ -22,6 +22,14 @@ their text: the exit code and output of `ontorewrite graph` and `ontorewrite
 classify`, run through `cli.main`, on the financial ontology of
 `tests/conftest.py` and on each random suite's rule set.
 
+The third line gives the number of answer sets and the SHA-256 of their
+text: the answers of `chase.evaluate_ucq` to each rewriting of the first
+line, sorted, one tuple a line as `ontorewrite rewrite --database` prints
+them, or "budget".  A workload operation is answered over its workload's
+database; a random suite over a database drawn with `random_database` of
+`tests/conftest.py`, one per rule set of the suite, from a generator of its
+own seed.
+
 Only temporary ontology files for the CLI are written; the benchmark's
 modules are only imported.
 """
@@ -40,32 +48,33 @@ from contextlib import redirect_stdout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
-from ontorewrite import cli, emit  # noqa: E402
+from ontorewrite import chase, cli, emit  # noqa: E402
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
 from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
 
 import workloads  # noqa: E402
 from conftest import (FINANCIAL, QUERY_POOL,  # noqa: E402
-                      random_linear_rules, random_query, random_sticky_rules,
-                      rules_context)
+                      random_database, random_linear_rules, random_query,
+                      random_sticky_rules, rules_context)
 
 SEEDS = (7, 8)
 SUITE_SEED = 2024
+DATABASE_SEED = 2025
 SUITES = 300
 BUDGET = 50_000
 
 
 def workload_rewritings():
-    """(label, UCQ) for every workload operation at each seed."""
+    """(label, UCQ, database) for every workload operation at each seed."""
     for name, build in workloads.BUILDERS.items():
         for seed in SEEDS:
             w = build(seed)
             try:
-                ctx, _ = workloads.set_up(w)
+                ctx, db = workloads.set_up(w)
                 for op in w.ops:
                     yield (f"{name}/{seed}/{op.label}",
-                           workloads.compile_query(op, ctx))
+                           workloads.compile_query(op, ctx), db)
             finally:
                 w.close()
 
@@ -81,9 +90,12 @@ def suites():
 
 
 def suite_rewritings():
-    """(label, UCQ or None when the budget ran out) for every random suite
-    under every path, subsumption mode and elimination setting."""
+    """(label, UCQ or None when the budget ran out, database) for every
+    random suite under every path, subsumption mode and elimination
+    setting."""
+    db_rng = random.Random(DATABASE_SEED)
     for suite, rules, q in suites():
+        db = random_database(db_rng, max_facts=12, pool=QUERY_POOL)
         ctx = rules_context(rules)
         for path, rewrite in (("seq", xrewrite), ("par", xrewrite_parallel)):
             for mode in ("none", "tail", "idec"):
@@ -92,9 +104,9 @@ def suite_rewritings():
                                              subsumption=mode, budget=BUDGET)
                     label = f"{suite}/{path}/{mode}/{elimination}"
                     try:
-                        yield label, rewrite(q, ctx, options).queries
+                        yield label, rewrite(q, ctx, options).queries, db
                     except BudgetExhaustedError:
-                        yield label, None
+                        yield label, None, db
 
 
 def analyses(tmp: str):
@@ -124,15 +136,26 @@ def digest(items):
     return count, sha.hexdigest()
 
 
+def answers_text(ucq, db) -> str:
+    """The UCQ's answers over the database, sorted, one tuple a line."""
+    return "".join("(" + ", ".join(map(str, t)) + ")\n"
+                   for t in sorted(chase.evaluate_ucq(ucq, db)))
+
+
 def main() -> int:
-    rewritings = itertools.chain(workload_rewritings(), suite_rewritings())
+    rewritings = list(itertools.chain(workload_rewritings(),
+                                      suite_rewritings()))
     count, sha = digest(
         (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
-        for label, ucq in rewritings)
+        for label, ucq, _ in rewritings)
     print(f"{count} rewritings sha256={sha}")
     with tempfile.TemporaryDirectory() as tmp:
         count, sha = digest(analyses(tmp))
     print(f"{count} analyses sha256={sha}")
+    count, sha = digest(
+        (label, "budget\n" if ucq is None else answers_text(ucq, db))
+        for label, ucq, db in rewritings)
+    print(f"{count} answers sha256={sha}")
     return 0
 
 

@@ -1,5 +1,8 @@
 """Command-line entry point wiring the pipeline together.
 
+`rewrite` rewrites the query, and each negative constraint's check query,
+through the one pipeline `parallel.xrewrite_parallel`.
+
 Exit codes: 0 ok, 1 constraint violation, 2 input error, 3 budget exhausted.
 """
 
@@ -17,7 +20,7 @@ from .model import ConjunctiveQuery, as_index
 from .normalize import classify, is_linear, normalize_tgds, smark
 from .parser import ParseError, parse_ontology
 from .rewriter import (SUBSUMPTION_MODES, BudgetExhaustedError,
-                       RewriteOptions, RewriterContext, xrewrite)
+                       RewriteOptions, RewriterContext)
 from .parallel import xrewrite_parallel
 
 OK, CONSTRAINT_VIOLATION, INPUT_ERROR, BUDGET_EXHAUSTED = 0, 1, 2, 3
@@ -70,12 +73,6 @@ def _context(doc) -> RewriterContext:
     return RewriterContext(tgds, aux, doc.arities)
 
 
-def _rewrite_options(args) -> RewriteOptions:
-    elimination = False if args.no_elimination else None
-    return RewriteOptions(elimination=elimination,
-                          subsumption=args.subsumption, budget=args.budget)
-
-
 def cmd_rewrite(args) -> int:
     doc = _load_ontology(args.ontology)
     query = _load_query(args.query, doc)
@@ -91,27 +88,17 @@ def cmd_rewrite(args) -> int:
         # with a database rewrite prints answers, not the rewriting
         raise InputError(f"--output={args.output} cannot be combined with "
                          "--database, which prints answers")
-    if args.output == "datalog":
-        if args.no_parallel:
-            raise InputError("--output=datalog requires the parallel pipeline "
-                             "(drop --no-parallel)")
-        if args.subsumption == "tail":
-            # the folded program is not unfolded, so nothing prunes it whole
-            raise InputError("--output=datalog cannot honour --subsumption=tail "
-                             "(use idec or irew)")
+    if args.output == "datalog" and args.subsumption == "tail":
+        # the folded program is not unfolded, so nothing prunes it whole
+        raise InputError("--output=datalog cannot honour --subsumption=tail "
+                         "(use idec or irew)")
     if args.output == "sql" and args.mapping is None:
         raise InputError("--output=sql requires --mapping")
 
-    options = _rewrite_options(args)
-    presult = None
-    if args.no_parallel:
-        result = xrewrite(query, ctx, options)
-        queries = result.queries
-        metrics = result.metrics
-    else:
-        presult = xrewrite_parallel(query, ctx, options)
-        queries = presult.queries
-        metrics = presult.metrics
+    result = xrewrite_parallel(query, ctx, RewriteOptions(
+        elimination=False if args.no_elimination else None,
+        subsumption=args.subsumption, budget=args.budget))
+    queries = result.queries
 
     if args.database is not None:
         code = _check_and_evaluate(args, doc, ctx, queries)
@@ -120,8 +107,8 @@ def cmd_rewrite(args) -> int:
     elif args.output == "ucq":
         sys.stdout.write(emit.serialize_ucq(queries))
     elif args.output == "datalog":
-        comp_ucqs = presult.component_ucqs
-        reconciliation = presult.decomposition.reconciliation
+        comp_ucqs = result.component_ucqs
+        reconciliation = result.decomposition.reconciliation
         sys.stdout.write(emit.to_datalog(comp_ucqs, reconciliation))
         # --stats then describes the printed rules, not the unfolded UCQ
         queries = [q for u in comp_ucqs for q in u] + [reconciliation]
@@ -130,7 +117,7 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
     if args.stats:
-        sys.stdout.write(emit.stats_report(queries, metrics) + "\n")
+        sys.stdout.write(emit.stats_report(queries, result.metrics) + "\n")
     return OK
 
 
@@ -141,7 +128,7 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
     # one instance, so its join indexes serve every check and the answers
     instance = as_index(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
-        rewritten = xrewrite(check, ctx, RewriteOptions(
+        rewritten = xrewrite_parallel(check, ctx, RewriteOptions(
             elimination=False, budget=args.budget)).queries
         if chase_mod.evaluate_ucq(rewritten, instance):
             violations.append(f"nc violated: {nc}")
@@ -226,7 +213,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     rw.add_argument("--output", choices=("ucq", "datalog", "sql"), default="ucq")
     rw.add_argument("--subsumption", choices=SUBSUMPTION_MODES, default="none")
     rw.add_argument("--no-elimination", action="store_true")
-    rw.add_argument("--no-parallel", action="store_true")
     rw.add_argument("--guarantee-termination", action="store_true")
     rw.add_argument("--budget", type=int)
     rw.add_argument("--stats", action="store_true")

@@ -49,11 +49,15 @@ class Decomposition:
         return len(self.components)
 
 
-def _component_pred_base(ctx: RewriterContext) -> str:
+def _component_pred_base(q: ConjunctiveQuery, ctx: RewriterContext) -> str:
+    """A prefix no predicate of the ontology or of q starts with, so that no
+    component predicate clashes with a database, rule or answer predicate."""
     used = set(ctx.arities)
     for t in ctx.tgds:
         used.add(t.head.pred)
         used.update(a.pred for a in t.body)
+    used.add(q.head_pred)
+    used.update(a.pred for a in q.body)
     return fresh_prefix("comp", used)
 
 
@@ -83,7 +87,7 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
     comp_vars = [set().union(*(a.variables() for a in comp))
                  for comp in components]
     spread = Counter(v for vs in comp_vars for v in vs)  # components per variable
-    base = _component_pred_base(ctx)
+    base = _component_pred_base(q, ctx)
     head_vars = {t for t in q.head_args if t.kind == VAR}
     comp_queries = []
     recon_body = []

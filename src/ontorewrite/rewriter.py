@@ -12,7 +12,7 @@ rewriting step that reaches an f-labeled query relabels it r.  The loop runs
 until its queue is empty, so every admitted query is explored, and the final
 rewriting collects the r-labeled queries whose bodies mention no auxiliary
 normalization predicate.  The loop prunes nothing: a subsumption mode other
-than `none` prunes the finished rewriting once (`subsume.prune_tail_state`).
+than `none` prunes that final rewriting once, through `subsume.prune_ucq`.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ class QueryEntry:
     node: int
     query: ConjunctiveQuery
     label: str  # 'r' or 'f'
-    pruned: bool = False  # dropped by subsumption after the loop
+    # Only perfbench/tracing.py reads it; ROADMAP item 1 drops it.
+    pruned: bool = False
     parents: Set[int] = field(default_factory=set)
 
 
@@ -261,11 +262,10 @@ class RewriteState:
     # -- results -------------------------------------------------------------
 
     def final_entries(self) -> List[QueryEntry]:
-        """The entries whose queries the rewriting outputs: r-labeled, not
-        pruned, and free of auxiliary predicates."""
+        """The entries whose queries the unpruned rewriting outputs:
+        r-labeled and free of auxiliary predicates."""
         return [e for e in self.entries
-                if e.label == "r" and not e.pruned
-                and not self.ctx.mentions_aux(e.query)]
+                if e.label == "r" and not self.ctx.mentions_aux(e.query)]
 
     def final_queries(self) -> List[ConjunctiveQuery]:
         return [e.query for e in self.final_entries()]
@@ -355,8 +355,9 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                     state.admit(out, "f", entry)
         state.metrics.explored += 1
 
+    queries = state.final_queries()
     if options.subsumption != "none":
-        subsume.prune_tail_state(state)
+        queries = subsume.prune_ucq(queries)
 
     state.metrics.rewrite_time = time.perf_counter() - start
-    return RewriteResult(state.final_queries(), state.metrics, state)
+    return RewriteResult(queries, state.metrics, state)

@@ -1,10 +1,12 @@
 """Query subsumption and the one pruning routine behind every mode.
 
-A finished rewriting is pruned pairwise: in canonical order, each surviving
-query drops every other survivor it subsumes, so of two equivalent queries
-the one with the smaller canonical form stays.  `tail` prunes the whole
-rewriting; `idec` and `irew` prune each decomposition component's rewriting
-before unfolding.  Nothing is pruned inside the rewriting loop: with
+A finished rewriting is pruned pairwise by `prune_ucq`: in canonical order,
+each surviving query drops every other survivor it subsumes, so of two
+equivalent queries the one with the smaller canonical form stays.  Every
+mode prunes through it: on the decomposed pipeline `tail` prunes the
+unfolded rewriting, `idec` and `irew` each component's rewriting before
+unfolding; `xrewrite` alone prunes its whole rewriting under any of the
+three.  Nothing is pruned inside the rewriting loop: with
 one-atom resolution plus factorization a query pruned there may be the only
 source of a disjunct no survivor subsumes (König, Leclère, Mugnier and
 Thomazo, "Sound, complete and minimal UCQ-rewriting for existential rules",
@@ -48,9 +50,10 @@ def _survivors(queries: List[ConjunctiveQuery]) -> List[bool]:
     return alive
 
 
+# Unused: only perfbench/tracing.py wraps it; ROADMAP item 1 drops it.
 def prune_tail_state(state) -> None:
-    """Prune a finished sequential rewriting: mark `pruned` on every final
-    entry of the state that the pairwise pass drops."""
+    """Mark `pruned` on every final entry of a finished sequential
+    rewriting that the pairwise pass drops; nothing reads the marks."""
     finals = state.final_entries()
     for entry, keep in zip(finals, _survivors([e.query for e in finals])):
         entry.pruned = not keep

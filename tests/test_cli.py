@@ -1,16 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+from ontorewrite.chase import chase_up_to, evaluate_cq, evaluate_ucq
 from ontorewrite.cli import main
-from ontorewrite.model import Atom, const
+from ontorewrite.model import Atom, ConjunctiveQuery, const, var
 from ontorewrite.parser import parse_ontology
 
-from conftest import FINANCIAL, FINANCIAL_QUERY
+from conftest import (FINANCIAL, FINANCIAL_QUERY, QUERY_POOL, random_atom,
+                      random_database, random_linear_rules, random_query,
+                      random_sticky_rules)
 
 COLLAB = "project(X), inArea(X,Y) -> hasCollaborator(Z,Y,X).\n"
 
@@ -252,11 +256,109 @@ def test_rewrite_datalog_output_refuses_tail(files, capsys):
     code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
                                    "--budget", "30"])
     assert code == 3
-    for extra in (["--subsumption", "tail"], ["--no-parallel"]):
-        code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query",
-                                       qf, "--budget", "30", "--output",
-                                       "datalog"] + extra)
-        assert code == 2 and out == "", extra
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--budget", "30", "--output", "datalog",
+                                   "--subsumption", "tail"])
+    assert code == 2 and out == ""
+
+
+def _datalog_answers(text, db):
+    """The answers of a printed folded program over the database: each
+    component predicate's rules evaluated into facts, then the
+    reconciliation rule over the database plus those facts.  That two-layer
+    reading is the program's Datalog meaning only if every component
+    predicate is fresh, so that is asserted first: no database fact, no
+    component rule body and not the answer predicate uses one."""
+    *rules, reconciliation = parse_ontology(text).queries
+    comp_preds = {r.head_pred for r in rules}
+    assert comp_preds == {a.pred for a in reconciliation.body}
+    used = {a.pred for r in rules for a in r.body} | {a.pred for a in db}
+    assert not comp_preds & (used | {reconciliation.head_pred})
+    facts = list(db)
+    for pred in sorted(comp_preds):
+        component = [r for r in rules if r.head_pred == pred]
+        facts += [Atom(pred, t) for t in evaluate_ucq(component, db)]
+    return evaluate_cq(reconciliation, facts)
+
+
+def _assert_datalog_answers_like_the_ucq(files, capsys, ontology, query, db):
+    """`--output datalog`, read back and answered, gives the lines
+    `--database` prints; returns the number of component predicates and
+    those lines."""
+    onto = files("o.dlog", ontology)
+    qf = files("q.dlog", query)
+    dbf = files("d.dlog", "".join(f"{a}.\n" for a in db))
+    base = ["rewrite", "--ontology", onto, "--query", qf]
+    code, printed, err = _run(capsys, base + ["--output", "datalog"])
+    assert code == 0, err
+    code, answers, err = _run(capsys, base + ["--database", dbf])
+    assert code == 0, err
+    folded = _datalog_answers(printed, db)
+    assert "".join("(" + ", ".join(map(str, t)) + ")\n"
+                   for t in sorted(folded)) == answers, printed
+    return len(parse_ontology(printed).queries[-1].body), answers
+
+
+@pytest.mark.parametrize("query, facts, expected", [
+    ("comp_2(X) :- p(X), q(X).\n", "r(a). p(b). q(b). q(c).", "(b)\n"),
+    ("ans(X) :- comp_1(X, Y), p(Y).\n", "comp_1(a, b). comp_1(c, d). r(b).",
+     "(a)\n"),
+], ids=["answer-predicate", "body-predicate"])
+def test_datalog_output_keeps_component_predicates_off_the_query(
+        files, capsys, query, facts, expected):
+    # the query's own predicates look like component predicates; the
+    # folded program must not reuse them
+    db = parse_ontology(facts).facts
+    assert _assert_datalog_answers_like_the_ucq(
+        files, capsys, "r(X) -> p(X).\n", query, db) == (2, expected)
+
+
+def test_datalog_output_answers_like_the_ucq_on_random_suites(files, capsys):
+    rng = random.Random(31)
+    split = answered = 0
+    for _ in range(40):
+        for rules in (random_linear_rules(rng),
+                      random_sticky_rules(rng, max_rules=4)):
+            q = random_query(rng, pool=QUERY_POOL)
+            db = random_database(rng, max_facts=12, pool=QUERY_POOL)
+            components, answers = _assert_datalog_answers_like_the_ucq(
+                files, capsys, "".join(f"{r}\n" for r in rules), f"{q}\n", db)
+            split += components > 1
+            answered += answers != ""
+    # the sample folds programs of several components, and answers
+    assert split >= 30 and answered >= 10, (split, answered)
+
+
+def test_constraint_checks_agree_with_the_chase(files, capsys):
+    # `rewrite --database` exits 1 exactly when the saturated chase
+    # satisfies the constraint's body; each check is rewritten through the
+    # one pipeline
+    rng = random.Random(47)
+    variables = [var(v) for v in "XYZ"]
+    decided = violated = 0
+    for _ in range(40):
+        for rules in (random_linear_rules(rng),
+                      random_sticky_rules(rng, max_rules=4)):
+            q = random_query(rng, pool=QUERY_POOL)
+            nc = tuple(random_atom(rng, variables, allow_const=0.1)
+                       for _ in range(rng.randint(1, 2)))
+            db = random_database(rng, max_facts=8, pool=QUERY_POOL)
+            instance = chase_up_to(db, rules, 500)
+            if not instance.saturated:
+                continue
+            expected = 1 if evaluate_cq(ConjunctiveQuery("violation", (), nc),
+                                        instance) else 0
+            onto = files("o.dlog", "".join(f"{r}\n" for r in rules)
+                         + ", ".join(map(str, nc)) + " -> !.\n")
+            qf = files("q.dlog", f"{q}\n")
+            dbf = files("d.dlog", "".join(f"{a}.\n" for a in db))
+            code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                           "--query", qf, "--database", dbf])
+            assert code == expected, (rules, nc, db, err)
+            assert ("nc violated" in err) == bool(expected)
+            decided += 1
+            violated += expected
+    assert decided >= 60 and 10 <= violated <= decided - 10, (decided, violated)
 
 
 @pytest.mark.parametrize("rules, query, facts", [
@@ -272,8 +374,7 @@ def test_rewrite_every_mode_answers_through_subsumed_queries(files, capsys,
     qf = files("q.dlog", query)
     db = files("d.dlog", facts)
     for mode in ("none", "tail", "idec", "irew"):
-        for extra in ([], ["--no-parallel"], ["--no-elimination"],
-                      ["--no-parallel", "--no-elimination"]):
+        for extra in ([], ["--no-elimination"]):
             code, out, err = _run(capsys, [
                 "rewrite", "--ontology", onto, "--query", qf, "--database", db,
                 "--subsumption", mode] + extra)

@@ -30,8 +30,14 @@ database; a random suite over a database drawn with `random_database` of
 `tests/conftest.py`, one per rule set of the suite, from a generator of its
 own seed.
 
-Only temporary ontology files for the CLI are written; the benchmark's
-modules are only imported.
+The fourth line gives the number of command-line runs and the SHA-256 of
+their text: the exit code and output of `ontorewrite rewrite`, run through
+`cli.main` at its default options on each random suite's rule set and
+query, three times: with `--output ucq`, with `--output datalog`, and with
+`--database` over the suite's database of the third line.
+
+Only temporary ontology, query and database files for the CLI are
+written; the benchmark's modules are only imported.
 """
 
 from __future__ import annotations
@@ -89,13 +95,19 @@ def suites():
             yield f"suite/{i}/{kind}", rules, random_query(rng, pool=QUERY_POOL)
 
 
+def suites_with_databases():
+    """(label, rule set, query, database) for every random suite."""
+    db_rng = random.Random(DATABASE_SEED)
+    for suite, rules, q in suites():
+        yield suite, rules, q, random_database(db_rng, max_facts=12,
+                                               pool=QUERY_POOL)
+
+
 def suite_rewritings():
     """(label, UCQ or None when the budget ran out, database) for every
     random suite under every path, subsumption mode and elimination
     setting."""
-    db_rng = random.Random(DATABASE_SEED)
-    for suite, rules, q in suites():
-        db = random_database(db_rng, max_facts=12, pool=QUERY_POOL)
+    for suite, rules, q, db in suites_with_databases():
         ctx = rules_context(rules)
         for path, rewrite in (("seq", xrewrite), ("par", xrewrite_parallel)):
             for mode in ("none", "tail", "idec"):
@@ -124,6 +136,28 @@ def analyses(tmp: str):
             with redirect_stdout(out):
                 code = cli.main([command, "--ontology", path])
             yield f"{name}/{command}", f"{code}\n{out.getvalue()}"
+
+
+def rewrite_runs(tmp: str):
+    """(label, text) for `rewrite` on every random suite with `--output ucq`,
+    `--output datalog` and `--database`: the exit code, then the output."""
+    paths = [os.path.join(tmp, f"{name}.dlog")
+             for name in ("ontology", "query", "database")]
+    ontology, query, database = paths
+    runs = (("ucq", ["--output", "ucq"]), ("datalog", ["--output", "datalog"]),
+            ("database", ["--database", database]))
+    for suite, rules, q, db in suites_with_databases():
+        texts = ("".join(f"{r}\n" for r in rules), f"{q}\n",
+                 "".join(f"{a}.\n" for a in db))
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for run, extra in runs:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(["rewrite", "--ontology", ontology,
+                                 "--query", query] + extra)
+            yield f"{suite}/rewrite/{run}", f"{code}\n{out.getvalue()}"
 
 
 def digest(items):
@@ -156,6 +190,9 @@ def main() -> int:
         (label, "budget\n" if ucq is None else answers_text(ucq, db))
         for label, ucq, db in rewritings)
     print(f"{count} answers sha256={sha}")
+    with tempfile.TemporaryDirectory() as tmp:
+        count, sha = digest(rewrite_runs(tmp))
+    print(f"{count} rewrite runs sha256={sha}")
     return 0
 
 

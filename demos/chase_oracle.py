@@ -1,13 +1,13 @@
 """The bounded oblivious chase as a verification oracle: forward-saturate a
 database under the rules (inventing labeled nulls for existentials), read
-certain answers off the result, and check FDs/NCs through check queries.
+certain answers off the result, and check a database against its FDs and
+NCs the way `ontorewrite rewrite --database` does.
 
 Run:  python demos/chase_oracle.py
 """
 
 import ontorewrite as ow
-from ontorewrite.chase import (chase_up_to, evaluate_cq, fd_check_queries,
-                               materialize_neq, nc_check_queries)
+from ontorewrite.chase import chase_up_to, evaluate_cq, nc_check_queries
 
 # A rule pair that chases forever: each p-fact yields an s-fact, each s-fact
 # a fresh p-fact with two invented nulls.
@@ -21,27 +21,28 @@ for steps in (0, 1, 2, 5):
 
 # Certain answers = answers over the (possibly truncated) chase; the flag
 # says whether a fixpoint was reached, i.e. whether they are exact.
-q = ow.parse_query("q(A) :- s(B, A).", dict(doc.arities))
+q = ow.parse_query("q(A) :- s(B, A).", doc.arities)
 answers, saturated = ow.certain_answers(q, doc.facts, doc.tgds, 50)
 print(f"\ncertain answers of {q}: "
       f"{sorted(tuple(t.name for t in a) for a in answers)} "
       f"(saturated={saturated})")
 
-# Constraint checking.  An FD becomes a Boolean query over two copies of the
-# relation joined by the auxiliary neq predicate, materialized over the
-# active domain; an NC becomes a Boolean query that gets rewritten like any
-# other query before evaluation.
+# Constraint checking.  An FD is checked by grouping each relation's facts
+# on the FD's left-hand side: every ordered pair inside a group that differs
+# on the right-hand side is a violation, with the two facts as witnesses;
+# fatherOf(a, e) is alone in its group and violates nothing.
+# An NC becomes a Boolean query that gets rewritten like any other query
+# before evaluation.
 CONSTRAINED = """
-fatherOf(a, c). fatherOf(b, c).
+fatherOf(a, c). fatherOf(b, c). fatherOf(a, e).
 fd fatherOf: 2 -> 1.
 student(X), professor(X) -> !.
 student(d). professor(d).
 """
 cdoc = ow.parse_ontology(CONSTRAINED)
-fd_queries = fd_check_queries(cdoc.fds, cdoc.arities)
-print(f"\nfd check query: {fd_queries[0]}")
-extended = cdoc.facts + materialize_neq(cdoc.facts)
-print(f"fd violated: {bool(evaluate_cq(fd_queries[0], extended))}")
+print()
+for fd, a, b in ow.fd_violations(cdoc.fds, cdoc.facts):
+    print(f"fd violated: {fd} witness {a}, {b}")
 
 nc_queries = nc_check_queries(cdoc.ncs)
 print(f"nc check query: {nc_queries[0]}")

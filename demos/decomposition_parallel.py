@@ -25,14 +25,14 @@ tgds, _, aux = ow.normalize_tgds(doc.tgds)
 ctx = ow.RewriterContext(tgds, aux, doc.arities)
 q = ow.parse_query(
     "p(A,B,C) :- finInstrument(A), stockPortfolio(B,A,D), company(B,E,F), "
-    "listComponent(A,C), finIndex(C,G,H).", dict(doc.arities))
+    "listComponent(A,C), finIndex(C,G,H).", doc.arities)
 
 # Only B can be bound to an invented null (stockPortfolio[1] feeds
 # company[1] through an existential), so the stockPortfolio and company
 # atoms must stay together; A and C join components safely.
 dec = ow.decompose(q, ctx)
 print("components:")
-for comp, cq in zip(dec.components, dec.component_queries):
+for cq in dec.component_queries:
     print("  ", cq)
 print("reconciliation:", dec.reconciliation)
 

@@ -27,7 +27,7 @@ ctx = ow.RewriterContext(tgds, aux, doc.arities)
 # Financial instruments owned by a company and listed on an index.
 q = ow.parse_query(
     "p(A,B,C) :- finInstrument(A), stockPortfolio(B,A,D), company(B,E,F), "
-    "listComponent(A,C), finIndex(C,G,H).", dict(doc.arities))
+    "listComponent(A,C), finIndex(C,G,H).", doc.arities)
 
 # The rules already force three of the five atoms: a stockPortfolio entry
 # implies the stock is a finInstrument and the owner a company, and a

@@ -16,7 +16,7 @@ ctx = ow.RewriterContext(tgds, aux, doc.arities)
 # Ask for projects in the db area that have a collaborator.  The rule can
 # produce hasCollaborator facts during the chase, so the rewriting must also
 # look directly for projects in that area.
-q = ow.parse_query("p(B) :- hasCollaborator(A, db, B).", dict(doc.arities))
+q = ow.parse_query("p(B) :- hasCollaborator(A, db, B).", doc.arities)
 print("query:     ", q)
 for disjunct in ow.xrewrite(q, ctx).queries:
     print("rewriting: ", disjunct)
@@ -27,7 +27,7 @@ for disjunct in ow.xrewrite(q, ctx).queries:
 print()
 for text in ("p(B) :- hasCollaborator(c, db, B).",
              "p(B) :- hasCollaborator(B, db, B)."):
-    blocked = ow.parse_query(text, dict(doc.arities))
+    blocked = ow.parse_query(text, doc.arities)
     out = ow.xrewrite(blocked, ctx).queries
     print(f"{text}  ->  {len(out)} disjunct(s), rule not applicable")
 
@@ -40,7 +40,7 @@ doc2 = ow.parse_ontology(ONTOLOGY2)
 tgds2, _, aux2 = ow.normalize_tgds(doc2.tgds)
 ctx2 = ow.RewriterContext(tgds2, aux2, doc2.arities)
 q2 = ow.parse_query("p(B,C) :- hasCollaborator(A,B,C), collaborator(A).",
-                    dict(doc2.arities))
+                    doc2.arities)
 res = ow.xrewrite(q2, ctx2, ow.RewriteOptions(elimination=False))
 print(f"\nquery:      {q2}")
 print(f"factorizations applied: {res.metrics.factorized}")

@@ -15,7 +15,7 @@ ONTOLOGY = "project(X), inArea(X,Y) -> hasCollaborator(Z,Y,X)."
 doc = ow.parse_ontology(ONTOLOGY)
 tgds, _, aux = ow.normalize_tgds(doc.tgds)
 ctx = ow.RewriterContext(tgds, aux, doc.arities)
-q = ow.parse_query("p(B) :- hasCollaborator(A, db, B).", dict(doc.arities))
+q = ow.parse_query("p(B) :- hasCollaborator(A, db, B).", doc.arities)
 rewriting = ow.xrewrite(q, ctx).queries
 
 mapping = SchemaMapping({

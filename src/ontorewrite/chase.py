@@ -1,6 +1,6 @@
 """Bounded oblivious chase, CQ evaluation over instances, the certain-answer
-oracle, and the check queries derived from functional dependencies and
-negative constraints.
+oracle, the check queries derived from negative constraints, and the scan
+for the fact pairs that violate a functional dependency.
 
 Bodies are matched against instances by `model.homomorphisms`, the planned,
 hash-indexed join that query subsumption uses too.
@@ -25,8 +25,6 @@ from .model import (Atom, AtomIndex, CONST, ConjunctiveQuery, NULL, Term, VAR,
                     as_index, connected_components, homomorphisms)
 from .normalize import _as_raw
 from .parser import FunctionalDependency, NegativeConstraint, RawTGD
-
-NEQ_PRED = "neq"
 
 
 class ChaseInstance(AtomIndex):
@@ -192,40 +190,13 @@ def certain_answers(q: ConjunctiveQuery, db: Iterable[Atom], rules: Iterable,
 
 
 # ---------------------------------------------------------------------------
-# Constraint check queries.
-
-
-def fd_check_queries(fds: Iterable[FunctionalDependency],
-                     arities: dict) -> List[ConjunctiveQuery]:
-    """For each FD r: A -> B, Boolean queries joining two r-atoms that agree
-    on A and differ (via the auxiliary neq predicate) on one attribute of B.
-    A nonempty answer over the database extended with neq signals a violation."""
-    out = []
-    for fd in fds:
-        arity = arities[fd.pred]
-        left = [Term(VAR, f"X{i}") for i in range(1, arity + 1)]
-        right = [Term(VAR, f"X{i}") if i in fd.lhs else Term(VAR, f"Y{i}")
-                 for i in range(1, arity + 1)]
-        for j in fd.rhs:
-            if j in fd.lhs:
-                continue
-            body = [Atom(fd.pred, tuple(left)), Atom(fd.pred, tuple(right)),
-                    Atom(NEQ_PRED, (left[j - 1], right[j - 1]))]
-            out.append(ConjunctiveQuery("violation", (), tuple(body)))
-    return out
+# Constraint checks.
 
 
 def nc_check_queries(ncs: Iterable[NegativeConstraint]) -> List[ConjunctiveQuery]:
     """One Boolean query per negative constraint; a nonempty answer after
     rewriting and evaluation signals inconsistency."""
     return [ConjunctiveQuery("violation", (), nc.body) for nc in ncs]
-
-
-def materialize_neq(db: Iterable[Atom]) -> List[Atom]:
-    """neq facts over the active domain: one per ordered pair of distinct
-    constants.  Used only inside the oracle; SQL emission uses <> natively."""
-    domain = sorted({t for a in db for t in a.args if t.kind == CONST})
-    return [Atom(NEQ_PRED, (a, b)) for a in domain for b in domain if a != b]
 
 
 def fd_violations(fds: Iterable[FunctionalDependency], db: Iterable[Atom]) -> List[tuple]:

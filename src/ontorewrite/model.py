@@ -172,10 +172,6 @@ class TGD(NamedTuple):
             vs.update(t for t in a.args if t.kind == VAR)
         return vs
 
-    def existential_var(self) -> Optional[Term]:
-        i = self.existential_position()
-        return None if i is None else self.head.args[i - 1]
-
     def existential_position(self) -> Optional[int]:
         """1-based argument index of the existential variable, or None."""
         body_vars = self.body_variables()
@@ -216,15 +212,6 @@ def subst_atoms(sub: dict, atoms: Iterable[Atom]) -> tuple:
 
 def subst_query(sub: dict, q: ConjunctiveQuery) -> ConjunctiveQuery:
     return make_query(q.head_pred, (sub.get(t, t) for t in q.head_args), (subst_atom(sub, a) for a in q.body))
-
-
-def apply(sub: dict, x):
-    """Apply a substitution to an atom, a query, or a collection of atoms."""
-    if isinstance(x, Atom):
-        return subst_atom(sub, x)
-    if isinstance(x, ConjunctiveQuery):
-        return subst_query(sub, x)
-    return subst_atoms(sub, x)
 
 
 def compose(s1: dict, s2: dict) -> dict:
@@ -688,10 +675,6 @@ def ordered_body(q: ConjunctiveQuery) -> list:
     """Body atoms of q in canonical-rename order (original atoms)."""
     order, _ = _canonical_order(q.body, head_assignment(q)[0])
     return [q.body[i] for i in order]
-
-
-def same_modulo_renaming(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    return canonical_rename(q1) == canonical_rename(q2)
 
 
 def renaming_key(q: ConjunctiveQuery) -> tuple:

@@ -40,13 +40,8 @@ from . import subsume
 
 @dataclass
 class Decomposition:
-    components: List[Tuple[Atom, ...]]
-    component_queries: List[ConjunctiveQuery]
+    component_queries: List[ConjunctiveQuery]  # a component's atoms are its body
     reconciliation: ConjunctiveQuery  # head of q over the component predicates
-
-    @property
-    def size(self) -> int:
-        return len(self.components)
 
 
 def _component_pred_base(q: ConjunctiveQuery, ctx: RewriterContext) -> str:
@@ -98,7 +93,7 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
         comp_queries.append(make_query(pred, kept, comp))
         recon_body.append(Atom(pred, kept))
     reconciliation = make_query(q.head_pred, q.head_args, recon_body)
-    return Decomposition(components, comp_queries, reconciliation)
+    return Decomposition(comp_queries, reconciliation)
 
 
 def unfold(component_rewritings: List[List[ConjunctiveQuery]],
@@ -255,6 +250,6 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     metrics.split_time = split_time
     metrics.rewrite_time = rewrite_time
     metrics.unfold_time = unfold_time
-    metrics.components = decomposition.size
+    metrics.components = len(decomposition.component_queries)
     return ParallelResult(queries, metrics, decomposition, component_results,
                           component_ucqs)

@@ -1,4 +1,4 @@
-"""Reader and writer for the textual ontology/query format.
+"""Reader for the textual ontology/query format.
 
 Grammar (whitespace insignificant, `%` starts a line comment):
 
@@ -123,6 +123,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.fd_keywords = []  # the `fd` token of each FD parsed, in order
 
     def error(self, message: str, tok: _Token) -> ParseError:
         return _error(self.text, message, tok.pos)
@@ -212,8 +213,8 @@ class _Parser:
                 "missing from the body", tok)
         return q
 
-    def parse_fd(self, arities: dict) -> FunctionalDependency:
-        kw = self.expect("fd")
+    def parse_fd(self) -> FunctionalDependency:
+        self.fd_keywords.append(self.expect("fd"))
         tok = self.next()
         if tok.kind != "ident" or tok.text[0].isupper():
             raise self.error(f"expected a predicate after 'fd', found {tok.text!r}",
@@ -237,20 +238,26 @@ class _Parser:
         self.expect("->")
         rhs = int_list()
         self.expect(".")
-        arity = arities.get(pred)
-        if arity is None:
-            raise self.error(f"fd on unknown predicate {pred!r}", kw)
-        for i in lhs + rhs:
-            if not 1 <= i <= arity:
-                raise self.error(
-                    f"fd index {i} out of range for {pred!r}/{arity}", kw)
         return FunctionalDependency(pred, tuple(lhs), tuple(rhs))
+
+    def check_fds(self, doc: OntologyDocument):
+        """Check each FD against the arities of the whole document, so that
+        an FD may come before the first use of its predicate; an error
+        points at the FD's `fd` keyword."""
+        for fd, kw in zip(doc.fds, self.fd_keywords):
+            arity = doc.arities.get(fd.pred)
+            if arity is None:
+                raise self.error(f"fd on unknown predicate {fd.pred!r}", kw)
+            for i in fd.lhs + fd.rhs:
+                if not 1 <= i <= arity:
+                    raise self.error(
+                        f"fd index {i} out of range for {fd.pred!r}/{arity}", kw)
 
     def parse_statement(self, doc: OntologyDocument):
         tok = self.peek()
         after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
         if tok.text == "fd" and after is not None and after.kind == "ident":
-            doc.fds.append(self.parse_fd(doc.arities))
+            doc.fds.append(self.parse_fd())
             return
         if tok.text == "?":
             self.next()
@@ -290,26 +297,19 @@ def parse_ontology(text: str) -> OntologyDocument:
     doc = OntologyDocument()
     while parser.peek() is not None:
         parser.parse_statement(doc)
+    parser.check_fds(doc)
     return doc
 
 
 def parse_query(text: str, arities: Optional[dict] = None) -> ConjunctiveQuery:
+    """The one query in text, checked against the predicate arities given,
+    if any; the caller's dict is left as it is."""
     parser = _Parser(text)
     if parser.at("?"):
         parser.next()
-    q = parser.parse_query_statement({} if arities is None else arities)
+    q = parser.parse_query_statement(dict(arities or {}))
     if parser.peek() is not None:
         tok = parser.peek()
         raise parser.error(f"trailing input {tok.text!r}", tok)
     return q
 
-
-# ---------------------------------------------------------------------------
-# Serialization: every statement's str is its text, which parses back.
-
-
-def serialize_ontology(doc: OntologyDocument) -> str:
-    lines = [str(s) for s in (*doc.tgds, *doc.ncs, *doc.fds)]
-    lines += [f"{fact}." for fact in doc.facts]
-    lines += [f"? {q}" for q in doc.queries]
-    return "\n".join(lines) + "\n"

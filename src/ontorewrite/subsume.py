@@ -63,10 +63,3 @@ def prune_ucq(queries: List[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
     """Pairwise subsumption minimization of a flat UCQ, in input order."""
     return [q for q, keep in zip(queries, _survivors(queries)) if keep]
 
-
-def is_subsumption_minimal(queries: List[ConjunctiveQuery]) -> bool:
-    for i, q1 in enumerate(queries):
-        for j, q2 in enumerate(queries):
-            if i != j and subsumes(q1, q2):
-                return False
-    return True

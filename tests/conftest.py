@@ -6,6 +6,7 @@ import pytest
 import ontorewrite as ow
 from ontorewrite.model import Atom, VAR, const, var
 from ontorewrite.parser import RawTGD, parse_ontology, parse_query
+from ontorewrite.subsume import subsumes
 
 FINANCIAL = """
 stockPortfolio(X,Y,Z) -> company(X,V,W).
@@ -37,6 +38,15 @@ def query(text, doc):
 
 def canon_set(queries):
     return {ow.canonical_rename(q) for q in queries}
+
+
+def is_subsumption_minimal(queries):
+    """Whether no query of the UCQ subsumes another, checking every pair."""
+    for i, q1 in enumerate(queries):
+        for j, q2 in enumerate(queries):
+            if i != j and subsumes(q1, q2):
+                return False
+    return True
 
 
 @pytest.fixture

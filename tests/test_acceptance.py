@@ -13,16 +13,18 @@ import ontorewrite as ow
 from ontorewrite.chase import chase_up_to, evaluate_cq, evaluate_ucq
 from ontorewrite.eliminate import EliminationContext, eliminate
 from ontorewrite.emit import SchemaMapping, count_joins_total, to_sql
+from ontorewrite.graphs import affected_positions
 from ontorewrite.model import VAR, atom, const, make_query, var
 from ontorewrite.normalize import is_linear, is_sticky, normalize_tgds, smark
 from ontorewrite.parser import parse_ontology, parse_query
-from ontorewrite.rewriter import RewriteOptions, xrewrite
+from ontorewrite.rewriter import RewriteOptions, factorizable, xrewrite
 from ontorewrite.parallel import xrewrite_parallel
-from ontorewrite.subsume import is_subsumption_minimal, subsumes
+from ontorewrite.subsume import subsumes
 
 from conftest import (FINANCIAL, FINANCIAL_QUERY, QUERY_POOL, canon_set,
-                      pipeline, query, random_database, random_linear_rules,
-                      random_query, random_sticky_rules, rules_context)
+                      is_subsumption_minimal, pipeline, query, random_database,
+                      random_linear_rules, random_query, random_sticky_rules,
+                      rules_context)
 
 COLLAB = "project(X), inArea(X,Y) -> hasCollaborator(Z,Y,X)."
 
@@ -72,14 +74,14 @@ def test_criterion_01_example_suite_golden():
     q1 = make_query("p", [A], [atom("t", a, A, C), atom("t", B, a, C)])
     qf2 = make_query("p", [A], [atom("s", C), atom("t", A, B, C), atom("t", A, E, C)])
     qf3 = make_query("p", [A], [atom("t", A, B, C), atom("t", A, C, C)])
-    assert ow.factorizable((q1.body[0], q1.body[1]), sigma, q1)
-    assert not ow.factorizable((qf2.body[1], qf2.body[2]), sigma, qf2)
-    assert not ow.factorizable((qf3.body[0], qf3.body[1]), sigma, qf3)
+    assert factorizable((q1.body[0], q1.body[1]), sigma, q1)
+    assert not factorizable((qf2.body[1], qf2.body[2]), sigma, qf2)
+    assert not factorizable((qf3.body[0], qf3.body[1]), sigma, qf3)
 
     # Affected positions example values
     doc4 = parse_ontology("p(X,Y), s(Y,Z) -> t(Y,X,W).  t(X,Y,Z) -> p(W,Z).")
     tgds4, _, _ = normalize_tgds(doc4.tgds)
-    aff = ow.affected_positions(tgds4)
+    aff = affected_positions(tgds4)
     assert aff[0] == {("t", 3), ("p", 2)}
     assert aff[1] == {("p", 1), ("t", 2)}
 

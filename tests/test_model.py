@@ -1,10 +1,10 @@
 import itertools
 import random
 
-from ontorewrite.model import (Atom, ConjunctiveQuery, VAR, apply, atom,
+from ontorewrite.model import (Atom, ConjunctiveQuery, VAR, atom,
                                canonical_rename, compose, connected_components,
                                const, find_homomorphism, make_query, mgu,
-                               same_modulo_renaming, subst_atom, var)
+                               subst_atom, subst_query, var)
 
 A, B, C, X, Y, Z = (var(n) for n in "ABCXYZ")
 a, b, db = const("a"), const("b"), const("db")
@@ -12,18 +12,18 @@ a, b, db = const("a"), const("b"), const("db")
 
 def test_apply_rewriting_step_substitution():
     sub = {X: B, Y: db, Z: A}
-    got = apply(sub, atom("hasCollaborator", Z, Y, X))
+    got = subst_atom(sub, atom("hasCollaborator", Z, Y, X))
     assert got == atom("hasCollaborator", A, db, B)
 
 
 def test_apply_empty_substitution_is_identity():
     q = make_query("p", [A], [atom("r", A, B)])
-    assert apply({}, q) == q
-    assert apply({}, atom("r", A, B)) == atom("r", A, B)
+    assert subst_query({}, q) == q
+    assert subst_atom({}, atom("r", A, B)) == atom("r", A, B)
 
 
 def test_apply_constant_instantiation():
-    assert apply({A: a}, atom("p", A, A)) == atom("p", a, a)
+    assert subst_atom({A: a}, atom("p", A, A)) == atom("p", a, a)
 
 
 def test_apply_respects_composition():
@@ -33,7 +33,8 @@ def test_apply_respects_composition():
         s1 = {v: rng.choice(terms) for v in rng.sample([A, B, C, X, Y], 3)}
         s2 = {v: rng.choice(terms) for v in rng.sample([A, B, C, X, Y], 3)}
         at = Atom("r", tuple(rng.choice(terms) for _ in range(3)))
-        assert apply(s2, apply(s1, at)) == apply(compose(s1, s2), at)
+        assert subst_atom(s2, subst_atom(s1, at)) == \
+            subst_atom(compose(s1, s2), at)
 
 
 def test_connected_components_group_by_linked_terms_in_first_atom_order():
@@ -207,7 +208,6 @@ def test_canonical_rename_random_invariance():
         q2 = make_query("p", [sub.get(t, t) for t in q.head_args],
                         [subst_atom(sub, at) for at in shuffled])
         assert canonical_rename(q) == canonical_rename(q2)
-        assert same_modulo_renaming(q, q2)
 
 
 def test_query_sharing_and_safety():

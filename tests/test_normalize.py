@@ -21,10 +21,10 @@ def test_two_existential_head_builds_chain():
     assert tgds[1].body[0] == tgds[0].head
     assert tgds[2].head.pred == "company"
     for t in tgds:
-        assert t.existential_position() is not None or t is tgds[2]
-        ev = t.existential_var()
-        if ev is not None:
-            assert sum(1 for x in t.head.args if x == ev) == 1
+        i = t.existential_position()
+        assert i is not None or t is tgds[2]
+        if i is not None:
+            assert t.head.args.count(t.head.args[i - 1]) == 1
 
 
 def test_normal_rule_unchanged():

@@ -19,7 +19,7 @@ A, B, C = var("A"), var("B"), var("C")
 def test_decompose_financial_four_components(financial):
     doc, tgds, ctx, q = financial
     dec = decompose(q, ctx)
-    preds = [[a.pred for a in comp] for comp in dec.components]
+    preds = [[a.pred for a in cq.body] for cq in dec.component_queries]
     assert preds == [["finInstrument"], ["stockPortfolio", "company"],
                      ["listComponent"], ["finIndex"]]
     heads = [(cq.head_pred, tuple(t.name for t in cq.head_args))
@@ -33,14 +33,14 @@ def test_decompose_without_existentials_is_atomic():
     doc, tgds, ctx = pipeline("r(X,Y) -> s(X,Y).")
     q = query("p(A) :- r(A,B), s(B,C), r(C,A).", doc)
     dec = decompose(q, ctx)
-    assert dec.size == 3
+    assert len(dec.component_queries) == 3
 
 
 def test_decompose_affected_join_single_component():
     doc, tgds, ctx = pipeline("r(X) -> s(X,Y).")
     q = query("p() :- s(A,B), s(C,B).", doc)
     dec = decompose(q, ctx)
-    assert dec.size == 1
+    assert len(dec.component_queries) == 1
 
 
 def test_decompose_optimal_no_component_splits():
@@ -48,7 +48,7 @@ def test_decompose_optimal_no_component_splits():
     dec = decompose(q, ctx)
     # the two-atom component cannot be split: B occurs only at affected
     # positions and spans both atoms
-    comp = dec.components[1]
+    comp = dec.component_queries[1].body
     assert len(comp) == 2
     shared = set(comp[0].args) & set(comp[1].args)
     assert any(t.name == "B" for t in shared)

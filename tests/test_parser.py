@@ -1,11 +1,23 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from ontorewrite.model import Atom, const, make_query, var
 from ontorewrite.parser import (FunctionalDependency, ParseError,
-                                parse_ontology, parse_query,
-                                serialize_ontology)
+                                parse_ontology, parse_query)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def serialize_ontology(doc):
+    """The document as text that parses back: every statement's str is its
+    text in the format."""
+    lines = [str(s) for s in (*doc.tgds, *doc.ncs, *doc.fds)]
+    lines += [f"{fact}." for fact in doc.facts]
+    lines += [f"? {q}" for q in doc.queries]
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_tgd_with_existential():
@@ -53,6 +65,41 @@ def test_arity_conflict_reported():
 def test_fd_index_out_of_range():
     with pytest.raises(ParseError, match="out of range"):
         parse_ontology("r(a,b).  fd r: 1 -> 3.")
+
+
+def test_fd_may_come_before_its_predicate():
+    before = parse_ontology("fd r: 1 -> 2.\nr(a,b).")
+    after = parse_ontology("r(a,b).\nfd r: 1 -> 2.")
+    assert before.fds == after.fds == [FunctionalDependency("r", (1,), (2,))]
+    # the checks still run, against the whole document, and point at the fd
+    with pytest.raises(ParseError) as err:
+        parse_ontology("r(a).\n fd r: 1 -> 2.\nr(b).")
+    assert str(err.value) == \
+        "fd index 2 out of range for 'r'/1 (line 2, column 2)"
+    with pytest.raises(ParseError) as err:
+        parse_ontology("fd s: 1 -> 2.\nr(a,b).")
+    assert str(err.value) == \
+        "fd on unknown predicate 's' (line 1, column 1)"
+
+
+def test_readme_dlog_example_parses():
+    text = README.read_text()
+    section = text[text.index("## The `.dlog` format"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    doc = parse_ontology(block)
+    assert doc.fds == [FunctionalDependency("fatherOf", (2,), (1,))]
+    assert len(doc.tgds) == 1 and len(doc.ncs) == 1 and len(doc.queries) == 1
+
+
+def test_parse_query_leaves_the_callers_arities_alone():
+    doc = parse_ontology("r(X) -> s(X).")
+    arities = dict(doc.arities)
+    parse_query("p(X) :- s(X).", doc.arities)
+    assert doc.arities == arities
+    q = parse_query("p(X, Y) :- s(X), r(Y).", doc.arities)
+    assert len(q.head_args) == 2
+    with pytest.raises(ParseError, match="arity"):
+        parse_query("p(X) :- s(X, X).", doc.arities)
 
 
 def test_syntax_error_carries_position():

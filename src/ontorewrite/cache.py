@@ -28,6 +28,3 @@ class LRUCache:
         self._data.move_to_end(key)
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
-
-    def __len__(self):
-        return len(self._data)

@@ -18,8 +18,9 @@ give the same rows, and every disjunct holding the group reuses them."""
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, product
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import (Atom, AtomIndex, CONST, ConjunctiveQuery, NULL, Term, VAR,
                     as_index, connected_components, homomorphisms)
@@ -200,9 +201,10 @@ def nc_check_queries(ncs: Iterable[NegativeConstraint]) -> List[ConjunctiveQuery
 
 
 def fd_violations(fds: Iterable[FunctionalDependency], db: Iterable[Atom]) -> List[tuple]:
-    """Every ordered pair of facts that agree on the FD's left-hand side and
-    differ on its right, in database order; facts are grouped by their
-    left-hand projection, so only pairs inside a group are compared."""
+    """Every pair of facts that agree on the FD's left-hand side and differ
+    on its right, once, the earlier fact first, in database order; facts are
+    grouped by their left-hand projection, so only pairs inside a group are
+    compared."""
     by_pred: Dict[str, List[Atom]] = {}
     for a in db:
         by_pred.setdefault(a.pred, []).append(a)
@@ -210,12 +212,13 @@ def fd_violations(fds: Iterable[FunctionalDependency], db: Iterable[Atom]) -> Li
     for fd in fds:
         facts = by_pred.get(fd.pred, ())
         keys = [tuple(a.args[i - 1] for i in fd.lhs) for a in facts]
-        groups: Dict[tuple, List[Atom]] = {}
+        groups: Dict[tuple, Deque[Atom]] = {}
         for a, key in zip(facts, keys):
-            groups.setdefault(key, []).append(a)
+            groups.setdefault(key, deque()).append(a)
         for a, key in zip(facts, keys):
-            for b in groups[key]:
-                if a is not b and any(a.args[j - 1] != b.args[j - 1]
-                                      for j in fd.rhs):
+            later = groups[key]
+            later.popleft()  # a itself: the facts of its group after it stay
+            for b in later:
+                if any(a.args[j - 1] != b.args[j - 1] for j in fd.rhs):
                     bad.append((fd, a, b))
     return bad

@@ -7,9 +7,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .cache import LRUCache
-from .graphs import Position, atom_matches_injectively, build_cover_graph
-from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, make_query,
-                    ordered_body)
+from .graphs import Position, build_cover_graph
+from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR,
+                    atom_matches_injectively, make_query, ordered_body)
 
 
 def shared_terms(q: ConjunctiveQuery, a: Atom) -> set:

@@ -1,4 +1,4 @@
-"""Propagation graph, tight sequences, cover graph and affected positions.
+"""Propagation graph, cover graph and affected positions.
 
 Positions are (predicate, index) pairs with 1-based indices.  All structures
 here are built once per rule set, in time polynomial in it, and then shared
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .model import TGD, VAR, atom_maps_onto, atom_matches_injectively
+from .model import TGD, VAR, atom_maps_onto
 
 Position = Tuple[str, int]
 Edge = Tuple[Position, Position, int]  # (body position, head position, rule)
@@ -43,30 +43,6 @@ def build_propagation_graph(tgds: List[TGD]) -> List[Edge]:
                         seen.add(e)
                         edges.append(e)
     return edges
-
-
-def is_tight(seq: List[TGD]) -> bool:
-    """Consecutive rules admit a homomorphism mapping the next body ONTO the
-    previous head.  Rules must be linear; a single rule is trivially tight."""
-    if not seq:
-        return False
-    for t in seq:
-        if len(t.body) != 1:
-            raise ValueError("tight sequences are defined for linear rules only")
-    for cur, nxt in zip(seq, seq[1:]):
-        if atom_maps_onto(nxt.body[0], cur.head) is None:
-            return False
-    return True
-
-
-def is_compatible(seq: List[TGD], target) -> bool:
-    """The first rule's body maps onto the given atom, distinct variables to
-    distinct terms (so the atom triggers the rule without collapsing joins)."""
-    if not seq:
-        return False
-    if len(seq[0].body) != 1:
-        raise ValueError("compatibility is defined for linear rules only")
-    return atom_matches_injectively(seq[0].body[0], target) is not None
 
 
 @dataclass

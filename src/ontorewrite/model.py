@@ -194,6 +194,20 @@ class TGD(NamedTuple):
         return f"{', '.join(map(str, self.body))} -> {self.head}."
 
 
+def apart_index(variables: Iterable[Term], mark: str) -> int:
+    """The least n such that no variable is named `<name><mark><i>` for any
+    name and any i >= n: one more than the largest number that ends a
+    variable's name after a `mark`, 0 when none does.  So appending `mark`
+    and such an i to the names of other variables, as `TGD.rename` does with
+    `^`, renames them apart from `variables`."""
+    top = -1
+    for v in variables:
+        _, found, tail = v.name.rpartition(mark)
+        if found and tail.isascii() and tail.isdigit():
+            top = max(top, int(tail))
+    return top + 1
+
+
 # ---------------------------------------------------------------------------
 # Substitutions.
 #
@@ -212,19 +226,6 @@ def subst_atoms(sub: dict, atoms: Iterable[Atom]) -> tuple:
 
 def subst_query(sub: dict, q: ConjunctiveQuery) -> ConjunctiveQuery:
     return make_query(q.head_pred, (sub.get(t, t) for t in q.head_args), (subst_atom(sub, a) for a in q.body))
-
-
-def compose(s1: dict, s2: dict) -> dict:
-    """The substitution equivalent to applying s1 first, then s2."""
-    out = {}
-    for k, v in s1.items():
-        w = s2.get(v, v)
-        if w != k:
-            out[k] = w
-    for k, v in s2.items():
-        if k not in s1 and v != k:
-            out[k] = v
-    return out
 
 
 # ---------------------------------------------------------------------------

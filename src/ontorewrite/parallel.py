@@ -4,16 +4,19 @@ Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
 space; the components share the rewriter context and its MGU cache, and one
 step budget.
 
-Unfolding goes by position: component i's disjuncts unify with the
-reconciliation's i-th body atom.  Each disjunct unifies once per distinct
-target atom, not once per product, and its body is substituted and its atom
-keys computed then; a product only concatenates the chosen bodies, under
-the bindings of the reconciliation's variables when a component head holds
-a constant or repeats a variable.  Products are deduplicated modulo
-renaming.  A product with no such bindings, whose chosen bodies all have
-atom keys and whose reconciliation variables are all head variables, is
-keyed by its bodies' atom keys, sorted, and built only when that key is
-new; any other product is built and keyed by `model.renaming_key`.
+Unfolding goes by position: component i's disjuncts, standardized apart
+from the reconciliation's variables, unify with the reconciliation's i-th
+body atom, each once, before any product is formed; a disjunct's body is
+substituted and its atom keys computed then.  The products are one flat
+`itertools.product` over the slots, in the order of nested loops.  A
+product concatenates its parts' bodies, under the one `mgu` of their
+bindings of reconciliation variables where a component head holds a
+constant or repeats a variable, and is dropped when those clash.  Products
+are deduplicated modulo renaming.  A product with no such bindings, whose
+parts all have atom keys and whose reconciliation variables are all head
+variables, is keyed by its parts' atom keys, sorted, and built only when
+that key is new; any other product is built and keyed by
+`model.renaming_key`.
 
 Components are rewritten without subsumption.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
@@ -24,11 +27,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain, product
+from typing import Dict, List, Optional, Set
 
 from .eliminate import reduce_query
-from .model import (Atom, ConjunctiveQuery, Term, VAR, compose,
+from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
                     connected_components, head_assignment, make_query, mgu,
                     private_atom_keys, private_renaming_key, renaming_key,
                     subst_atom, subst_atoms, subst_query)
@@ -99,99 +102,83 @@ def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
 def unfold(component_rewritings: List[List[ConjunctiveQuery]],
            reconciliation: ConjunctiveQuery) -> List[ConjunctiveQuery]:
     """Cartesian expansion of the reconciliation rule over the disjuncts of
-    each component rewriting, standardized apart, slot i against
+    each component rewriting, standardized apart from the reconciliation's
+    variables (`model.apart_index`), slot i against
     `reconciliation.body[i]`.  Unifiers keep the reconciliation's variables,
     so joins shared between components are preserved.
 
-    A disjunct's unifier γ with its target atom binds only its own
-    variables and the reconciliation's, and maps both to the
-    reconciliation's variables or to constants.  So each (slot, target)
-    pair is unified once, memoized as the reconciliation part of γ, γ
-    applied to the body, and that body's atom keys under the
-    reconciliation's head assignment (`model.private_atom_keys`), None when
-    a variable outside the head joins two of its atoms.  A product is the
-    chosen bodies under `theta`, the composed reconciliation parts, which
-    stays empty unless a component head holds a constant or repeats a
-    variable.
+    A reconciliation atom's arguments are distinct variables, so each
+    disjunct unifies with its slot's atom, once, before any product is
+    formed.  Its unifier γ maps the disjunct's head variables to the
+    reconciliation's variables or to constants, and binds a reconciliation
+    variable only where the disjunct's head holds a constant or repeats a
+    variable.  A product is the parts' bodies under γ, under the single
+    `mgu` of all its parts' bindings, and is dropped when those clash:
+    since `mgu` represents each class by its least member, this is what
+    unifying the slots one after another with the atoms bound so far gives.
 
-    The output is deduplicated modulo renaming by renaming key.  When
-    `theta` is empty, every chosen body has keys and every reconciliation
-    variable is a head variable, no variable outside the head joins two of
-    the product's atoms: slots share only reconciliation variables.  The
-    product's key is then `model.private_renaming_key` of the chosen
-    bodies' atom keys, duplicate atoms dropped, which is `renaming_key` of
-    its query; the query is built only when that key is new.  Any other
-    product is built and keyed by `renaming_key`."""
-    slots = []
-    for slot, disjuncts in enumerate(component_rewritings):
-        standardized = [_standardize(d, slot) for d in disjuncts]
-        slots.append([(Atom(d.head_pred, d.head_args), d.body)
-                      for d in standardized])
+    The output is deduplicated modulo renaming by renaming key.  When no
+    part binds and every reconciliation variable is a head variable, slots
+    share only head variables, so the product's key is
+    `model.private_renaming_key` of the parts' atom keys, each computed
+    once per disjunct, duplicate atoms dropped, provided every part has
+    them (`model.private_atom_keys`); its query is built only when that key
+    is new.  Any other product is built and keyed by `renaming_key`."""
     preferred = frozenset(reconciliation.variables())
     head_pred, head_args = reconciliation.head_pred, reconciliation.head_args
     assignment, numbered_head = head_assignment(reconciliation)
     keyed = preferred.issubset(assignment)
+    first = apart_index(preferred, "~")
+    slots = []  # per slot, (bindings, body, (atom, key) pairs or None)
+    for slot, (target, disjuncts) in enumerate(
+            zip(reconciliation.body, component_rewritings)):
+        parts = []
+        for d in disjuncts:
+            d = _standardize(d, first + slot)
+            gamma = mgu((target, Atom(d.head_pred, d.head_args)),
+                        preferred=preferred)
+            body = subst_atoms(gamma, d.body)
+            bound = {v: t for v, t in gamma.items() if v in preferred}
+            keys = (private_atom_keys(body, assignment)
+                    if keyed and not bound else None)
+            parts.append((bound, body,
+                          None if keys is None else list(zip(body, keys))))
+        slots.append(parts)
     results: List[ConjunctiveQuery] = []
     seen = set()
-    chosen: List[Tuple[Atom, ...]] = []  # the bodies of the slots so far
-    chosen_keys: List[Optional[list]] = []  # their atom keys
-    unifiers: Dict[Tuple[int, Atom], list] = {}
-
-    def unify(slot: int, target: Atom) -> list:
-        parts = unifiers.get((slot, target))
-        if parts is None:
-            parts = unifiers[slot, target] = []
-            for head_atom, body in slots[slot]:
-                gamma = mgu((target, head_atom), preferred=preferred)
-                if gamma is not None:
-                    body = subst_atoms(gamma, body)
-                    parts.append((
-                        {v: t for v, t in gamma.items() if v in preferred},
-                        body, private_atom_keys(body, assignment)))
-        return parts
-
-    def expand(slot: int, theta: dict, fast: bool):
-        if slot == len(slots):
-            if fast:
-                # the duplicate-free body with its atom keys
-                atom_keys = dict(zip(chain.from_iterable(chosen),
-                                     chain.from_iterable(chosen_keys)))
-                key = private_renaming_key(head_pred, numbered_head,
-                                           atom_keys.values())
-                if key in seen:
-                    return
-                query = ConjunctiveQuery(head_pred, head_args,
-                                         tuple(atom_keys))
-            else:
-                args = head_args
-                body = chain.from_iterable(chosen)
-                if theta:
-                    args = (theta.get(t, t) for t in head_args)
-                    body = (subst_atom(theta, a) for a in body)
-                query = make_query(head_pred, args, body)
-                key = renaming_key(query)
-                if key in seen:
-                    return
-            seen.add(key)
-            results.append(query)
-            return
-        target = reconciliation.body[slot]
-        if theta:
-            target = subst_atom(theta, target)
-        for bound, body, keys in unify(slot, target):
-            chosen.append(body)
-            chosen_keys.append(keys)
-            expand(slot + 1, compose(theta, bound) if bound else theta,
-                   fast and not bound and keys is not None)
-            chosen_keys.pop()
-            chosen.pop()
-
-    expand(0, {}, keyed)
+    for parts in product(*slots):
+        pairs = [p for _, _, p in parts]
+        if None not in pairs:
+            atom_keys = dict(chain.from_iterable(pairs))
+            key = private_renaming_key(head_pred, numbered_head,
+                                       atom_keys.values())
+            if key in seen:
+                continue
+            query = ConjunctiveQuery(head_pred, head_args, tuple(atom_keys))
+        else:
+            args = head_args
+            atoms = chain.from_iterable(body for _, body, _ in parts)
+            bindings = [(v, t) for bound, _, _ in parts
+                        for v, t in bound.items()]
+            if bindings:
+                variables, terms = zip(*bindings)
+                theta = mgu((Atom("=", variables), Atom("=", terms)),
+                            preferred=preferred)
+                if theta is None:
+                    continue
+                args = (theta.get(t, t) for t in head_args)
+                atoms = (subst_atom(theta, a) for a in atoms)
+            query = make_query(head_pred, args, atoms)
+            key = renaming_key(query)
+            if key in seen:
+                continue
+        seen.add(key)
+        results.append(query)
     return results
 
 
-def _standardize(q: ConjunctiveQuery, slot: int) -> ConjunctiveQuery:
-    sub = {v: Term(VAR, f"{v.name}~{slot}") for v in q.variables()}
+def _standardize(q: ConjunctiveQuery, index: int) -> ConjunctiveQuery:
+    sub = {v: Term(VAR, f"{v.name}~{index}") for v in q.variables()}
     return subst_query(sub, q)
 
 

@@ -26,8 +26,8 @@ from . import subsume
 from .cache import MGU_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
-from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, make_query, mgu,
-                    renaming_key, subst_atom)
+from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
+                    make_query, mgu, renaming_key, subst_atom)
 # Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
 # ROADMAP item 1 removes that hold.
 from .model import canonical_rename  # noqa: F401
@@ -154,7 +154,7 @@ def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
     existential position."""
     if not _existential_free(tgd, S, q.shared_variables()):
         return False
-    renamed = tgd.rename(0)  # step counter starts at 1, so ^0 never collides
+    renamed = tgd.rename(apart_index(q.variables(), "^"))
     return mgu(tuple(S) + (renamed.head,)) is not None
 
 
@@ -186,7 +186,8 @@ def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
                  preferred: FrozenSet = frozenset(),
                  ctx: Optional[RewriterContext] = None) -> Optional[ConjunctiveQuery]:
     """Replace S with the body of the rule renamed by the step counter and
-    apply the mgu of S and the renamed head throughout; None if there is none."""
+    apply the mgu of S and the renamed head throughout; None if there is none.
+    The step must rename the rule apart from q (see `model.apart_index`)."""
     renamed = tgd.rename(step)
     atoms = tuple(S) + (renamed.head,)
     gamma = ctx.unify(atoms, preferred) if ctx else mgu(atoms, preferred)
@@ -305,7 +306,9 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     Every step's output is deduplicated modulo bijective variable renaming
     against all queries so far; a rewriting-step output that renames an
     f-labeled query relabels it r.  The n-th rewriting step that yields a
-    query renames its rule apart by n.  With elimination on (default for
+    query renames its rule apart by n, counted on from the index that
+    `model.apart_index` gives for q's variables, so that a variable of q
+    named like `Y^1` is never captured.  With elimination on (default for
     linear rule sets) every step's output is first reduced through atom
     coverage.
     """
@@ -315,6 +318,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     start = time.perf_counter()
     state = RewriteState(ctx)
     preferred = frozenset(q.variables())
+    first_step = max(1, apart_index(preferred, "^"))
 
     q0 = reduce_query(q, elim) if elim else q
     state.admit(q0, "r", None)
@@ -334,7 +338,8 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                 S = (a,)
                 if not _existential_free(tgd, S, shared):
                     continue
-                out = rewrite_step(cur, S, tgd, state.metrics.generated + 1,
+                out = rewrite_step(cur, S, tgd,
+                                   first_step + state.metrics.generated,
                                    preferred, ctx)
                 if out is None:
                     continue

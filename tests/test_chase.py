@@ -128,8 +128,8 @@ def test_fd_violations_lists_every_pair_in_database_order():
     for _ in range(40):
         db = random_database(rng, max_facts=12)
         pairs = [(fd, a, b) for fd in fd_doc.fds
-                 for a in db if a.pred == fd.pred
-                 for b in db if b.pred == fd.pred and a is not b
+                 for n, a in enumerate(db) if a.pred == fd.pred
+                 for b in db[n + 1:] if b.pred == fd.pred
                  and all(a.args[i - 1] == b.args[i - 1] for i in fd.lhs)
                  and any(a.args[j - 1] != b.args[j - 1] for j in fd.rhs)]
         assert fd_violations(fd_doc.fds, db) == pairs

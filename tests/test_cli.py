@@ -99,7 +99,32 @@ def test_rewrite_fd_violation_exits_one(files, capsys):
     code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
                                    "--database", db])
     assert code == 1
-    assert "fd violated" in err
+    # the violating pair once, the earlier fact first
+    assert err.splitlines() == ["fd violated: fd fatherOf: 2 -> 1. "
+                                "witness fatherOf(a, c), fatherOf(b, c)"]
+
+
+@pytest.mark.parametrize("ontology, query, db, answers", [
+    # the rule's Y renamed by the first step is Y^1, the query's variable
+    ("p4(Y, Y, X) -> p4(X, Y, Y).\n", "q() :- p4(Y^1, C, C).\n",
+     "p4(d, d, c).\n", ["()"]),
+    # the first component's B standardized apart is B~0, the query's variable
+    ("s(X, Y) -> p0(X, Y).\n", "q(A, B~0) :- p0(A, B), r(B~0).\n",
+     "p0(a, b). r(c).\n", ["(a, c)"]),
+], ids=["rewriting step", "unfold"])
+def test_rewrite_does_not_capture_query_variables_named_like_renamed_ones(
+        files, capsys, ontology, query, db, answers):
+    onto = files("o.dlog", ontology)
+    qf = files("q.dlog", query)
+    dbf = files("d.dlog", db)
+    printed = {}
+    for command in ("rewrite", "eval"):
+        code, out, err = _run(capsys, [command, "--ontology", onto, "--query",
+                                       qf, "--database", dbf])
+        assert code == 0, err
+        printed[command] = [line for line in out.splitlines()
+                            if not line.startswith("%")]
+    assert printed["rewrite"] == printed["eval"] == answers
 
 
 def test_rewrite_database_arity_mismatch_is_input_error(files, capsys):

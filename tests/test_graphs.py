@@ -2,9 +2,9 @@ import pytest
 
 from ontorewrite.eliminate import EliminationContext, covers
 from ontorewrite.graphs import (affected_positions, build_cover_graph,
-                                build_propagation_graph, format_cover_graph,
-                                is_compatible, is_tight)
-from ontorewrite.model import atom, var
+                                build_propagation_graph, format_cover_graph)
+from ontorewrite.model import (atom, atom_maps_onto, atom_matches_injectively,
+                               var)
 from ontorewrite.normalize import normalize_tgds
 from ontorewrite.parser import parse_ontology
 
@@ -21,6 +21,31 @@ ROTATION = """
 p(X,Y,Z,W) -> p(X,W,Y,Z).
 p(X,Y,Z,W) -> q(X,Y,Z,W).
 """
+
+
+def is_tight(seq):
+    """Consecutive rules admit a homomorphism mapping the next body ONTO the
+    previous head.  Rules must be linear; a single rule is trivially tight.
+    The reference that `CoverGraph.tight` is checked against."""
+    if not seq:
+        return False
+    for t in seq:
+        if len(t.body) != 1:
+            raise ValueError("tight sequences are defined for linear rules only")
+    for cur, nxt in zip(seq, seq[1:]):
+        if atom_maps_onto(nxt.body[0], cur.head) is None:
+            return False
+    return True
+
+
+def is_compatible(seq, target):
+    """The first rule's body maps onto the given atom, distinct variables to
+    distinct terms (so the atom triggers the rule without collapsing joins)."""
+    if not seq:
+        return False
+    if len(seq[0].body) != 1:
+        raise ValueError("compatibility is defined for linear rules only")
+    return atom_matches_injectively(seq[0].body[0], target) is not None
 
 
 def _pg(text):

@@ -2,12 +2,25 @@ import itertools
 import random
 
 from ontorewrite.model import (Atom, ConjunctiveQuery, VAR, atom,
-                               canonical_rename, compose, connected_components,
-                               const, find_homomorphism, make_query, mgu,
-                               subst_atom, subst_query, var)
+                               canonical_rename, connected_components, const,
+                               find_homomorphism, make_query, mgu, subst_atom,
+                               subst_query, var)
 
 A, B, C, X, Y, Z = (var(n) for n in "ABCXYZ")
 a, b, db = const("a"), const("b"), const("db")
+
+
+def compose(s1, s2):
+    """The substitution equivalent to applying s1 first, then s2."""
+    out = {}
+    for k, v in s1.items():
+        w = s2.get(v, v)
+        if w != k:
+            out[k] = w
+    for k, v in s2.items():
+        if k not in s1 and v != k:
+            out[k] = v
+    return out
 
 
 def test_apply_rewriting_step_substitution():

@@ -223,8 +223,9 @@ def test_unfold_matches_reference_on_the_size_law():
 
 def test_unfold_unifies_each_component_disjunct_once(monkeypatch):
     """Unfolding the n=6 size law unifies each of its 25 component disjuncts
-    once, whatever the body order, not once per node of the product tree
-    (5,461 nodes with `e(B, B)` first, 9,556 with it last)."""
+    once, whatever the body order, and no product calls `mgu`: no component
+    head binds a reconciliation variable, so there are no bindings to
+    merge."""
     from ontorewrite import parallel
     doc, tgds, ctx = pipeline(
         "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
@@ -333,6 +334,77 @@ def test_unfold_prunes_products_whose_head_constants_clash(monkeypatch):
     assert len(fallback) == 12
     assert make_query("p", [b, b], [atom("s", b), atom("v", b),
                                     atom("x", b)]) in out
+
+
+def test_unfold_chains_a_repeated_head_variable_to_a_later_constant():
+    # slot 1 equates A and B, slot 2 binds B to a, so A is a through the
+    # chain; slot 3's b clashes with that only through the chain
+    a, b = const("a"), const("b")
+    X, Y = var("X"), var("Y")
+    recon = make_query("p", [A, B], [atom("c_1", A, B), atom("c_2", B),
+                                     atom("c_3", A)])
+    u1 = [make_query("c_1", [X, X], [atom("r", X)]),
+          make_query("c_1", [X, Y], [atom("r", X, Y)])]
+    u2 = [make_query("c_2", [a], [atom("s", a)])]
+    u3 = [make_query("c_3", [b], [atom("t", b)]),
+          make_query("c_3", [X], [atom("t", X)])]
+    out = _assert_unfold_matches_reference([u1, u2, u3], recon)
+    assert out == [
+        make_query("p", [a, a], [atom("r", a), atom("s", a), atom("t", a)]),
+        make_query("p", [b, a], [atom("r", b, a), atom("s", a), atom("t", b)]),
+        make_query("p", [A, a], [atom("r", A, a), atom("s", a), atom("t", A)])]
+
+
+def test_unfold_merges_bindings_of_two_variables_in_a_third_slot():
+    # slots 1 and 2 bind C and D apart; slot 3 equates C and D, so that all
+    # four variables meet, and a constant there reaches both head variables
+    a = const("a")
+    C, D, X, Y = var("C"), var("D"), var("X"), var("Y")
+    recon = make_query("p", [A, B], [atom("c_1", A, C), atom("c_2", B, D),
+                                     atom("c_3", C, D)])
+    u1 = [make_query("c_1", [X, X], [atom("r", X)])]
+    u2 = [make_query("c_2", [X, X], [atom("s", X)]),
+          make_query("c_2", [X, Y], [atom("s", X, Y)])]
+    u3 = [make_query("c_3", [X, X], [atom("t", X)]),
+          make_query("c_3", [X, Y], [atom("t", X, Y)]),
+          make_query("c_3", [a, a], [atom("u", a)])]
+    out = _assert_unfold_matches_reference([u1, u2, u3], recon)
+    assert out[0] == make_query("p", [A, A], [atom("r", A), atom("s", A),
+                                              atom("t", A)])
+    assert make_query("p", [a, a], [atom("r", a), atom("s", a),
+                                    atom("u", a)]) in out
+    assert len(out) == 6
+
+
+def test_renaming_a_query_variable_like_a_renamed_one_keeps_the_rewriting():
+    """A query variable named like a rule variable renamed by a step (`X^1`)
+    or like a component variable standardized apart (`B~0`) captures
+    neither: renaming a non-head variable so keeps the rewriting, modulo
+    renaming, on both paths."""
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    names = ([f"{v}^{n}" for v in "XYZVW" for n in (1, 2, 3)]
+             + [f"{v}~{n}" for v in "ABCD" for n in (0, 1, 2)])
+    rng = random.Random(5)
+    renamed_queries = 0
+    for i in range(400):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        ctx = rules_context(rules)
+        q = random_query(rng, max_atoms=4, pool=QUERY_POOL if i % 2 else None)
+        free = sorted(q.variables() - set(q.head_args), key=lambda t: t.name)
+        if not free:
+            continue
+        renamed = subst_query({rng.choice(free): var(rng.choice(names))}, q)
+        renamed_queries += 1
+        for rewrite in (xrewrite, xrewrite_parallel):
+            options = RewriteOptions(elimination=None if i % 4 < 2 else False,
+                                     budget=20000)
+            before = rewrite(q, ctx, options).queries
+            after = rewrite(renamed, ctx, options).queries
+            assert len(before) == len(after), (rules, renamed)
+            assert canon_set(before) == canon_set(after), (rules, renamed)
+    assert renamed_queries > 300
 
 
 # -- budget and elimination decision -----------------------------------------

@@ -36,6 +36,14 @@ def test_applicable_blocks_shared_variable_at_existential_position():
     assert not applicable(tgds[0], (q.body[0],), q)
 
 
+def test_applicable_renames_the_rule_apart_from_the_query():
+    # the rule's X renamed by ^0 would be the query's X^0, which the
+    # constant b binds, and then clash with the head's a
+    doc, tgds, ctx = pipeline("p(X) -> s(X, a).")
+    q = query("q() :- s(b, X^0).", doc)
+    assert applicable(tgds[0], (q.body[0],), q)
+
+
 def test_rewrite_step_unifies_exactly_when_applicable_random():
     # The loop screens the existential position, then lets rewrite_step
     # unify; together they must decide what applicable decides.

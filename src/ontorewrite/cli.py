@@ -62,10 +62,15 @@ def _load_query(path: str, doc) -> ConjunctiveQuery:
 
 
 def _load_database(path: str, doc) -> list:
-    """The facts of a database file."""
-    db = parse_ontology(_read(path)).facts
-    _check_arities(db, doc, "database fact")
-    return db
+    """The facts of a database file.  Any other statement is an input error,
+    which names the file's first rule, else its first constraint, FD or
+    query."""
+    db_doc = parse_ontology(_read(path))
+    others = [*db_doc.tgds, *db_doc.ncs, *db_doc.fds, *db_doc.queries]
+    if others:
+        raise InputError(f"{path}: a database holds facts only, not {others[0]}")
+    _check_arities(db_doc.facts, doc, "database fact")
+    return db_doc.facts
 
 
 def _context(doc) -> RewriterContext:
@@ -144,8 +149,8 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
 def _write_answers(answers) -> None:
     """One line per answer tuple, sorted, each term as it is written in a
     .dlog file."""
-    for t in sorted(answers):
-        sys.stdout.write("(" + ", ".join(map(str, t)) + ")\n")
+    sys.stdout.write("".join("(" + ", ".join(map(str, t)) + ")\n"
+                             for t in sorted(answers)))
 
 
 def cmd_classify(args) -> int:

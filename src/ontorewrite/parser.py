@@ -12,11 +12,20 @@ Identifiers starting with a lowercase letter (or digit) are constants and
 predicates, identifiers starting with an uppercase letter are variables,
 and quoted strings '...' are constants.  Variables occurring in a rule head
 but not in its body are existentially quantified.
+
+The text is split into tokens by one `findall`, as plain strings; a bad
+character anywhere is reported before any parse error.  The parser works on
+token indices: a token's offset, and so an error's line and column, is
+computed only when a ParseError is raised, by scanning the text again up to
+that token.  Terms are interned per parse, one Term per distinct token text,
+so the facts of a database share their constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -80,36 +89,46 @@ class OntologyDocument:
     arities: dict = field(default_factory=dict)
 
 
+# One match per token: the whitespace and comments before it, then the token
+# itself, which is an arrow, a punctuation mark, a quoted constant, an
+# identifier, any other (bad) character, or the empty end of the text.
+# Every match succeeds at its first try, so nothing backtracks.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<arrow>->)
-      | (?P<sep>:-)
-      | (?P<punct>[(),.!?:])
-      | (?P<quoted>'(?:[^'\\]|\\.)*')
-      | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_^~]*)
-      | (?P<bad>.)
+    r"""\s* (?:%[^\n]*\s*)*
+      ( -> | :- | [(),.!?:]
+      | '(?:[^'\\]|\\.)*'
+      | [A-Za-z0-9_][A-Za-z0-9_^~]*
+      | .
+      | \Z )
     """,
     re.VERBOSE,
 )
 
+# A token's kind is its first character's: ' starts a quoted constant, these
+# characters an identifier, and anything else punctuation.
+_IDENT_START = frozenset(string.ascii_letters + string.digits + "_")
+_SINGLE_CHAR_TOKENS = _IDENT_START | frozenset("(),.!?:")
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset in the parsed text
 
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "bad":
-            raise _error(text, f"unexpected character {m.group()!r}", m.start())
-        tokens.append(_Token(kind, m.group(), m.start()))
+def _tokenize(text: str) -> list:
+    """The tokens of text as strings, ending with the empty string that marks
+    the end (twice after trailing whitespace or a comment); the first bad
+    character raises."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = {t for t in set(tokens) if len(t) == 1} - _SINGLE_CHAR_TOKENS
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise _error(text, f"unexpected character {tokens[index]!r}",
+                     _token_start(text, index))
     return tokens
+
+
+def _token_start(text: str, index: int) -> int:
+    """The offset in text of the token at index, or 0 for index -1."""
+    if index < 0:
+        return 0
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    return match.start(1)
 
 
 def _error(text: str, message: str, pos: int) -> ParseError:
@@ -122,86 +141,93 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
-        self.fd_keywords = []  # the `fd` token of each FD parsed, in order
+        self.pos = 0  # the index of the next token
+        self.terms = {}  # token text -> its Term, one Term per distinct text
+        self.fd_keywords = []  # the index of each FD's `fd` token, in order
 
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return _error(self.text, message, tok.pos)
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the token at index; offsets are only computed
+        here, by scanning the text again."""
+        return _error(self.text, message, _token_start(self.text, index))
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str:
+        """The next token, or "" at the end."""
+        return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 0)
-            raise self.error("unexpected end of input", last)
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
+            # at the end, point at the last token
+            raise self.error("unexpected end of input", self.pos - 1)
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}", self.pos - 1)
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.tokens[self.pos] == text
 
     # -- terms and atoms ----------------------------------------------------
 
     def parse_term(self) -> Term:
         tok = self.next()
-        if tok.kind == "quoted":
-            raw = re.sub(r"\\(.)", r"\1", tok.text[1:-1])
-            return Term(CONST, raw)
-        if tok.kind != "ident":
-            raise self.error(f"expected a term, found {tok.text!r}", tok)
-        if tok.text[0].isupper():
-            return Term(VAR, tok.text)
-        return Term(CONST, tok.text)
+        term = self.terms.get(tok)
+        if term is None:
+            term = self.terms[tok] = self.new_term(tok)
+        return term
+
+    def new_term(self, tok: str) -> Term:
+        """The Term of the token just read."""
+        if tok[0] == "'":
+            return Term(CONST, re.sub(r"\\(.)", r"\1", tok[1:-1]))
+        if tok[0] not in _IDENT_START:
+            raise self.error(f"expected a term, found {tok!r}", self.pos - 1)
+        return Term(VAR if tok[0].isupper() else CONST, tok)
 
     def parse_atom(self, arities: dict) -> Atom:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text[0].isupper():
-            raise self.error(f"expected a predicate, found {tok.text!r}", tok)
-        pred = tok.text
+        start = self.pos
+        pred = self.next()
+        if pred[0] not in _IDENT_START or pred[0].isupper():
+            raise self.error(f"expected a predicate, found {pred!r}", start)
         args = []
         self.expect("(")
-        if not self.at(")"):
+        tokens = self.tokens
+        if tokens[self.pos] != ")":
             args.append(self.parse_term())
-            while self.at(","):
-                self.next()
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 args.append(self.parse_term())
         self.expect(")")
         known = arities.get(pred)
         if known is not None and known != len(args):
             raise self.error(
                 f"predicate {pred!r} used with arity {len(args)} but declared with {known}",
-                tok)
+                start)
         arities.setdefault(pred, len(args))
         return Atom(pred, tuple(args))
 
     def parse_atom_list(self, arities: dict) -> list:
         atoms = [self.parse_atom(arities)]
         while self.at(","):
-            self.next()
+            self.pos += 1
             atoms.append(self.parse_atom(arities))
         return atoms
 
     # -- statements ----------------------------------------------------------
 
     def parse_query_statement(self, arities: dict) -> ConjunctiveQuery:
-        tok = self.peek()
+        start = self.pos
         head = self.parse_atom(arities)
         self.expect(":-")
-        return self.parse_query_body(head, tok, arities)
+        return self.parse_query_body(head, start, arities)
 
-    def parse_query_body(self, head: Atom, tok: _Token,
+    def parse_query_body(self, head: Atom, start: int,
                          arities: dict) -> ConjunctiveQuery:
-        """The rest of a query after `head :-`; tok is the head's first
-        token, where errors point."""
+        """The rest of a query after `head :-`; start is the index of the
+        head's first token, where errors point."""
         body = self.parse_atom_list(arities)
         self.expect(".")
         q = make_query(head.pred, head.args, body)
@@ -210,27 +236,28 @@ class _Parser:
                              if t.kind == VAR and all(t not in a.args for a in body))
             raise self.error(
                 f"unsafe query: distinguished variable(s) {', '.join(missing)} "
-                "missing from the body", tok)
+                "missing from the body", start)
         return q
 
     def parse_fd(self) -> FunctionalDependency:
-        self.fd_keywords.append(self.expect("fd"))
-        tok = self.next()
-        if tok.kind != "ident" or tok.text[0].isupper():
-            raise self.error(f"expected a predicate after 'fd', found {tok.text!r}",
-                             tok)
-        pred = tok.text
+        self.fd_keywords.append(self.pos)
+        self.expect("fd")
+        pred = self.next()
+        if pred[0] not in _IDENT_START or pred[0].isupper():
+            raise self.error(f"expected a predicate after 'fd', found {pred!r}",
+                             self.pos - 1)
         self.expect(":")
 
         def int_list():
             out = []
             while True:
                 t = self.next()
-                if not t.text.isdigit():
-                    raise self.error(f"expected an attribute index, found {t.text!r}", t)
-                out.append(int(t.text))
+                if not t.isdigit():
+                    raise self.error(f"expected an attribute index, found {t!r}",
+                                     self.pos - 1)
+                out.append(int(t))
                 if self.at(","):
-                    self.next()
+                    self.pos += 1
                     continue
                 return out
 
@@ -254,36 +281,37 @@ class _Parser:
                         f"fd index {i} out of range for {fd.pred!r}/{arity}", kw)
 
     def parse_statement(self, doc: OntologyDocument):
-        tok = self.peek()
-        after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if tok.text == "fd" and after is not None and after.kind == "ident":
+        start = self.pos
+        tok = self.tokens[start]
+        if tok == "fd" and self.tokens[start + 1][:1] in _IDENT_START:
             doc.fds.append(self.parse_fd())
             return
-        if tok.text == "?":
-            self.next()
+        if tok == "?":
+            self.pos += 1
             doc.queries.append(self.parse_query_statement(doc.arities))
             return
         # A fact, a rule, a constraint, or a query without the ? prefix.
         atoms = self.parse_atom_list(doc.arities)
         nxt = self.next()
-        if nxt.text == ".":
+        if nxt == ".":
             if len(atoms) != 1:
-                raise self.error("a fact is a single atom", tok)
+                raise self.error("a fact is a single atom", start)
             fact = atoms[0]
             for t in fact.args:
                 if t.kind != CONST:
-                    raise self.error("facts must be ground", tok)
+                    raise self.error("facts must be ground", start)
             doc.facts.append(fact)
             return
-        if nxt.text == ":-":
+        if nxt == ":-":
             if len(atoms) != 1:
-                raise self.error("a query has a single head atom", tok)
-            doc.queries.append(self.parse_query_body(atoms[0], tok, doc.arities))
+                raise self.error("a query has a single head atom", start)
+            doc.queries.append(self.parse_query_body(atoms[0], start, doc.arities))
             return
-        if nxt.text != "->":
-            raise self.error(f"expected '.', '->' or ':-', found {nxt.text!r}", nxt)
+        if nxt != "->":
+            raise self.error(f"expected '.', '->' or ':-', found {nxt!r}",
+                             self.pos - 1)
         if self.at("!"):
-            self.next()
+            self.pos += 1
             self.expect(".")
             doc.ncs.append(NegativeConstraint(tuple(atoms)))
             return
@@ -295,7 +323,7 @@ class _Parser:
 def parse_ontology(text: str) -> OntologyDocument:
     parser = _Parser(text)
     doc = OntologyDocument()
-    while parser.peek() is not None:
+    while parser.peek():
         parser.parse_statement(doc)
     parser.check_fds(doc)
     return doc
@@ -308,8 +336,7 @@ def parse_query(text: str, arities: Optional[dict] = None) -> ConjunctiveQuery:
     if parser.at("?"):
         parser.next()
     q = parser.parse_query_statement(dict(arities or {}))
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise parser.error(f"trailing input {tok.text!r}", tok)
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}", parser.pos)
     return q
 

@@ -157,6 +157,25 @@ def random_query(rng, max_atoms=3, pool=None):
 
 QUERY_POOL = PRED_POOL + [JOIN_HEAD]
 
+# Characters that mutated texts gain: the format's punctuation, comment and
+# quote marks, identifier characters and characters it does not allow.
+MUTATION_CHARS = "()., !?:-%'\n\\aXZ_1>;\u00e9"
+
+
+def mutate(rng, text):
+    """text after one to three edits at random offsets, each inserting a
+    character of MUTATION_CHARS, deleting one, or replacing one by one."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit, c = rng.randrange(3), rng.choice(MUTATION_CHARS)
+        if edit == 0:
+            text = text[:i] + c + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    return text
+
 
 def rules_context(rules):
     tgds, _, aux = ow.normalize_tgds(rules)

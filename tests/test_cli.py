@@ -506,6 +506,19 @@ def test_database_arity_mismatch_is_input_error(files, capsys, command):
     assert "arity 2" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["rewrite", "eval", "chase"])
+def test_database_holds_facts_only(files, capsys, command):
+    onto = files("o.dlog", "r(X) -> s(X).\n")
+    qf = files("q.dlog", "p(X) :- s(X).\n")
+    db = files("d.dlog", "r(a).\ns(X) -> t(X).\nfd r: 1 -> 1.\n"
+                         "? q(X) :- r(X).\n")
+    query = ["--query", qf] if command != "chase" else []
+    code, out, err = _run(capsys, [command, "--ontology", onto, "--database", db]
+                          + query)
+    assert code == 2 and out == ""
+    assert err == f"error: {db}: a database holds facts only, not s(X) -> t(X).\n"
+
+
 def test_parse_error_exits_two(files, capsys):
     onto = files("o.dlog", "p(X -> \n")
     qf = files("q.dlog", "p(B) :- r(B).\n")

@@ -1,7 +1,7 @@
-"""Digest of the rewritings the compiler emits, to check that a change keeps
-them byte-identical.
+"""Digest of the rewritings the compiler emits and of what the parser reads,
+to check that a change keeps them byte-identical.
 
-Run from a checkout, at two commits, and compare the printed lines:
+Run from a checkout, at two commits, and compare the five printed lines:
 
     python3 tools/rewrite_digest.py
 
@@ -36,6 +36,14 @@ their text: the exit code and output of `ontorewrite rewrite`, run through
 query, three times: with `--output ucq`, with `--output datalog`, and with
 `--database` over the suite's database of the third line.
 
+The fifth line gives the number of parses and the SHA-256 of their text:
+the `repr` of the document `parser.parse_ontology` makes of each text, or
+the message, line and column of the `ParseError` it raises.  The texts are
+every workload's ontology and database text at seeds 7 and 8, each random
+suite's rule set, query (after `?`) and database written as one document,
+and `MUTATIONS` mutations of each, drawn with `mutate` of
+`tests/conftest.py` from a generator of its own seed.
+
 Only temporary ontology, query and database files for the CLI are
 written; the benchmark's modules are only imported.
 """
@@ -55,18 +63,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
 from ontorewrite import chase, cli, emit  # noqa: E402
+from ontorewrite.parser import ParseError, parse_ontology  # noqa: E402
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
 from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
 
 import workloads  # noqa: E402
-from conftest import (FINANCIAL, QUERY_POOL,  # noqa: E402
+from conftest import (FINANCIAL, QUERY_POOL, mutate,  # noqa: E402
                       random_database, random_linear_rules, random_query,
                       random_sticky_rules, rules_context)
 
 SEEDS = (7, 8)
 SUITE_SEED = 2024
 DATABASE_SEED = 2025
+MUTATION_SEED = 2026
+MUTATIONS = 4
 SUITES = 300
 BUDGET = 50_000
 
@@ -138,6 +149,12 @@ def analyses(tmp: str):
             yield f"{name}/{command}", f"{code}\n{out.getvalue()}"
 
 
+def suite_texts(rules, q, db):
+    """A random suite's rule set, query and database as .dlog texts."""
+    return ("".join(f"{r}\n" for r in rules), f"{q}\n",
+            "".join(f"{a}.\n" for a in db))
+
+
 def rewrite_runs(tmp: str):
     """(label, text) for `rewrite` on every random suite with `--output ucq`,
     `--output datalog` and `--database`: the exit code, then the output."""
@@ -147,9 +164,7 @@ def rewrite_runs(tmp: str):
     runs = (("ucq", ["--output", "ucq"]), ("datalog", ["--output", "datalog"]),
             ("database", ["--database", database]))
     for suite, rules, q, db in suites_with_databases():
-        texts = ("".join(f"{r}\n" for r in rules), f"{q}\n",
-                 "".join(f"{a}.\n" for a in db))
-        for path, text in zip(paths, texts):
+        for path, text in zip(paths, suite_texts(rules, q, db)):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         for run, extra in runs:
@@ -158,6 +173,34 @@ def rewrite_runs(tmp: str):
                 code = cli.main(["rewrite", "--ontology", ontology,
                                  "--query", query] + extra)
             yield f"{suite}/rewrite/{run}", f"{code}\n{out.getvalue()}"
+
+
+def parse_texts():
+    """(label, text) for every text the fifth line parses, each followed by
+    its mutations."""
+    texts = []
+    for name, build in workloads.BUILDERS.items():
+        for seed in SEEDS:
+            w = build(seed)
+            w.close()
+            texts += [(f"{name}/{seed}/ontology", w.ontology_text),
+                      (f"{name}/{seed}/database", w.db_text)]
+    for suite, rules, q, db in suites_with_databases():
+        rules_text, query_text, db_text = suite_texts(rules, q, db)
+        texts.append((suite, f"{rules_text}? {query_text}{db_text}"))
+    rng = random.Random(MUTATION_SEED)
+    for label, text in texts:
+        yield label, text
+        for k in range(MUTATIONS):
+            yield f"{label}/mutation/{k}", mutate(rng, text)
+
+
+def parse_outcome(text) -> str:
+    """The parsed document's repr, or the parse error and its position."""
+    try:
+        return f"{parse_ontology(text)!r}\n"
+    except ParseError as exc:
+        return f"{(str(exc), exc.line, exc.col)!r}\n"
 
 
 def digest(items):
@@ -193,6 +236,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         count, sha = digest(rewrite_runs(tmp))
     print(f"{count} rewrite runs sha256={sha}")
+    count, sha = digest((label, parse_outcome(text))
+                        for label, text in parse_texts())
+    print(f"{count} parses sha256={sha}")
     return 0
 
 

@@ -63,12 +63,11 @@ def _load_query(path: str, doc) -> ConjunctiveQuery:
 
 def _load_database(path: str, doc) -> list:
     """The facts of a database file.  Any other statement is an input error,
-    which names the file's first rule, else its first constraint, FD or
-    query."""
+    which names the file's first one in text order."""
     db_doc = parse_ontology(_read(path))
-    others = [*db_doc.tgds, *db_doc.ncs, *db_doc.fds, *db_doc.queries]
-    if others:
-        raise InputError(f"{path}: a database holds facts only, not {others[0]}")
+    if db_doc.non_facts:
+        raise InputError(
+            f"{path}: a database holds facts only, not {db_doc.non_facts[0]}")
     _check_arities(db_doc.facts, doc, "database fact")
     return db_doc.facts
 

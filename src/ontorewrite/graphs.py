@@ -1,13 +1,15 @@
 """Propagation graph, cover graph and affected positions.
 
 Positions are (predicate, index) pairs with 1-based indices.  All structures
-here are built once per rule set, in time polynomial in it, and then shared
-read-only.  The propagation graph is the list of its labeled edges.  The
-cover graph holds what `eliminate.covers` searches through: the tightness
-relation, each rule's moves along the propagation graph, the head
-predicates that tight steps reach from each rule, and the rules by body
-predicate.  `build_cover_graph` is where elimination checks that the rule
-set is linear.
+here are built once per rule set and then shared read-only.  The
+propagation graph is the list of its E labeled edges, at most one per body
+and head occurrence of a variable in a rule.  Affected positions take O(E)
+per distinct existential position, each edge visited once.  The cover
+graph holds what `eliminate.covers` searches through: the tightness
+relation, found among the rules whose body predicate is a head's, each
+rule's moves along the propagation graph, the head predicates that tight
+steps reach from each rule, and the rules by body predicate.
+`build_cover_graph` is where elimination checks that the rule set is linear.
 """
 
 from __future__ import annotations
@@ -65,8 +67,11 @@ class CoverGraph:
 def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
     if any(len(t.body) != 1 for t in tgds):
         raise ValueError("the cover graph is defined for linear rules only")
-    tight = {k: frozenset(k2 for k2, t2 in enumerate(tgds)
-                          if atom_maps_onto(t2.body[0], t.head) is not None)
+    by_body_pred: Dict[str, List[int]] = {}
+    for k, t in enumerate(tgds):
+        by_body_pred.setdefault(t.body[0].pred, []).append(k)
+    tight = {k: frozenset(k2 for k2 in by_body_pred.get(t.head.pred, ())
+                          if atom_maps_onto(tgds[k2].body[0], t.head) is not None)
              for k, t in enumerate(tgds)}
     moves: Dict[int, Dict[Position, Set[Position]]] = {k: {} for k in tight}
     for src, dst, k in build_propagation_graph(tgds):
@@ -80,9 +85,6 @@ def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
                     seen.add(k2)
                     frontier.append(k2)
         reached_preds[k] = frozenset(tgds[k2].head.pred for k2 in seen)
-    by_body_pred: Dict[str, List[int]] = {}
-    for k, t in enumerate(tgds):
-        by_body_pred.setdefault(t.body[0].pred, []).append(k)
     return CoverGraph(tight, moves, reached_preds, by_body_pred)
 
 
@@ -90,33 +92,29 @@ def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:
     """For each rule index k with an existential variable, the least fixpoint
     of: the existential position of rule k is affected; a head position of
     any rule is affected if its variable occurs in that rule's body only at
-    affected positions."""
+    affected positions.  Read off the propagation graph: each (rule, head
+    position) needs the sources of its edges, and one worklist per distinct
+    existential position visits each edge once (Dowling and Gallier, 1984)."""
+    needs: Dict[Tuple[int, Position], int] = {}  # edges into each entry
+    waiting: Dict[Position, List[Tuple[int, Position]]] = {}
+    for src, dst, k in build_propagation_graph(tgds):  # edges are distinct
+        needs[k, dst] = needs.get((k, dst), 0) + 1
+        waiting.setdefault(src, []).append((k, dst))
+    by_seed: Dict[Position, FrozenSet[Position]] = {}
     out: Dict[int, FrozenSet[Position]] = {}
     for k, t in enumerate(tgds):
         epos = t.existential_position()
-        if epos is None:
-            out[k] = frozenset()
-            continue
-        affected: Set[Position] = {(t.head.pred, epos)}
-        changed = True
-        while changed:
-            changed = False
-            for rule in tgds:
-                body_positions: Dict = {}
-                for a in rule.body:
-                    for i, term in enumerate(a.args, start=1):
-                        if term.kind == VAR:
-                            body_positions.setdefault(term, set()).add((a.pred, i))
-                for i, term in enumerate(rule.head.args, start=1):
-                    if term.kind != VAR or term not in body_positions:
-                        continue
-                    pos = (rule.head.pred, i)
-                    if pos in affected:
-                        continue
-                    if body_positions[term] <= affected:
-                        affected.add(pos)
-                        changed = True
-        out[k] = frozenset(affected)
+        seed = None if epos is None else (t.head.pred, epos)
+        if seed is not None and seed not in by_seed:
+            affected, frontier, met = {seed}, [seed], {}
+            while frontier:
+                for entry in waiting.get(frontier.pop(), ()):
+                    met[entry] = met.get(entry, 0) + 1
+                    if met[entry] == needs[entry] and entry[1] not in affected:
+                        affected.add(entry[1])
+                        frontier.append(entry[1])
+            by_seed[seed] = frozenset(affected)
+        out[k] = by_seed.get(seed, frozenset())
     return out
 
 

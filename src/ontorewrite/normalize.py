@@ -135,6 +135,10 @@ def smark(rules: Iterable) -> List[Set]:
     # variable V of a head atom a, if some body atom b (of any rule) with the
     # predicate of a carries a marked variable at each position where V occurs
     # in a, then V is marked in sigma.
+    bodies_by_pred: dict = {}  # predicate -> (rule index, body atom) pairs
+    for rj, raw in enumerate(raws):
+        for b in raw.body:
+            bodies_by_pred.setdefault(b.pred, []).append((rj, b))
     changed = True
     while changed:
         changed = False
@@ -144,10 +148,8 @@ def smark(rules: Iterable) -> List[Set]:
                     if v not in body_vars[ri] or v in marked[ri]:
                         continue
                     positions = [pi for pi, t in enumerate(head_atom.args) if t == v]
-                    if any(b.pred == head_atom.pred
-                           and all(b.args[pi] in marked[rj] for pi in positions)
-                           for rj, other in enumerate(raws)
-                           for b in other.body):
+                    if any(all(b.args[pi] in marked[rj] for pi in positions)
+                           for rj, b in bodies_by_pred.get(head_atom.pred, ())):
                         marked[ri].add(v)
                         changed = True
     return marked

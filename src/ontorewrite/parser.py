@@ -87,6 +87,8 @@ class OntologyDocument:
     facts: list = field(default_factory=list)
     queries: list = field(default_factory=list)
     arities: dict = field(default_factory=dict)
+    # every statement but the facts, in text order
+    non_facts: list = field(default_factory=list, repr=False, compare=False)
 
 
 # One match per token: the whitespace and comments before it, then the token
@@ -280,16 +282,15 @@ class _Parser:
                     raise self.error(
                         f"fd index {i} out of range for {fd.pred!r}/{arity}", kw)
 
-    def parse_statement(self, doc: OntologyDocument):
+    def parse_statement(self, doc: OntologyDocument) -> tuple:
+        """The doc list the next statement belongs in, and the statement."""
         start = self.pos
         tok = self.tokens[start]
         if tok == "fd" and self.tokens[start + 1][:1] in _IDENT_START:
-            doc.fds.append(self.parse_fd())
-            return
+            return doc.fds, self.parse_fd()
         if tok == "?":
             self.pos += 1
-            doc.queries.append(self.parse_query_statement(doc.arities))
-            return
+            return doc.queries, self.parse_query_statement(doc.arities)
         # A fact, a rule, a constraint, or a query without the ? prefix.
         atoms = self.parse_atom_list(doc.arities)
         nxt = self.next()
@@ -300,31 +301,31 @@ class _Parser:
             for t in fact.args:
                 if t.kind != CONST:
                     raise self.error("facts must be ground", start)
-            doc.facts.append(fact)
-            return
+            return doc.facts, fact
         if nxt == ":-":
             if len(atoms) != 1:
                 raise self.error("a query has a single head atom", start)
-            doc.queries.append(self.parse_query_body(atoms[0], start, doc.arities))
-            return
+            return doc.queries, self.parse_query_body(atoms[0], start, doc.arities)
         if nxt != "->":
             raise self.error(f"expected '.', '->' or ':-', found {nxt!r}",
                              self.pos - 1)
         if self.at("!"):
             self.pos += 1
             self.expect(".")
-            doc.ncs.append(NegativeConstraint(tuple(atoms)))
-            return
+            return doc.ncs, NegativeConstraint(tuple(atoms))
         head = self.parse_atom_list(doc.arities)
         self.expect(".")
-        doc.tgds.append(RawTGD(tuple(atoms), tuple(head)))
+        return doc.tgds, RawTGD(tuple(atoms), tuple(head))
 
 
 def parse_ontology(text: str) -> OntologyDocument:
     parser = _Parser(text)
     doc = OntologyDocument()
     while parser.peek():
-        parser.parse_statement(doc)
+        statements, statement = parser.parse_statement(doc)
+        statements.append(statement)
+        if statements is not doc.facts:
+            doc.non_facts.append(statement)
     parser.check_fds(doc)
     return doc
 

@@ -1,6 +1,8 @@
 """Shared fixtures: the financial ontology, small pipeline helpers and the
 random ontology/query/database generators used by the property suites."""
 
+import random
+
 import pytest
 
 import ontorewrite as ow
@@ -175,6 +177,24 @@ def mutate(rng, text):
         else:
             text = text[:i] + c + text[i + 1:]
     return text
+
+
+def dl_lite_ontology(seed, concepts):
+    """A DL-Lite-style ontology as text, drawn from `random.Random(seed)`: a
+    concept tree `c<i>(X) -> c<j>(X).` with j < i, and per role `r<i>`, one
+    for every four concepts, a domain rule, a range rule and an existential
+    restriction `c<k>(X) -> r<i>(X, Y).`  It is in normal form, with
+    concepts - 1 + 3 * (concepts // 4) rules (1,399 at 800 concepts)."""
+    rng = random.Random(seed)
+    lines = [f"c{i}(X) -> c{rng.randrange(i)}(X)." for i in range(1, concepts)]
+    for i in range(concepts // 4):
+        lines += [f"r{i}(X, Y) -> c{rng.randrange(concepts)}(X).",
+                  f"r{i}(X, Y) -> c{rng.randrange(concepts)}(Y).",
+                  f"c{rng.randrange(concepts)}(X) -> r{i}(X, Y)."]
+    return "\n".join(lines) + "\n"
+
+
+DL_LITE_QUERY = "q(X) :- c0(X), r0(X, Y), c1(Y)."
 
 
 def rules_context(rules):

@@ -12,9 +12,9 @@ from ontorewrite.cli import main
 from ontorewrite.model import Atom, ConjunctiveQuery, const, var
 from ontorewrite.parser import parse_ontology
 
-from conftest import (FINANCIAL, FINANCIAL_QUERY, QUERY_POOL, random_atom,
-                      random_database, random_linear_rules, random_query,
-                      random_sticky_rules)
+from conftest import (DL_LITE_QUERY, FINANCIAL, FINANCIAL_QUERY, QUERY_POOL,
+                      dl_lite_ontology, random_atom, random_database,
+                      random_linear_rules, random_query, random_sticky_rules)
 
 COLLAB = "project(X), inArea(X,Y) -> hasCollaborator(Z,Y,X).\n"
 
@@ -517,6 +517,28 @@ def test_database_holds_facts_only(files, capsys, command):
                           + query)
     assert code == 2 and out == ""
     assert err == f"error: {db}: a database holds facts only, not s(X) -> t(X).\n"
+
+
+def test_database_names_its_first_non_fact_in_text_order(files, capsys):
+    onto = files("o.dlog", "r(X) -> s(X).\n")
+    qf = files("q.dlog", "p(X) :- s(X).\n")
+    db = files("d.dlog", "r(a).\nfd r: 1 -> 1.\ns(X) -> t(X).\n")
+    code, out, err = _run(capsys, ["eval", "--ontology", onto, "--database", db,
+                                   "--query", qf])
+    assert code == 2 and out == ""
+    assert err == f"error: {db}: a database holds facts only, not fd r: 1 -> 1.\n"
+
+
+def test_rewrite_scales_to_a_thousand_rule_ontology(files, capsys):
+    # 1,399 normalized rules: the rule-set analyses that every rewrite pays
+    # (affected positions, the cover graph) must not grow cubically
+    onto = files("o.dlog", dl_lite_ontology(22, 800))
+    qf = files("q.dlog", DL_LITE_QUERY + "\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == "" and out.count(":-") >= 1
+    assert elapsed < 6.0, elapsed
 
 
 def test_parse_error_exits_two(files, capsys):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from conftest import (dl_lite_ontology, random_linear_rules,
+                      random_sticky_rules)
 from ontorewrite.eliminate import EliminationContext, covers
 from ontorewrite.graphs import (affected_positions, build_cover_graph,
                                 build_propagation_graph, format_cover_graph)
-from ontorewrite.model import (atom, atom_maps_onto, atom_matches_injectively,
-                               var)
+from ontorewrite.model import (VAR, atom, atom_maps_onto,
+                               atom_matches_injectively, var)
 from ontorewrite.normalize import normalize_tgds
 from ontorewrite.parser import parse_ontology
 
@@ -46,6 +50,43 @@ def is_compatible(seq, target):
     if len(seq[0].body) != 1:
         raise ValueError("compatibility is defined for linear rules only")
     return atom_matches_injectively(seq[0].body[0], target) is not None
+
+
+def _reference_affected_positions(tgds):
+    """The fixpoint that `affected_positions` is checked against: per rule
+    with an existential variable, rescan every rule until nothing changes."""
+    out = {}
+    for k, t in enumerate(tgds):
+        epos = t.existential_position()
+        if epos is None:
+            out[k] = frozenset()
+            continue
+        affected = {(t.head.pred, epos)}
+        changed = True
+        while changed:
+            changed = False
+            for rule in tgds:
+                body_positions = {}
+                for a in rule.body:
+                    for i, term in enumerate(a.args, start=1):
+                        if term.kind == VAR:
+                            body_positions.setdefault(term, set()).add((a.pred, i))
+                for i, term in enumerate(rule.head.args, start=1):
+                    if term.kind != VAR or term not in body_positions:
+                        continue
+                    pos = (rule.head.pred, i)
+                    if pos in affected:
+                        continue
+                    if body_positions[term] <= affected:
+                        affected.add(pos)
+                        changed = True
+        out[k] = frozenset(affected)
+    return out
+
+
+def _dl_lite_tgds():
+    """The normalized rules of a 349-rule DL-Lite-style ontology."""
+    return normalize_tgds(parse_ontology(dl_lite_ontology(22, 200)).tgds)[0]
 
 
 def _pg(text):
@@ -151,7 +192,8 @@ def test_cover_graph_sequences_validate():
 
 
 def test_cover_graph_tightness_relation_is_the_tight_pairs(financial):
-    for tgds in (financial[1], normalize_tgds(parse_ontology(PG_EXAMPLE).tgds)[0]):
+    for tgds in (financial[1], normalize_tgds(parse_ontology(PG_EXAMPLE).tgds)[0],
+                 _dl_lite_tgds()):
         cg = build_cover_graph(tgds)
         assert cg.tight == {
             k: frozenset(k2 for k2 in range(len(tgds))
@@ -180,3 +222,17 @@ def test_affected_positions_is_a_fixpoint():
     first = affected_positions(tgds)
     again = affected_positions(tgds)
     assert first == again
+
+
+def test_affected_positions_match_the_reference_fixpoint(financial):
+    rule_sets = [financial[1], _dl_lite_tgds()]
+    for seed in range(300):
+        rng = random.Random(seed)
+        for draw in (random_linear_rules, random_sticky_rules):
+            rule_sets.append(normalize_tgds(draw(rng, max_rules=8))[0])
+    grown = 0
+    for tgds in rule_sets:
+        aff = affected_positions(tgds)
+        assert aff == _reference_affected_positions(tgds)
+        grown += any(len(positions) > 1 for positions in aff.values())
+    assert grown >= 300  # 367 of the 600 random sets affect more than a seed

@@ -12,13 +12,10 @@ from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR,
                     atom_matches_injectively, make_query, ordered_body)
 
 
-def shared_terms(q: ConjunctiveQuery, a: Atom) -> set:
+def shared_terms(shared: set, a: Atom) -> set:
     """T(q, a): the maximal subset of terms(a) containing only constants
-    occurring in q and variables shared in q."""
-    return _shared_terms(q.shared_variables(), a)
-
-
-def _shared_terms(shared: set, a: Atom) -> set:
+    occurring in q and variables shared in q, given q's `shared`
+    variables."""
     return {t for t in a.args if t.kind != VAR or t in shared}
 
 
@@ -36,15 +33,6 @@ class EliminationContext:
         self.cache = LRUCache(0)
 
 
-def covers(a: Atom, b: Atom, q: ConjunctiveQuery, ctx: EliminationContext) -> bool:
-    """Whether atom `a` covers atom `b` w.r.t. q: removing b loses neither
-    constants nor joins (T(q,b) sits inside a) and one tight rule sequence,
-    compatible to a, carries each term of T(q,b) from its positions in a
-    into all its positions in b along the propagation graph.  One search
-    over (last rule, term positions) decides it: see `_covers`."""
-    return _covers(a, b, shared_terms(q, b), ctx)
-
-
 def _placed(a: Atom, terms: set) -> FrozenSet[Tuple[Term, Position]]:
     """The pairs (t, p) of a term t in `terms` and a position p of `a`
     that holds it."""
@@ -52,24 +40,26 @@ def _placed(a: Atom, terms: set) -> FrozenSet[Tuple[Term, Position]]:
                      if t in terms)
 
 
-def _covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
-    """The coverage search.  A state is the last rule k of a tight sequence
+def covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
+    """Whether atom `a` covers atom `b`, whose shared terms T(q, b) are
+    `tb`: removing b loses neither constants nor joins (tb sits inside a)
+    and one tight rule sequence, compatible to a, carries each term of tb
+    from its positions in a into all its positions in b along the
+    propagation graph, ending in a rule whose head has b's predicate.
+
+    The search runs over states: the last rule k of a tight sequence
     compatible to `a` and the pairs (t, p) such that k carries the term t
     of `tb` to its head position p.  There are finitely many states (rules
     times subsets of one atom's positions, per term), so the search ends.
-    It drops a state in which a term is held nowhere, or whose rule cannot
-    reach b's predicate: neither leads to acceptance."""
+    It drops a state in which a term is held nowhere, since none of its
+    successors holds that term either."""
     if a == b or not tb <= a.terms():
         return False
     cg = ctx.cover_graph
-    starts = [k for k in cg.by_body_pred.get(a.pred, ())
-              if b.pred in cg.reached_preds[k]
-              and atom_matches_injectively(ctx.tgds[k].body[0], a) is not None]
-    if not tb:
-        return bool(starts)
-    needed = _placed(b, tb)
-    frontier = [(k, _placed(a, tb)) for k in starts]
-    seen = set()
+    held = _placed(a, tb)
+    frontier = [(k, held) for k in cg.by_body_pred.get(a.pred, ())
+                if atom_matches_injectively(ctx.tgds[k].body[0], a) is not None]
+    needed, seen = _placed(b, tb), set()
     while frontier:
         k, held = frontier.pop()
         moves = cg.moves[k]
@@ -80,8 +70,7 @@ def _covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
         seen.add((k, held))
         if ctx.tgds[k].head.pred == b.pred and needed <= held:
             return True
-        frontier.extend([(k2, held) for k2 in cg.tight[k]
-                         if b.pred in cg.reached_preds[k2]])
+        frontier.extend([(k2, held) for k2 in cg.tight[k]])
     return False
 
 
@@ -90,9 +79,9 @@ def cover_sets(q: ConjunctiveQuery, ctx: EliminationContext) -> Dict[Atom, Set[A
     shared = q.shared_variables()
     out: Dict[Atom, Set[Atom]] = {a: set() for a in q.body}
     for a in q.body:
-        ta = _shared_terms(shared, a)
+        ta = shared_terms(shared, a)
         for b in q.body:
-            if _covers(b, a, ta, ctx):
+            if covers(b, a, ta, ctx):
                 out[a].add(b)
     return out
 
@@ -108,8 +97,8 @@ def eliminate(q: ConjunctiveQuery, strategy: List[Atom], ctx: EliminationContext
     shared = q.shared_variables()
     eliminated: Set[Atom] = set()
     for a in strategy:
-        ta = _shared_terms(shared, a)
-        if any(_covers(b, a, ta, ctx) for b in q.body if b not in eliminated):
+        ta = shared_terms(shared, a)
+        if any(covers(b, a, ta, ctx) for b in q.body if b not in eliminated):
             eliminated.add(a)
     return eliminated
 

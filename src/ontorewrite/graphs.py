@@ -7,8 +7,8 @@ and head occurrence of a variable in a rule.  Affected positions take O(E)
 per distinct existential position, each edge visited once.  The cover
 graph holds what `eliminate.covers` searches through: the tightness
 relation, found among the rules whose body predicate is a head's, each
-rule's moves along the propagation graph, the head predicates that tight
-steps reach from each rule, and the rules by body predicate.
+rule's moves along the propagation graph, and the rules by body
+predicate.  It takes time linear in the tight pairs and the edges.
 `build_cover_graph` is where elimination checks that the rule set is linear.
 """
 
@@ -54,13 +54,11 @@ class CoverGraph:
     `tight[k]` holds the rules k2 whose body maps onto the head of rule k.
     `moves[k]` maps each body position of rule k to the head positions its
     variable reaches: the propagation graph's edges labeled k.
-    `reached_preds[k]` holds the head predicates of the rules that tight
-    steps reach from rule k, k itself included.  `by_body_pred` lists the
-    rules by the predicate of their body, where a search starts."""
+    `by_body_pred` lists the rules by the predicate of their body, where a
+    search starts."""
 
     tight: Dict[int, FrozenSet[int]]
     moves: Dict[int, Dict[Position, Set[Position]]]
-    reached_preds: Dict[int, FrozenSet[str]]
     by_body_pred: Dict[str, List[int]]
 
 
@@ -76,16 +74,7 @@ def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
     moves: Dict[int, Dict[Position, Set[Position]]] = {k: {} for k in tight}
     for src, dst, k in build_propagation_graph(tgds):
         moves[k].setdefault(src, set()).add(dst)
-    reached_preds = {}
-    for k in tight:
-        seen, frontier = {k}, [k]
-        while frontier:
-            for k2 in tight[frontier.pop()]:
-                if k2 not in seen:
-                    seen.add(k2)
-                    frontier.append(k2)
-        reached_preds[k] = frozenset(tgds[k2].head.pred for k2 in seen)
-    return CoverGraph(tight, moves, reached_preds, by_body_pred)
+    return CoverGraph(tight, moves, by_body_pred)
 
 
 def affected_positions(tgds: List[TGD]) -> Dict[int, FrozenSet[Position]]:

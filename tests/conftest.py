@@ -25,6 +25,21 @@ company(X,Y,Z) -> legalPerson(X).
 FINANCIAL_QUERY = ("p(A,B,C) :- finInstrument(A), stockPortfolio(B,A,D), "
                    "company(B,E,F), listComponent(A,C), finIndex(C,G,H).")
 
+# Two rotations of p and a copy into q: a labelled cycle on p[1].
+ROTATION = """
+p(X,Y,Z,W) -> p(X,W,Y,Z).
+p(X,Y,Z,W) -> q(X,Y,Z,W).
+"""
+
+# A normalized rule set on which enumerating minimal paths took millions
+# of steps; the coverage search ends at once.  p1(A) covers p4(B,A,C).
+LOOPING = """
+p4(X,X,X) -> p4(X,X,X).
+p1(Z) -> aux_1_1(Z,W).
+aux_1_1(Z,W) -> p4(W,Z,W).
+p3(X,X) -> p2(X,V).
+"""
+
 
 def pipeline(text):
     """Parse an ontology, normalize it, and build a rewriter context."""

@@ -530,15 +530,16 @@ def test_database_names_its_first_non_fact_in_text_order(files, capsys):
 
 
 def test_rewrite_scales_to_a_thousand_rule_ontology(files, capsys):
-    # 1,399 normalized rules: the rule-set analyses that every rewrite pays
-    # (affected positions, the cover graph) must not grow cubically
+    # 1,399 normalized rules: the whole rewrite, parsing, the rule-set
+    # analyses it pays (affected positions, the cover graph) and the
+    # rewriting itself, stays well under a second
     onto = files("o.dlog", dl_lite_ontology(22, 800))
     qf = files("q.dlog", DL_LITE_QUERY + "\n")
     start = time.perf_counter()
     code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf])
     elapsed = time.perf_counter() - start
     assert code == 0 and err == "" and out.count(":-") >= 1
-    assert elapsed < 6.0, elapsed
+    assert elapsed < 1.0, elapsed
 
 
 def test_parse_error_exits_two(files, capsys):

@@ -11,7 +11,7 @@ from ontorewrite.model import (atom, const, make_query, renaming_key,
 from ontorewrite.normalize import is_linear, normalize_tgds
 from ontorewrite.parser import parse_ontology, parse_query
 
-from conftest import FINANCIAL, FINANCIAL_QUERY
+from conftest import FINANCIAL, FINANCIAL_QUERY, LOOPING, ROTATION
 
 A, B, C, X, Y = (var(n) for n in "ABCXY")
 c = const("c")
@@ -24,22 +24,9 @@ t(X,Y) -> s(X,Y,Y).
 """
 
 
-# p(T,S,U,V) covers q(T,A,B,S) through r1 r1 r2: S needs both rotations,
-# although T's positions p[1] p[1] p[1] repeat a labelled cycle
-ROTATION = """
-p(X,Y,Z,W) -> p(X,W,Y,Z).
-p(X,Y,Z,W) -> q(X,Y,Z,W).
-"""
+# p(T,S,U,V) covers q(T,A,B,S) under ROTATION through r1 r1 r2: S needs
+# both rotations, although T's positions p[1] p[1] p[1] repeat a cycle
 ROTATION_QUERY = "q0(T,S) :- p(T,S,U,V), q(T,A,B,S)."
-
-# a normalized rule set on which enumerating minimal paths took millions
-# of steps; the coverage search ends at once.  p1(A) covers p4(B,A,C).
-LOOPING = """
-p4(X,X,X) -> p4(X,X,X).
-p1(Z) -> aux_1_1(Z,W).
-aux_1_1(Z,W) -> p4(W,Z,W).
-p3(X,X) -> p2(X,V).
-"""
 
 
 def _ctx(text):
@@ -48,19 +35,24 @@ def _ctx(text):
     return doc, EliminationContext(tgds)
 
 
+def _covers(a, b, q, ec):
+    """Whether a covers b with respect to q."""
+    return covers(a, b, shared_terms(q.shared_variables(), b), ec)
+
+
 def test_shared_terms_example():
     q = make_query("p", [A], [atom("r", A, B, c)])
-    assert shared_terms(q, q.body[0]) == {A, c}
+    assert shared_terms(q.shared_variables(), q.body[0]) == {A, c}
 
 
 def test_shared_terms_boolean_query():
     q = make_query("p", [], [atom("r", X)])
-    assert shared_terms(q, q.body[0]) == set()
+    assert shared_terms(q.shared_variables(), q.body[0]) == set()
 
 
 def test_shared_terms_join_variable():
     q = make_query("p", [], [atom("r", X, Y), atom("s", Y)])
-    assert shared_terms(q, q.body[1]) == {Y}
+    assert shared_terms(q.shared_variables(), q.body[1]) == {Y}
 
 
 def test_cover_sets_query_elimination_example():
@@ -77,8 +69,8 @@ def test_covers_financial_stock_portfolio_implies_fin_instrument():
     doc, ec = _ctx(FINANCIAL)
     q = parse_query(FINANCIAL_QUERY, dict(doc.arities))
     fin_instrument, stock_portfolio = q.body[0], q.body[1]
-    assert covers(stock_portfolio, fin_instrument, q, ec)
-    assert not covers(fin_instrument, stock_portfolio, q, ec)
+    assert _covers(stock_portfolio, fin_instrument, q, ec)
+    assert not _covers(fin_instrument, stock_portfolio, q, ec)
 
 
 def test_covers_through_a_repeated_rotation():
@@ -88,7 +80,7 @@ def test_covers_through_a_repeated_rotation():
     doc, ec = _ctx(ROTATION)
     q = parse_query(ROTATION_QUERY, dict(doc.arities))
     p_atom, q_atom = q.body
-    assert covers(p_atom, q_atom, q, ec)
+    assert _covers(p_atom, q_atom, q, ec)
     assert reduce_query(q, ec).body == (p_atom,)
     doc, tgds, ctx = pipeline(ROTATION)
     ucq = xrewrite(q, ctx, RewriteOptions(elimination=True)).queries
@@ -107,13 +99,13 @@ def test_context_on_looping_rules_is_immediate():
     ec = EliminationContext(tgds)
     assert time.perf_counter() - start < 0.5
     q = parse_query("q0(A) :- p4(A,A,A), p1(A).", dict(doc.arities))
-    assert not covers(q.body[1], q.body[0], q, ec)
+    assert not _covers(q.body[1], q.body[0], q, ec)
 
 
 def test_atom_never_covers_itself():
     doc, ec = _ctx(ELIM_EXAMPLE)
     q = parse_query("p(A) :- t(A,B).", dict(doc.arities))
-    assert not covers(q.body[0], q.body[0], q, ec)
+    assert not _covers(q.body[0], q.body[0], q, ec)
 
 
 def test_eliminate_both_strategies():
@@ -128,6 +120,15 @@ def test_eliminate_nothing_when_cover_sets_empty():
     doc, ec = _ctx("t(X,Y) -> r(X,Y,Z).")
     q = parse_query("p(A) :- t(A,B), s(A).", dict(doc.arities))
     assert eliminate(q, list(q.body), ec) == set()
+    # s(X, Y) shares no term, so only reaching s decides: r(X) -> s(X, Y)
+    # lets p(Z) cover it, and without that rule s is unreachable
+    boolean = "q() :- s(X, Y), p(Z)."
+    doc, ec = _ctx("p(X) -> r(X).")
+    q = parse_query(boolean, {"s": 2, **doc.arities})
+    assert eliminate(q, list(q.body), ec) == set()
+    doc, ec = _ctx("p(X) -> r(X).  r(X) -> s(X, Y).")
+    q = parse_query(boolean, dict(doc.arities))
+    assert reduce_query(q, ec) == parse_query("q() :- p(Z).", dict(doc.arities))
 
 
 def test_eliminate_stops_at_the_first_covering_atom(monkeypatch):
@@ -139,14 +140,14 @@ def test_eliminate_stops_at_the_first_covering_atom(monkeypatch):
     fin_instrument, stock_portfolio, _, list_component, _ = q.body
     assert {stock_portfolio, list_component} <= cover_sets(q, ec)[fin_instrument]
     found = []
-    search = eliminate_mod._covers
+    search = eliminate_mod.covers
 
     def counted(a, b, tb, ctx):
         covered = search(a, b, tb, ctx)
         found.append(covered)
         return covered
 
-    monkeypatch.setattr(eliminate_mod, "_covers", counted)
+    monkeypatch.setattr(eliminate_mod, "covers", counted)
     removed = eliminate(q, list(q.body), ec)
     assert fin_instrument in removed and len(removed) == 3
     assert sum(found) == len(removed)

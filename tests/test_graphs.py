@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from conftest import (dl_lite_ontology, random_linear_rules,
+from conftest import (DL_LITE_QUERY, FINANCIAL, LOOPING, ROTATION,
+                      dl_lite_ontology, random_linear_rules, random_query,
                       random_sticky_rules)
-from ontorewrite.eliminate import EliminationContext, covers
+from ontorewrite.eliminate import (EliminationContext, cover_sets, covers,
+                                   shared_terms)
 from ontorewrite.graphs import (affected_positions, build_cover_graph,
                                 build_propagation_graph, format_cover_graph)
 from ontorewrite.model import (VAR, atom, atom_maps_onto,
-                               atom_matches_injectively, var)
+                               atom_matches_injectively, make_query, var)
 from ontorewrite.normalize import normalize_tgds
-from ontorewrite.parser import parse_ontology
+from ontorewrite.parser import parse_ontology, parse_query
 
 A, B = var("A"), var("B")
 
@@ -18,12 +20,6 @@ PG_EXAMPLE = """
 p(X,Y) -> r(X,Y,Z).
 r(X,Y,c) -> s(X,Y,Y).
 s(X,X,Y) -> p(X,Y).
-"""
-
-
-ROTATION = """
-p(X,Y,Z,W) -> p(X,W,Y,Z).
-p(X,Y,Z,W) -> q(X,Y,Z,W).
 """
 
 
@@ -87,6 +83,53 @@ def _reference_affected_positions(tgds):
 def _dl_lite_tgds():
     """The normalized rules of a 349-rule DL-Lite-style ontology."""
     return normalize_tgds(parse_ontology(dl_lite_ontology(22, 200)).tgds)[0]
+
+
+def _reference_cover_search(tgds):
+    """The coverage search that `covers` is checked against: it prunes
+    with the head predicates each rule reaches by tight steps, one closure
+    per rule, and decides an empty `tb` from the pruned start rules alone.
+    Returns the search as a function of (a, b, tb)."""
+    cg = build_cover_graph(tgds)
+    reached_preds = {}
+    for k in cg.tight:
+        seen, frontier = {k}, [k]
+        while frontier:
+            for k2 in cg.tight[frontier.pop()]:
+                if k2 not in seen:
+                    seen.add(k2)
+                    frontier.append(k2)
+        reached_preds[k] = {tgds[k2].head.pred for k2 in seen}
+
+    def search(a, b, tb):
+        if a == b or not tb <= a.terms():
+            return False
+        starts = [k for k in cg.by_body_pred.get(a.pred, ())
+                  if b.pred in reached_preds[k]
+                  and atom_matches_injectively(tgds[k].body[0], a) is not None]
+        if not tb:
+            return bool(starts)
+
+        def placed(at):
+            return frozenset((t, (at.pred, i))
+                             for i, t in enumerate(at.args, start=1) if t in tb)
+
+        needed, seen = placed(b), set()
+        frontier = [(k, placed(a)) for k in starts]
+        while frontier:
+            k, held = frontier.pop()
+            held = frozenset((t, dst) for t, src in held
+                             for dst in cg.moves[k].get(src, ()))
+            if len({t for t, _ in held}) < len(tb) or (k, held) in seen:
+                continue
+            seen.add((k, held))
+            if tgds[k].head.pred == b.pred and needed <= held:
+                return True
+            frontier.extend((k2, held) for k2 in cg.tight[k]
+                            if b.pred in reached_preds[k2])
+        return False
+
+    return search
 
 
 def _pg(text):
@@ -159,13 +202,15 @@ def test_cover_graph_financial_reachability(financial):
     doc, tgds, _, q = financial
     list_component, fin_index = q.body[3], q.body[4]
     ec = EliminationContext(tgds)
-    assert covers(list_component, fin_index, q, ec)
-    assert not covers(fin_index, list_component, q, ec)
+    shared = q.shared_variables()
+    assert covers(list_component, fin_index, shared_terms(shared, fin_index), ec)
+    assert not covers(fin_index, list_component,
+                      shared_terms(shared, list_component), ec)
 
 
 def test_cover_graph_empty_ontology():
     cg = build_cover_graph([])
-    assert cg.tight == {} and cg.moves == {} and cg.reached_preds == {}
+    assert cg.tight == {} and cg.moves == {}
     assert cg.by_body_pred == {}
     assert format_cover_graph(cg) == ""
 
@@ -180,15 +225,6 @@ def test_cover_graph_sequences_validate():
             assert ({(src, dst) for src, dsts in cg.moves[k].items()
                      for dst in dsts}
                     == {(src, dst) for src, dst, lab in pg if lab == k})
-        for k in range(len(tgds)):
-            closure = {k}
-            while True:
-                grown = closure | {k2 for k1 in closure for k2 in range(len(tgds))
-                                   if is_tight([tgds[k1], tgds[k2]])}
-                if grown == closure:
-                    break
-                closure = grown
-            assert cg.reached_preds[k] == {tgds[j].head.pred for j in closure}
 
 
 def test_cover_graph_tightness_relation_is_the_tight_pairs(financial):
@@ -200,6 +236,47 @@ def test_cover_graph_tightness_relation_is_the_tight_pairs(financial):
                          if is_tight([tgds[k], tgds[k2]]))
             for k in range(len(tgds))}
 
+
+
+def test_cover_search_matches_the_pruned_reference():
+    # cover_sets against the search pruned by per-rule reachability, on
+    # queries and their Boolean forms, where many atoms share no term
+    named = [normalize_tgds(parse_ontology(text).tgds)[0]
+             for text in (PG_EXAMPLE, ROTATION, LOOPING, FINANCIAL)]
+    named.append(_dl_lite_tgds())
+    inputs = []
+    for tgds in named:
+        pool = sorted({(a.pred, len(a.args)) for t in tgds
+                       for a in (t.body[0], t.head)})[:24]
+        inputs.append((tgds, pool))
+    inputs.append((named[-1], [(f"c{i}", 1) for i in range(12)]
+                   + [(f"r{i}", 2) for i in range(4)]))
+    for seed in range(300):
+        inputs.append((normalize_tgds(
+            random_linear_rules(random.Random(seed)))[0], None))
+    rng = random.Random(23)
+    pairs = covered = untied = untied_covered = 0
+    for tgds, pool in inputs:
+        ec, reference = EliminationContext(tgds), _reference_cover_search(tgds)
+        drawn = [random_query(rng, max_atoms=4, pool=pool) for _ in range(8)]
+        if tgds is named[-1]:
+            drawn.append(parse_query(DL_LITE_QUERY, {}))
+        for q in drawn + [make_query("q", (), d.body) for d in drawn]:
+            shared = q.shared_variables()
+            expected = {}
+            for a in q.body:
+                ta = shared_terms(shared, a)
+                expected[a] = {b for b in q.body if reference(b, a, ta)}
+                pairs += len(q.body) - 1
+                covered += len(expected[a])
+                if not ta:
+                    untied += len(q.body) - 1
+                    untied_covered += len(expected[a])
+            assert cover_sets(q, ec) == expected, (tgds, q)
+    # 23,780 ordered pairs, 368 covered; 1,916 with an empty T(q, a), of
+    # which 253 are covered
+    assert pairs > 20_000 and covered > 300
+    assert untied > 1_500 and untied_covered > 200
 
 def test_affected_positions_example():
     doc = parse_ontology("p(X,Y), s(Y,Z) -> t(Y,X,W).  t(X,Y,Z) -> p(W,Z).")

@@ -1,7 +1,7 @@
 """Digest of the rewritings the compiler emits and of what the parser reads,
 to check that a change keeps them byte-identical.
 
-Run from a checkout, at two commits, and compare the five printed lines:
+Run from a checkout, at two commits, and compare the six printed lines:
 
     python3 tools/rewrite_digest.py
 
@@ -44,6 +44,14 @@ suite's rule set, query (after `?`) and database written as one document,
 and `MUTATIONS` mutations of each, drawn with `mutate` of
 `tests/conftest.py` from a generator of its own seed.
 
+The sixth line gives the number of DL-Lite rewritings and the SHA-256 of
+their `emit.serialize_ucq` text, each preceded by its label: `DL_LITE_QUERY`
+and its Boolean form over `dl_lite_ontology(22, c)` of `tests/conftest.py`
+for c in `DL_LITE_CONCEPTS` (174 and 349 normalized rules), rewritten by
+`xrewrite` with elimination on and by `xrewrite_parallel` at its default
+options, both under the `BUDGET` step budget.  A rewriting that exhausts
+its budget counts with the text "budget".
+
 Only temporary ontology, query and database files for the CLI are
 written; the benchmark's modules are only imported.
 """
@@ -63,15 +71,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
 from ontorewrite import chase, cli, emit  # noqa: E402
-from ontorewrite.parser import ParseError, parse_ontology  # noqa: E402
+from ontorewrite.model import make_query  # noqa: E402
+from ontorewrite.parser import (ParseError, parse_ontology,  # noqa: E402
+                                parse_query)
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
 from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
 
 import workloads  # noqa: E402
-from conftest import (FINANCIAL, QUERY_POOL, mutate,  # noqa: E402
-                      random_database, random_linear_rules, random_query,
-                      random_sticky_rules, rules_context)
+from conftest import (DL_LITE_QUERY, FINANCIAL, QUERY_POOL,  # noqa: E402
+                      dl_lite_ontology, mutate, random_database,
+                      random_linear_rules, random_query, random_sticky_rules,
+                      rules_context)
 
 SEEDS = (7, 8)
 SUITE_SEED = 2024
@@ -80,6 +91,7 @@ MUTATION_SEED = 2026
 MUTATIONS = 4
 SUITES = 300
 BUDGET = 50_000
+DL_LITE_CONCEPTS = (100, 200)
 
 
 def workload_rewritings():
@@ -130,6 +142,27 @@ def suite_rewritings():
                         yield label, rewrite(q, ctx, options).queries, db
                     except BudgetExhaustedError:
                         yield label, None, db
+
+
+def dl_lite_rewritings():
+    """(label, UCQ or None when the budget ran out) for the DL-Lite query
+    and its Boolean form over each DL-Lite ontology, sequentially with
+    elimination on and on the decomposed path at its default options."""
+    for concepts in DL_LITE_CONCEPTS:
+        doc = parse_ontology(dl_lite_ontology(22, concepts))
+        ctx = rules_context(doc.tgds)
+        q = parse_query(DL_LITE_QUERY, dict(doc.arities))
+        boolean = make_query("q", (), q.body)
+        for form, query in (("query", q), ("boolean", boolean)):
+            for path, rewrite, options in (
+                    ("seq", xrewrite, RewriteOptions(elimination=True,
+                                                     budget=BUDGET)),
+                    ("par", xrewrite_parallel, RewriteOptions(budget=BUDGET))):
+                label = f"dl-lite/{concepts}/{form}/{path}"
+                try:
+                    yield label, rewrite(query, ctx, options).queries
+                except BudgetExhaustedError:
+                    yield label, None
 
 
 def analyses(tmp: str):
@@ -239,6 +272,10 @@ def main() -> int:
     count, sha = digest((label, parse_outcome(text))
                         for label, text in parse_texts())
     print(f"{count} parses sha256={sha}")
+    count, sha = digest(
+        (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
+        for label, ucq in dl_lite_rewritings())
+    print(f"{count} DL-Lite rewritings sha256={sha}")
     return 0
 
 

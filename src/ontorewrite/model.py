@@ -493,9 +493,8 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 # the one whose sequence of atom keys is lexicographically smallest, so that
 # two queries equal modulo bijective variable renaming (and body permutation)
 # yield identical canonical forms.  Head variables are named first, in head
-# order, which keeps distinguished-argument order significant.  The head
-# with its variables numbered and the key sequence determine the canonical
-# form, so together they are the renaming key that deduplication compares.
+# order, which keeps distinguished-argument order significant.  Renaming
+# keys walk no whole body, only each group of linked atoms (`group_keys`).
 #
 # When no unnamed variable occurs in two atoms, placing an atom re-keys no
 # other, and the order is the atoms sorted by key.  Otherwise it is found by
@@ -522,11 +521,8 @@ def private_atom_keys(body, assignment: dict) -> Optional[list]:
     compare as those indices would; and a key changes only when one of the
     atom's variables is named.
 
-    A key depends only on its atom and the assignment.  So when the keys of
-    a duplicate-free body exist under `head_assignment(q)`, `renaming_key(q)`
-    is `private_renaming_key` of them, the keys sorted; and the keys of a
-    body made of parts that share no unnamed variable are the keys of the
-    parts, each computed on its own."""
+    When the keys exist, every atom is a group of its own, and they are
+    the body's `group_keys`."""
     placed: set = set()  # the unnamed variables of the atoms keyed so far
     keys = []
     for a in body:
@@ -678,21 +674,31 @@ def ordered_body(q: ConjunctiveQuery) -> list:
     return [q.body[i] for i in order]
 
 
+def group_keys(body, assignment: dict) -> list:
+    """Per atom of body, the key of its group, the atoms that unnamed
+    variables link (`connected_components`): a lone atom's atom key, a
+    larger group's `("", (3, form))`, form the key sequence of the group's
+    canonical order, under a mark (an empty predicate, then a tag above the
+    argument tags) that never equals an atom key and compares with any.  A renaming that fixes the named variables maps
+    groups onto groups, so the sorted group keys of two duplicate-free
+    bodies are equal exactly when the bodies are renamings of each other;
+    and a body made of parts that share no unnamed variable has its parts'
+    group keys, each computed on its own."""
+    keys = private_atom_keys(body, assignment)
+    if keys is not None:
+        return keys
+    key_of = {}
+    for group in connected_components(
+            body, lambda t: t.kind == VAR and t not in assignment):
+        form = _canonical_order(group, assignment)[1]
+        key = form[0] if len(form) == 1 else ("", (3, tuple(form)))
+        key_of.update(dict.fromkeys(group, key))
+    return [key_of[a] for a in body]
+
+
 def renaming_key(q: ConjunctiveQuery) -> tuple:
-    """A hashable key equal for two queries exactly when their canonical
-    forms are: the head predicate, the head with its variables numbered and
-    the key sequence of the canonical order, which for a body whose atoms
-    share no non-head variable is its atom keys sorted."""
+    """A hashable key equal for two queries exactly when they are renamings
+    of each other: the head predicate, the head with its variables numbered
+    and the body's group keys under that numbering, sorted."""
     assignment, head = head_assignment(q)
-    keys = private_atom_keys(q.body, assignment)
-    if keys is None:
-        return (q.head_pred, head,
-                tuple(_canonical_order(q.body, assignment)[1]))
-    return private_renaming_key(q.head_pred, head, keys)
-
-
-def private_renaming_key(head_pred: str, head: tuple, keys) -> tuple:
-    """`renaming_key` of a query with this head predicate and numbered head
-    (see `head_assignment`) whose duplicate-free body has these atom keys
-    (see `private_atom_keys`)."""
-    return (head_pred, head, tuple(sorted(keys)))
+    return (q.head_pred, head, tuple(sorted(group_keys(q.body, assignment))))

@@ -7,16 +7,15 @@ step budget.
 Unfolding goes by position: component i's disjuncts, standardized apart
 from the reconciliation's variables, unify with the reconciliation's i-th
 body atom, each once, before any product is formed; a disjunct's body is
-substituted and its atom keys computed then.  The products are one flat
-`itertools.product` over the slots, in the order of nested loops.  A
-product concatenates its parts' bodies, under the one `mgu` of their
-bindings of reconciliation variables where a component head holds a
-constant or repeats a variable, and is dropped when those clash.  Products
-are deduplicated modulo renaming.  A product with no such bindings, whose
-parts all have atom keys and whose reconciliation variables are all head
-variables, is keyed by its parts' atom keys, sorted, and built only when
-that key is new; any other product is built and keyed by
-`model.renaming_key`.
+substituted and its group keys (`model.group_keys`) computed then.  The
+products are one flat `itertools.product` over the slots, in the order of
+nested loops.  A product concatenates its parts' bodies, under the one
+`mgu` of their bindings of reconciliation variables where a component head
+holds a constant or repeats a variable, and is dropped when those clash.
+Products are deduplicated modulo renaming.  A product with no such bindings, whose
+reconciliation variables are all head variables, is keyed by its parts'
+group keys, sorted, and built only when that key is new; any other product
+is built and keyed by `model.renaming_key`.
 
 Components are rewritten without subsumption.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
@@ -32,9 +31,9 @@ from typing import Dict, List, Optional, Set
 
 from .eliminate import reduce_query
 from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
-                    connected_components, head_assignment, make_query, mgu,
-                    private_atom_keys, private_renaming_key, renaming_key,
-                    subst_atom, subst_atoms, subst_query)
+                    connected_components, group_keys, head_assignment,
+                    make_query, mgu, renaming_key, subst_atom, subst_atoms,
+                    subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriteResult, RewriterContext, xrewrite)
@@ -119,17 +118,17 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
 
     The output is deduplicated modulo renaming by renaming key.  When no
     part binds and every reconciliation variable is a head variable, slots
-    share only head variables, so the product's key is
-    `model.private_renaming_key` of the parts' atom keys, each computed
-    once per disjunct, duplicate atoms dropped, provided every part has
-    them (`model.private_atom_keys`); its query is built only when that key
-    is new.  Any other product is built and keyed by `renaming_key`."""
+    share only head variables, so the product's groups are its parts'
+    groups, and its key is `renaming_key`'s assembled from the parts'
+    `model.group_keys`, each computed once per disjunct, duplicate atoms
+    dropped; its query is built only when that key is new.  Any other
+    product is built and keyed by `renaming_key`."""
     preferred = frozenset(reconciliation.variables())
     head_pred, head_args = reconciliation.head_pred, reconciliation.head_args
     assignment, numbered_head = head_assignment(reconciliation)
     keyed = preferred.issubset(assignment)
     first = apart_index(preferred, "~")
-    slots = []  # per slot, (bindings, body, (atom, key) pairs or None)
+    slots = []  # per slot, (bindings, body, (atom, group key) pairs or None)
     for slot, (target, disjuncts) in enumerate(
             zip(reconciliation.body, component_rewritings)):
         parts = []
@@ -139,22 +138,20 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
                         preferred=preferred)
             body = subst_atoms(gamma, d.body)
             bound = {v: t for v, t in gamma.items() if v in preferred}
-            keys = (private_atom_keys(body, assignment)
-                    if keyed and not bound else None)
-            parts.append((bound, body,
-                          None if keys is None else list(zip(body, keys))))
+            pairs = (list(zip(body, group_keys(body, assignment)))
+                     if keyed and not bound else None)
+            parts.append((bound, body, pairs))
         slots.append(parts)
     results: List[ConjunctiveQuery] = []
     seen = set()
     for parts in product(*slots):
         pairs = [p for _, _, p in parts]
         if None not in pairs:
-            atom_keys = dict(chain.from_iterable(pairs))
-            key = private_renaming_key(head_pred, numbered_head,
-                                       atom_keys.values())
+            key_of = dict(chain.from_iterable(pairs))
+            key = (head_pred, numbered_head, tuple(sorted(key_of.values())))
             if key in seen:
                 continue
-            query = ConjunctiveQuery(head_pred, head_args, tuple(atom_keys))
+            query = ConjunctiveQuery(head_pred, head_args, tuple(key_of))
         else:
             args = head_args
             atoms = chain.from_iterable(body for _, body, _ in parts)

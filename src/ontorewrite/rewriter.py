@@ -3,8 +3,9 @@ rewriting and factorization steps, dedup modulo renaming, query
 provenance, the MGU cache and metrics.
 
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
-the atom keys in canonical order, which for a query none of whose non-head
-variables joins two atoms are its atom keys sorted.
+the sorted keys of the body's groups, the atoms that non-head variables
+link (`model.group_keys`); for a query none of whose non-head variables
+joins two atoms they are its atom keys sorted.
 
 Queries are labeled r/f by the step that produced them (the input query is
 r).  Every step's output is deduplicated against all queries so far, and a

@@ -211,6 +211,34 @@ def dl_lite_ontology(seed, concepts):
 
 DL_LITE_QUERY = "q(X) :- c0(X), r0(X, Y), c1(Y)."
 
+# Symmetric queries: repeated copies of small directed graphs, given by
+# their edges (i, j) over nodes 0-2, whose tied atoms make a canonical walk
+# over the whole body branch factorially.
+SYMMETRIC_ONTOLOGY = "f(X, Y) -> e(X, Y).\n"
+TRIANGLE = ((0, 1), (1, 2), (2, 0))
+PATH = ((0, 1), (1, 2))
+SHAPES = (TRIANGLE, PATH, ((0, 1), (1, 0)), ((0, 1), (0, 2)),
+          ((0, 1), (2, 1)))
+
+
+def copies_body(shapes, extra=()):
+    """One copy of each shape as `e` atoms, over variables of its own (node
+    i of copy c is `X<i>_<c>`), each followed by the `extra` atoms
+    (predicate, arguments), whose integer arguments are its nodes."""
+    body = []
+    for c, shape in enumerate(shapes):
+        node = [var(f"X{i}_{c}") for i in range(3)]
+        body += [Atom("e", (node[i], node[j])) for i, j in shape]
+        body += [Atom(pred, tuple(node[t] if isinstance(t, int) else t
+                                  for t in args)) for pred, args in extra]
+    return body
+
+
+def copies_query(shape, copies, head=""):
+    """`q(<head>) :- ...` as text: `copies` copies of `shape`."""
+    body = copies_body([shape] * copies)
+    return f"q({head}) :- {', '.join(map(str, body))}."
+
 
 def rules_context(rules):
     tgds, _, aux = ow.normalize_tgds(rules)

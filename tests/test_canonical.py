@@ -1,8 +1,10 @@
 """Canonical renaming: the walk that skips interchangeable ties against the
 plain branch-and-bound it replaced, kept here as the reference, plus the
 symmetric stress and hash-seed independence.  Renaming keys: the partition
-they induce against canonical_rename's, and deduplication that sorts atom
-keys without walking where no non-head variable joins two atoms."""
+they induce against canonical_rename's, also on bodies of repeated disjoint
+copies, deduplication that sorts atom keys without walking where no
+non-head variable joins two atoms, and keys that walk each group of linked
+atoms on its own."""
 
 import os
 import random
@@ -17,7 +19,8 @@ from ontorewrite.model import (VAR, Atom, ConjunctiveQuery, canonical_rename,
                                renaming_key, subst_atom, var)
 from ontorewrite.rewriter import RewriteOptions, xrewrite
 
-from conftest import FINANCIAL, FINANCIAL_QUERY, pipeline, query
+from conftest import (FINANCIAL, FINANCIAL_QUERY, PATH, SHAPES, TRIANGLE,
+                      copies_body, pipeline, query)
 
 
 # -- reference: branch-and-bound over every tied candidate -------------------
@@ -219,11 +222,82 @@ def test_renaming_key_partitions_like_canonical_rename():
         q = random_tied_query(rng)
         queries += [q, _renamed_and_permuted(q, rng),
                     make_query(q.head_pred, q.head_args[::-1], q.body)]
-    assert _partition(queries, renaming_key) == _partition(queries,
-                                                           canonical_rename)
     sorted_keys = sum(_is_private(q) for q in queries)
     assert sorted_keys > 2000
     assert len(queries) - sorted_keys > 2000
+    # bodies of repeated, variable-disjoint copies, which split into
+    # several groups that renaming_key keys apart
+    symmetric = _symmetric_queries(random.Random(2025))
+    assert sum(_multi_atom_groups(q) >= 2 for q in symmetric) > 800
+    queries += symmetric
+    assert _partition(queries, renaming_key) == _partition(queries,
+                                                           canonical_rename)
+
+
+def random_symmetric_query(rng):
+    """A query of two to four variable-disjoint copies of small e-graphs,
+    most often of one graph repeated, each copy maybe joined to the
+    constant `a` shared by all, with up to two head variables."""
+    n = rng.randint(2, 4)
+    if rng.random() < 0.6:
+        shapes = [rng.choice(SHAPES)] * n
+    else:
+        shapes = [rng.choice(SHAPES) for _ in range(n)]
+    extra = [("e", (0, const("a")))] if rng.random() < 0.3 else []
+    body = copies_body(shapes, extra)
+    rng.shuffle(body)
+    body_vars = sorted({t for a in body for t in a.args if t.kind == VAR},
+                       key=lambda t: t.name)
+    head = rng.sample(body_vars, rng.choice((0, 0, 1, 2)))
+    return make_query("h", head, body)
+
+
+def _symmetric_queries(rng):
+    """2 to 5 disjoint triangles, two copies of a path and triangles that
+    share a constant, each with a renamed and permuted copy; then random
+    symmetric queries, each with a renamed and permuted copy, a copy with
+    the head reversed and a copy with one atom reversed, which is a
+    renaming only sometimes."""
+    queries = []
+    for body in [copies_body([TRIANGLE] * n) for n in range(2, 6)] + [
+            copies_body([PATH] * 2), copies_body([PATH, TRIANGLE]),
+            copies_body([TRIANGLE] * 3, [("e", (0, const("a")))]),
+            copies_body([TRIANGLE] * 2, [("e", (0, const("a"))),
+                                     ("e", (1, const("b")))])]:
+        for head in ((), (var("X0_0"),)):
+            q = make_query("h", head, body)
+            queries += [q, _renamed_and_permuted(q, rng)]
+    for _ in range(250):
+        q = random_symmetric_query(rng)
+        i = rng.randrange(len(q.body))
+        flipped = list(q.body)
+        flipped[i] = Atom("e", flipped[i].args[::-1])
+        queries += [q, _renamed_and_permuted(q, rng),
+                    make_query(q.head_pred, q.head_args[::-1], q.body),
+                    make_query(q.head_pred, q.head_args, flipped)]
+    return queries
+
+
+def _multi_atom_groups(q):
+    """The number of q's groups of two or more atoms that variables
+    outside the head link."""
+    assignment = model.head_assignment(q)[0]
+    groups = model.connected_components(
+        q.body, lambda t: t.kind == VAR and t not in assignment)
+    return sum(len(g) > 1 for g in groups)
+
+
+def test_renaming_key_of_disjoint_triangles_stays_fast():
+    # a walk over the whole body branched over every order of the tied
+    # triangles: 5 of them took ~0.4 s, and 6 ~13 s
+    q = make_query("h", [], copies_body([TRIANGLE] * 6))
+    start = time.perf_counter()
+    key = renaming_key(q)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert key == renaming_key(_renamed_and_permuted(q, random.Random(1)))
+    path = make_query("h", [], copies_body([TRIANGLE] * 5 + [PATH]))
+    assert key != renaming_key(path)
 
 
 def _is_private(q):
@@ -274,12 +348,13 @@ def test_renaming_key_hand_cases():
 
 
 def _count_walks_from_renaming_key(monkeypatch):
-    """The bodies that renaming_key hands to _canonical_order from now on."""
+    """The bodies that renaming_key, through group_keys, hands to
+    _canonical_order from now on."""
     calls = []
     original = model._canonical_order
 
     def counting(body, assignment):
-        if sys._getframe(1).f_code is model.renaming_key.__code__:
+        if sys._getframe(1).f_code is model.group_keys.__code__:
             calls.append(body)
         return original(body, assignment)
     monkeypatch.setattr(model, "_canonical_order", counting)

@@ -13,6 +13,7 @@ from ontorewrite.model import Atom, ConjunctiveQuery, const, var
 from ontorewrite.parser import parse_ontology
 
 from conftest import (DL_LITE_QUERY, FINANCIAL, FINANCIAL_QUERY, QUERY_POOL,
+                      SYMMETRIC_ONTOLOGY, TRIANGLE, copies_query,
                       dl_lite_ontology, random_atom, random_database,
                       random_linear_rules, random_query, random_sticky_rules)
 
@@ -540,6 +541,21 @@ def test_rewrite_scales_to_a_thousand_rule_ontology(files, capsys):
     elapsed = time.perf_counter() - start
     assert code == 0 and err == "" and out.count(":-") >= 1
     assert elapsed < 1.0, elapsed
+
+
+def test_rewrite_of_disjoint_triangles_stays_fast(files, capsys):
+    # 12 one-atom components over 4 variable-disjoint e-triangles: every
+    # one of the 2^12 products is keyed by renaming_key, which walks each
+    # triangle on its own (a walk over the whole body took ~15 s in all)
+    onto = files("o.dlog", SYMMETRIC_ONTOLOGY)
+    qf = files("q.dlog", copies_query(TRIANGLE, 4) + "\n")
+    for extra, disjuncts in (([], 35), (["--subsumption", "tail"], 4)):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                       "--query", qf] + extra)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == "" and out.count(":-") == disjuncts
+        assert elapsed < 5.0, (extra, elapsed)
 
 
 def test_parse_error_exits_two(files, capsys):

@@ -11,7 +11,7 @@ from ontorewrite.model import (VAR, Atom, Term, atom, canonical_rename, const,
 from ontorewrite.parallel import decompose, unfold, xrewrite_parallel
 from ontorewrite.rewriter import BudgetExhaustedError, RewriteOptions, xrewrite
 
-from conftest import FINANCIAL, canon_set, pipeline, query
+from conftest import FINANCIAL, SHAPES, canon_set, pipeline, query
 
 A, B, C = var("A"), var("B"), var("C")
 
@@ -252,7 +252,7 @@ def test_unfold_unifies_each_component_disjunct_once(monkeypatch):
 
 def _fallback_keys(monkeypatch):
     """The queries `unfold` keys with `renaming_key` from now on: the
-    products it does not key from its memoized atom keys."""
+    products it does not key from its parts' group keys."""
     from ontorewrite import parallel
     keyed = []
 
@@ -267,7 +267,7 @@ def _fallback_keys(monkeypatch):
 def test_unfold_keys_by_renaming_key_when_slots_share_a_non_head_variable(
         monkeypatch):
     # C joins two listComponent slots outside the head, so no product is
-    # keyed from the components' atom keys
+    # keyed from the components' group keys
     doc, tgds, ctx = pipeline(FINANCIAL)
     q = query("p(A,B) :- listComponent(A,C), listComponent(B,C), "
               "finInstrument(A).", doc)
@@ -280,9 +280,10 @@ def test_unfold_keys_by_renaming_key_when_slots_share_a_non_head_variable(
     assert len(out) == len(fallback) == 5
 
 
-def test_unfold_keys_by_renaming_key_when_a_disjunct_joins_its_own_atoms(
+def test_unfold_keys_from_group_keys_when_a_disjunct_joins_its_own_atoms(
         monkeypatch):
-    # Y joins r and s inside one disjunct; only its products fall back
+    # Y joins r and s inside one disjunct, into a group of two atoms; the
+    # slots still share only head variables, so no product falls back
     X, Y = var("X"), var("Y")
     recon = make_query("p", [A, B], [atom("c_1", A), atom("c_2", B)])
     u1 = [make_query("c_1", [X], [atom("r", X, Y), atom("s", Y)]),
@@ -292,7 +293,60 @@ def test_unfold_keys_by_renaming_key_when_a_disjunct_joins_its_own_atoms(
     fallback = _fallback_keys(monkeypatch)
     out = _assert_unfold_matches_reference([u1, u2], recon)
     assert len(out) == 4
-    assert len(fallback) == 3
+    assert fallback == []
+
+
+def _self_joining_disjunct(rng, pred, head):
+    """A component disjunct `pred(head) :- ...`: one copy of a small e-graph
+    whose nodes are head variables or variables of its own, which join its
+    atoms, maybe with an atom over the first head variable, so that slots
+    may contribute the same atom."""
+    shape = rng.choice(SHAPES)
+    node = [rng.choice(head) if head and rng.random() < 0.3
+            else var(f"Y{i}") for i in range(3)]
+    body = [atom("e", node[i], node[j]) for i, j in shape]
+    if head and rng.random() < 0.3:
+        body.append(atom("s", head[0]))
+    return make_query(pred, head, body)
+
+
+def test_unfold_matches_reference_on_self_joining_disjuncts(monkeypatch):
+    # disjuncts whose own variables join their atoms into groups: where no
+    # part binds and the reconciliation's variables are all head variables,
+    # products are keyed from the parts' group keys, and slots of nullary
+    # components repeat products modulo renaming; a repeated variable in a
+    # component head, or a Boolean reconciliation, falls back
+    rng = random.Random(11)
+    X, Y = var("X"), var("Y")
+    fallback = _fallback_keys(monkeypatch)
+    products = deduplicated = 0
+    for _ in range(300):
+        recon_body, ucqs = [], []
+        for i in range(1, rng.randint(2, 3) + 1):
+            args = rng.sample([A, B], rng.randint(0, 2))
+            recon_body.append(Atom(f"c_{i}", tuple(args)))
+            head = [X, Y][:len(args)]
+            ucq = [_self_joining_disjunct(rng, f"c_{i}", head)
+                   for _ in range(rng.randint(1, 3))]
+            if head and rng.random() < 0.1:
+                ucq.append(make_query(f"c_{i}", [X] * len(head),
+                                      [atom("e", X, X)]))
+            ucqs.append(ucq)
+        recon_vars = {t for a in recon_body for t in a.args}
+        head = sorted(recon_vars, key=lambda t: t.name)
+        if head and rng.random() < 0.2:
+            head = head[:-1]
+        out = _assert_unfold_matches_reference(
+            ucqs, make_query("p", head, recon_body))
+        count = 1
+        for u in ucqs:
+            count *= len(u)
+        products += count
+        deduplicated += count - len(out)
+    assert products > 2000
+    assert products - len(fallback) > 1500
+    assert len(fallback) > 100
+    assert deduplicated > 250
 
 
 def test_unfold_drops_an_atom_that_two_slots_contribute(monkeypatch):

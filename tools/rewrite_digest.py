@@ -1,7 +1,7 @@
 """Digest of the rewritings the compiler emits and of what the parser reads,
 to check that a change keeps them byte-identical.
 
-Run from a checkout, at two commits, and compare the six printed lines:
+Run from a checkout, at two commits, and compare the seven printed lines:
 
     python3 tools/rewrite_digest.py
 
@@ -52,6 +52,15 @@ for c in `DL_LITE_CONCEPTS` (174 and 349 normalized rules), rewritten by
 options, both under the `BUDGET` step budget.  A rewriting that exhausts
 its budget counts with the text "budget".
 
+The seventh line gives the number of symmetric rewritings and the SHA-256
+of their `emit.serialize_ucq` text, each preceded by its label: 1, 2 and 3
+variable-disjoint `TRIANGLE`s and two copies of a `PATH` (`copies_query` of
+`tests/conftest.py`) over `SYMMETRIC_ONTOLOGY`, Boolean and with the first
+variable in the head, rewritten by `xrewrite` and by `xrewrite_parallel`
+under subsumption none and tail, at the default elimination and under the
+`BUDGET` step budget.  A rewriting that exhausts its budget counts with the
+text "budget".
+
 Only temporary ontology, query and database files for the CLI are
 written; the benchmark's modules are only imported.
 """
@@ -79,7 +88,8 @@ from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
 
 import workloads  # noqa: E402
-from conftest import (DL_LITE_QUERY, FINANCIAL, QUERY_POOL,  # noqa: E402
+from conftest import (DL_LITE_QUERY, FINANCIAL, PATH,  # noqa: E402
+                      QUERY_POOL, SYMMETRIC_ONTOLOGY, TRIANGLE, copies_query,
                       dl_lite_ontology, mutate, random_database,
                       random_linear_rules, random_query, random_sticky_rules,
                       rules_context)
@@ -92,6 +102,8 @@ MUTATIONS = 4
 SUITES = 300
 BUDGET = 50_000
 DL_LITE_CONCEPTS = (100, 200)
+SYMMETRIC_SHAPES = (("triangle", TRIANGLE, 1), ("triangle", TRIANGLE, 2),
+                    ("triangle", TRIANGLE, 3), ("path", PATH, 2))
 
 
 def workload_rewritings():
@@ -163,6 +175,27 @@ def dl_lite_rewritings():
                     yield label, rewrite(query, ctx, options).queries
                 except BudgetExhaustedError:
                     yield label, None
+
+
+def symmetric_rewritings():
+    """(label, UCQ or None when the budget ran out) for every symmetric
+    query, Boolean and with the first variable in the head, on both paths
+    under subsumption none and tail."""
+    doc = parse_ontology(SYMMETRIC_ONTOLOGY)
+    ctx = rules_context(doc.tgds)
+    for name, shape, copies in SYMMETRIC_SHAPES:
+        for form, head in (("boolean", ""), ("query", "X0_0")):
+            q = parse_query(copies_query(shape, copies, head),
+                            dict(doc.arities))
+            for path, rewrite in (("seq", xrewrite),
+                                  ("par", xrewrite_parallel)):
+                for mode in ("none", "tail"):
+                    options = RewriteOptions(subsumption=mode, budget=BUDGET)
+                    label = f"{name}/{copies}/{form}/{path}/{mode}"
+                    try:
+                        yield label, rewrite(q, ctx, options).queries
+                    except BudgetExhaustedError:
+                        yield label, None
 
 
 def analyses(tmp: str):
@@ -276,6 +309,10 @@ def main() -> int:
         (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
         for label, ucq in dl_lite_rewritings())
     print(f"{count} DL-Lite rewritings sha256={sha}")
+    count, sha = digest(
+        (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
+        for label, ucq in symmetric_rewritings())
+    print(f"{count} symmetric rewritings sha256={sha}")
     return 0
 
 

@@ -104,8 +104,8 @@ def eliminate(q: ConjunctiveQuery, strategy: List[Atom], ctx: EliminationContext
 
 
 def reduce_query(q: ConjunctiveQuery, ctx: EliminationContext) -> ConjunctiveQuery:
-    """The reduced query: eliminate along the canonical strategy (body atoms
-    in canonical-rename order)."""
+    """The reduced query: eliminate along the canonical strategy, the body
+    in canonical order (`ordered_body`)."""
     if len(q.body) <= 1:
         return q
     removed = eliminate(q, ordered_body(q), ctx)

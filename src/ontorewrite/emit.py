@@ -16,9 +16,19 @@ class SchemaMapping:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SchemaMapping":
+        """From a JSON object of objects, each with a string `table` and a
+        list of string `columns`; ValueError naming the entry otherwise."""
+        if not isinstance(data, dict):
+            raise ValueError("a schema mapping must be a JSON object")
         tables = {}
         for pred, entry in data.items():
-            tables[pred] = (entry["table"], list(entry["columns"]))
+            entry = entry if isinstance(entry, dict) else {}
+            table, columns = entry.get("table"), entry.get("columns")
+            if not (isinstance(table, str) and isinstance(columns, list)
+                    and all(isinstance(c, str) for c in columns)):
+                raise ValueError(f"mapping for {pred!r} needs a string table "
+                                 "and a list of string columns")
+            tables[pred] = (table, list(columns))
         return cls(tables)
 
     @classmethod

@@ -488,27 +488,18 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # Canonical renaming and renaming keys.
 #
-# Variables are mapped one-to-one onto the reserved ordered alphabet
-# #1, #2, ... in first-use order, after choosing a deterministic body order:
-# the one whose sequence of atom keys is lexicographically smallest, so that
-# two queries equal modulo bijective variable renaming (and body permutation)
-# yield identical canonical forms.  Head variables are named first, in head
-# order, which keeps distinguished-argument order significant.  Renaming
-# keys walk no whole body, only each group of linked atoms (`group_keys`).
-#
-# When no unnamed variable occurs in two atoms, placing an atom re-keys no
-# other, and the order is the atoms sorted by key.  Otherwise it is found by
-# walking the body and placing, at each step, the atom of smallest key; the
-# walk branches only where atoms tie for it.  Tied atoms whose unnamed
-# variables occur in no other remaining atom are interchangeable: renaming
-# the one's variables into the other's maps either tail onto the other, so
-# only the first of them is tried.  The body p(X), q(X, Y1), ..., q(X, Yk)
-# thus costs O(k^2) key comparisons, not k!.  Ties that this does not
-# resolve, as in a cycle over one binary predicate, still branch.
-
-
-def _canonical_var(i: int) -> Term:
-    return Term(VAR, f"#{i}")
+# Variables are mapped one-to-one onto #1, #2, ... (head variables first,
+# in head order) in first-use order along the canonical order, so that
+# queries equal modulo bijective renaming and body permutation yield
+# identical forms.  The canonical order is the body's groups, the atoms
+# that unnamed variables link, sorted by key, ties in body order, each in
+# its own order; tied groups are renamings of each other that share no
+# unnamed variable, so their order leaves the form as it is.  A group's
+# order places, step by step, the atom of smallest key, branching only on
+# ties; of tied atoms whose unnamed variables occur in no other remaining
+# atom, which are interchangeable, only the first is tried, so p(X),
+# q(X, Y1), ..., q(X, Yk) costs O(k^2) key comparisons, not k!.  Other
+# ties, as in a cycle over one binary predicate, still branch.
 
 
 def private_atom_keys(body, assignment: dict) -> Optional[list]:
@@ -519,10 +510,8 @@ def private_atom_keys(body, assignment: dict) -> Optional[list]:
     among the atom's unnamed variables in arg order.  Atoms keyed at the same
     step would number their unnamed variables from the same index, so ranks
     compare as those indices would; and a key changes only when one of the
-    atom's variables is named.
-
-    When the keys exist, every atom is a group of its own, and they are
-    the body's `group_keys`."""
+    atom's variables is named.  When the keys exist, every atom is a group
+    of its own, keyed by them."""
     placed: set = set()  # the unnamed variables of the atoms keyed so far
     keys = []
     for a in body:
@@ -550,14 +539,9 @@ def _atom_key(a: Atom, assignment: dict) -> tuple:
 
 
 def _canonical_order(body, assignment):
-    """The positions of the body atoms in the order of smallest key
-    sequence, the first such order in body order on ties, and that key
-    sequence.  `assignment` names the head variables #1, #2, ... and is left
-    unchanged."""
-    keys = private_atom_keys(body, assignment)
-    if keys is not None:
-        order = sorted(range(len(body)), key=keys.__getitem__)
-        return order, [keys[i] for i in order]
+    """The positions of one group's atoms in the order of smallest key
+    sequence, the first such in group order on ties, and that sequence.
+    `assignment` names the head variables #1, #2, ... and stays unchanged."""
     occurs: Dict[Term, List[int]] = {}  # unnamed variable -> atoms holding it
     for i, a in enumerate(body):
         for t in a.args:
@@ -649,50 +633,55 @@ def head_assignment(q: ConjunctiveQuery):
     return assignment, head
 
 
+def _ordered_groups(body, assignment: dict) -> list:
+    """Per group of body (`connected_components`), in order of first atom,
+    its key and its atoms in its own order.  A lone atom's key is its atom
+    key; a larger group's is its key sequence under the mark `("", (3, form))`
+    (empty predicate, tag above the argument tags), equal to no atom key."""
+    keys = private_atom_keys(body, assignment)
+    if keys is not None:
+        return [(key, (a,)) for key, a in zip(keys, body)]
+    groups = []
+    for group in connected_components(
+            body, lambda t: t.kind == VAR and t not in assignment):
+        order, form = _canonical_order(group, assignment)
+        key = form[0] if len(form) == 1 else ("", (3, tuple(form)))
+        groups.append((key, [group[i] for i in order]))
+    return groups
+
+
 def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """The canonical form of q: constants map to themselves, variables onto
     #1, #2, ... so that renamings and body permutations coincide."""
-    assignment, _ = head_assignment(q)
-    order, _ = _canonical_order(q.body, assignment)
-    sub = {t: _canonical_var(i) for t, i in assignment.items()}
-    idx = len(sub) + 1
-    body = []
-    for i in order:
-        a = q.body[i]
-        for t in a.args:
-            if t.kind == VAR and t not in sub:
-                sub[t] = _canonical_var(idx)
-                idx += 1
-        body.append(subst_atom(sub, a))
-    head = tuple(sub.get(t, t) for t in q.head_args)
-    return ConjunctiveQuery(q.head_pred, head, tuple(body))
+    sub = {t: var(f"#{i}") for t, i in head_assignment(q)[0].items()}
+    body = ordered_body(q)
+    for t in (t for a in body for t in a.args if t.kind == VAR):
+        if t not in sub:
+            sub[t] = var(f"#{len(sub) + 1}")
+    return ConjunctiveQuery(q.head_pred, tuple(sub.get(t, t) for t in q.head_args),
+                            tuple(subst_atom(sub, a) for a in body))
 
 
 def ordered_body(q: ConjunctiveQuery) -> list:
-    """Body atoms of q in canonical-rename order (original atoms)."""
-    order, _ = _canonical_order(q.body, head_assignment(q)[0])
-    return [q.body[i] for i in order]
+    """Body atoms of q in canonical order (original atoms): its groups
+    sorted by key, ties in body order, each in its own order."""
+    groups = _ordered_groups(q.body, head_assignment(q)[0])
+    groups.sort(key=lambda group: group[0])
+    return [a for _, atoms in groups for a in atoms]
 
 
 def group_keys(body, assignment: dict) -> list:
-    """Per atom of body, the key of its group, the atoms that unnamed
-    variables link (`connected_components`): a lone atom's atom key, a
-    larger group's `("", (3, form))`, form the key sequence of the group's
-    canonical order, under a mark (an empty predicate, then a tag above the
-    argument tags) that never equals an atom key and compares with any.  A renaming that fixes the named variables maps
-    groups onto groups, so the sorted group keys of two duplicate-free
-    bodies are equal exactly when the bodies are renamings of each other;
-    and a body made of parts that share no unnamed variable has its parts'
-    group keys, each computed on its own."""
+    """Per atom of body, the key of its group.  A renaming that fixes the
+    named variables maps groups onto groups, so the sorted group keys of two
+    duplicate-free bodies are equal exactly when the bodies are renamings of
+    each other; a body of parts that share no unnamed variable has its
+    parts' group keys, each computed on its own."""
     keys = private_atom_keys(body, assignment)
     if keys is not None:
         return keys
     key_of = {}
-    for group in connected_components(
-            body, lambda t: t.kind == VAR and t not in assignment):
-        form = _canonical_order(group, assignment)[1]
-        key = form[0] if len(form) == 1 else ("", (3, tuple(form)))
-        key_of.update(dict.fromkeys(group, key))
+    for key, atoms in _ordered_groups(body, assignment):
+        key_of.update(dict.fromkeys(atoms, key))
     return [key_of[a] for a in body]
 
 

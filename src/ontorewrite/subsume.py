@@ -1,16 +1,17 @@
 """Query subsumption and the one pruning routine behind every mode.
 
-A finished rewriting is pruned pairwise by `prune_ucq`: in canonical order,
-each surviving query drops every other survivor it subsumes, so of two
-equivalent queries the one with the smaller canonical form stays.  Every
-mode prunes through it: on the decomposed pipeline `tail` prunes the
-unfolded rewriting, `idec` and `irew` each component's rewriting before
-unfolding; `xrewrite` alone prunes its whole rewriting under any of the
-three.  Nothing is pruned inside the rewriting loop: with
-one-atom resolution plus factorization a query pruned there may be the only
-source of a disjunct no survivor subsumes (König, Leclère, Mugnier and
-Thomazo, "Sound, complete and minimal UCQ-rewriting for existential rules",
-SWJ 2015), so pruning early loses answers."""
+A finished rewriting is pruned pairwise by `prune_ucq`: in the order of
+their canonical forms (`model.canonical_rename`, the body laid out group by
+group), each surviving query drops every other survivor it subsumes, so of
+two equivalent queries the one whose form sorts first stays.  Every mode
+prunes through it: on the decomposed pipeline `tail` prunes the unfolded
+rewriting, `idec` and `irew` each component's rewriting before unfolding;
+`xrewrite` alone prunes its whole rewriting under any of the three.
+Nothing is pruned inside the rewriting loop: with one-atom resolution plus
+factorization a query pruned there may be the only source of a disjunct no
+survivor subsumes (König, Leclère, Mugnier and Thomazo, "Sound, complete
+and minimal UCQ-rewriting for existential rules", SWJ 2015), so pruning
+early loses answers."""
 
 from __future__ import annotations
 

@@ -1,10 +1,11 @@
 """Canonical renaming: the walk that skips interchangeable ties against the
-plain branch-and-bound it replaced, kept here as the reference, plus the
-symmetric stress and hash-seed independence.  Renaming keys: the partition
-they induce against canonical_rename's, also on bodies of repeated disjoint
-copies, deduplication that sorts atom keys without walking where no
-non-head variable joins two atoms, and keys that walk each group of linked
-atoms on its own."""
+plain branch-and-bound it replaced, kept here as the reference and run on
+each group of linked atoms, plus the symmetric stress and hash-seed
+independence.  Renaming keys: the partition they induce against
+canonical_rename's, also on bodies of repeated disjoint copies,
+deduplication that sorts atom keys without walking where no non-head
+variable joins two atoms, and keys that walk each group of linked atoms on
+its own."""
 
 import os
 import random
@@ -65,8 +66,7 @@ def _reference_order(body, assignment, next_idx):
                 break
         return best_seq, [best_key] + best_form
 
-    order, _ = rec(list(body), assignment, next_idx)
-    return order or []
+    return rec(list(body), assignment, next_idx)
 
 
 def _reference_head(q):
@@ -80,12 +80,20 @@ def _reference_head(q):
 
 
 def reference_ordered_body(q):
-    return _reference_order(q.body, *_reference_head(q))
+    """Each group of atoms that non-head variables link laid out by the
+    branch-and-bound, groups of two or more atoms first, then lone atoms,
+    each kind sorted by key sequence, ties in body order."""
+    assignment, idx = _reference_head(q)
+    groups = model.connected_components(
+        q.body, lambda t: t.kind == VAR and t not in assignment)
+    laid_out = [_reference_order(g, assignment, idx) for g in groups]
+    laid_out.sort(key=lambda group: (len(group[0]) == 1, group[1]))
+    return [a for order, _ in laid_out for a in order]
 
 
 def reference_canonical_rename(q):
     assignment, idx = _reference_head(q)
-    order = _reference_order(q.body, assignment, idx)
+    order = reference_ordered_body(q)
     for a in order:
         for t in a.args:
             if t.kind == VAR and t not in assignment:
@@ -295,6 +303,11 @@ def test_renaming_key_of_disjoint_triangles_stays_fast():
     key = renaming_key(q)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, elapsed
+    # the canonical order is the groups' order, so neither walks the body
+    start = time.perf_counter()
+    canonical_rename(q), ordered_body(q)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
     assert key == renaming_key(_renamed_and_permuted(q, random.Random(1)))
     path = make_query("h", [], copies_body([TRIANGLE] * 5 + [PATH]))
     assert key != renaming_key(path)
@@ -348,13 +361,13 @@ def test_renaming_key_hand_cases():
 
 
 def _count_walks_from_renaming_key(monkeypatch):
-    """The bodies that renaming_key, through group_keys, hands to
-    _canonical_order from now on."""
+    """The groups that renaming_key, through group_keys and
+    _ordered_groups, hands to _canonical_order from now on."""
     calls = []
     original = model._canonical_order
 
     def counting(body, assignment):
-        if sys._getframe(1).f_code is model.group_keys.__code__:
+        if sys._getframe(2).f_code is model.group_keys.__code__:
             calls.append(body)
         return original(body, assignment)
     monkeypatch.setattr(model, "_canonical_order", counting)

@@ -219,6 +219,25 @@ def test_rewrite_sql_without_mapping_is_input_error(files, capsys):
     assert code == 2
 
 
+def test_rewrite_malformed_mapping_is_input_error(files, capsys):
+    # each mapping names the predicate it fails on, or is not an object
+    onto = files("o.dlog", COLLAB)
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    base = ["rewrite", "--ontology", onto, "--query", qf, "--output", "sql"]
+    for data in ([], {"hasCollaborator": "x"},
+                 {"hasCollaborator": {"table": "t", "columns": 5}},
+                 {"hasCollaborator": {"table": "t"}},
+                 {"hasCollaborator": {"table": 3,
+                                      "columns": ["c_id", "area", "p_id"]}}):
+        mapping = files("m.json", json.dumps(data))
+        code, out, err = _run(capsys, base + ["--mapping", mapping])
+        assert (code, out) == (2, ""), data
+        assert err.startswith("error: "), data
+        assert "Traceback" not in err, data
+        if data:
+            assert "'hasCollaborator'" in err, data
+
+
 def test_rewrite_database_refuses_datalog_and_sql_output(files, capsys):
     # with --database rewrite prints answers, so an --output other than the
     # default would go unhonoured

@@ -6,12 +6,13 @@ import pytest
 
 from ontorewrite.eliminate import (EliminationContext, cover_sets, covers,
                                    eliminate, reduce_query, shared_terms)
-from ontorewrite.model import (atom, const, make_query, renaming_key,
-                               subst_atom, var)
+from ontorewrite.model import (VAR, atom, connected_components, const,
+                               make_query, renaming_key, subst_atom, var)
 from ontorewrite.normalize import is_linear, normalize_tgds
 from ontorewrite.parser import parse_ontology, parse_query
 
-from conftest import FINANCIAL, FINANCIAL_QUERY, LOOPING, ROTATION
+from conftest import (FINANCIAL, FINANCIAL_QUERY, LOOPING, ROTATION, SHAPES,
+                      copies_body)
 
 A, B, C, X, Y = (var(n) for n in "ABCXY")
 c = const("c")
@@ -205,6 +206,43 @@ def test_strategy_invariance_exhaustive_small():
     assert len(sizes) == 1
 
 
+# e-atoms cover p and r on their ends, and p and s cover each other, so
+# which of p(X) and s(X) goes depends on the elimination strategy
+GROUPED_RULES = """
+e(X, Y) -> p(X).
+e(X, Y) -> r(Y).
+p(X) -> s(X).
+s(X) -> p(X).
+"""
+
+
+def _reduces_alike(q, ec, rng) -> bool:
+    """Asserts that q and a copy with renamed variables and a shuffled body
+    reduce to queries of equal renaming key; whether q shrank."""
+    names = [f"V{i}" for i in range(len(q.variables()))]
+    rng.shuffle(names)
+    sub = {v: var(n) for v, n in
+           zip(sorted(q.variables(), key=lambda t: t.name), names)}
+    body = [subst_atom(sub, a) for a in q.body]
+    rng.shuffle(body)
+    copy = make_query(q.head_pred, (sub.get(t, t) for t in q.head_args), body)
+    reduced = reduce_query(q, ec)
+    assert renaming_key(reduced) == renaming_key(reduce_query(copy, ec)), (
+        q, copy)
+    return len(reduced.body) < len(q.body)
+
+
+def _grouped_query(rng):
+    """One to three disjoint copies of SHAPES as e-atoms, maybe each with p
+    on its first node, beside lone atoms on the head variable, a node of
+    the first copy."""
+    shapes = [rng.choice(SHAPES) for _ in range(rng.randint(1, 3))]
+    extra = [("p", (0,))] if rng.random() < 0.5 else []
+    head = var(f"X{rng.choice(sorted(set().union(*shapes[0])))}_0")
+    lone = [atom(pred, head) for pred in ("p", "r", "s") if rng.random() < 0.6]
+    return make_query("h", [head], copies_body(shapes, extra) + lone)
+
+
 def test_reduction_is_invariant_under_renaming_and_body_order():
     """Deduplication keys each reduced query by its renaming key, so
     reducing a query and a copy with renamed variables and a shuffled body
@@ -222,20 +260,23 @@ def test_reduction_is_invariant_under_renaming_and_body_order():
             q = random_query(rng, max_atoms=5)
             if len(q.body) < 2:
                 continue
-            names = [f"V{i}" for i in range(len(q.variables()))]
-            rng.shuffle(names)
-            sub = {v: var(n) for v, n in
-                   zip(sorted(q.variables(), key=lambda t: t.name), names)}
-            body = [subst_atom(sub, a) for a in q.body]
-            rng.shuffle(body)
-            copy = make_query(q.head_pred,
-                              (sub.get(t, t) for t in q.head_args), body)
-            reduced = reduce_query(q, ec)
-            assert (renaming_key(reduced)
-                    == renaming_key(reduce_query(copy, ec))), (q, copy)
             checked += 1
-            shrunk += len(reduced.body) < len(q.body)
+            shrunk += _reduces_alike(q, ec, rng)
     assert shrunk > 0
+    # a group of linked atoms beside other groups: the canonical order
+    # places whole groups, and elimination follows it
+    ec = EliminationContext(normalize_tgds(
+        parse_ontology(GROUPED_RULES).tgds)[0])
+    grouped = grouped_shrunk = 0
+    for _ in range(300):
+        q = _grouped_query(rng)
+        sizes = [len(g) for g in connected_components(
+            q.body, lambda t: t.kind == VAR and t not in q.head_args)]
+        if max(sizes) > 1 and len(sizes) > 1:
+            grouped += 1
+            grouped_shrunk += _reduces_alike(q, ec, rng)
+    assert grouped > 250
+    assert grouped_shrunk > 200
 
 
 def _reduction_keeps_answers(rules, q, db) -> bool:

@@ -53,13 +53,16 @@ options, both under the `BUDGET` step budget.  A rewriting that exhausts
 its budget counts with the text "budget".
 
 The seventh line gives the number of symmetric rewritings and the SHA-256
-of their `emit.serialize_ucq` text, each preceded by its label: 1, 2 and 3
-variable-disjoint `TRIANGLE`s and two copies of a `PATH` (`copies_query` of
-`tests/conftest.py`) over `SYMMETRIC_ONTOLOGY`, Boolean and with the first
+of their `emit.serialize_ucq` text, each preceded by its label: 1, 2, 3
+and 4 variable-disjoint `TRIANGLE`s, two copies of a `PATH`, and one
+`TRIANGLE` and one `PATH` followed by the `LONE` atoms (`copies_body` of
+`tests/conftest.py`), over `SYMMETRIC_ONTOLOGY`, Boolean and with the first
 variable in the head, rewritten by `xrewrite` and by `xrewrite_parallel`
 under subsumption none and tail, at the default elimination and under the
 `BUDGET` step budget.  A rewriting that exhausts its budget counts with the
-text "budget".
+text "budget".  The last three shapes are bodies on which a walk over the
+whole body, as canonical renaming once made, would interleave the groups
+of linked atoms or branch over the order of tied copies.
 
 Only temporary ontology, query and database files for the CLI are
 written; the benchmark's modules are only imported.
@@ -89,7 +92,7 @@ from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
 
 import workloads  # noqa: E402
 from conftest import (DL_LITE_QUERY, FINANCIAL, PATH,  # noqa: E402
-                      QUERY_POOL, SYMMETRIC_ONTOLOGY, TRIANGLE, copies_query,
+                      QUERY_POOL, SYMMETRIC_ONTOLOGY, TRIANGLE, copies_body,
                       dl_lite_ontology, mutate, random_database,
                       random_linear_rules, random_query, random_sticky_rules,
                       rules_context)
@@ -102,8 +105,13 @@ MUTATIONS = 4
 SUITES = 300
 BUDGET = 50_000
 DL_LITE_CONCEPTS = (100, 200)
-SYMMETRIC_SHAPES = (("triangle", TRIANGLE, 1), ("triangle", TRIANGLE, 2),
-                    ("triangle", TRIANGLE, 3), ("path", PATH, 2))
+# atoms beside the first copy; e(X0_0, Y) joins it unless X0_0 is in the head
+LONE = ", e(a, a), e(X0_0, Y), f(Z, a)"
+SYMMETRIC_SHAPES = (("triangle", TRIANGLE, 1, ""), ("triangle", TRIANGLE, 2, ""),
+                    ("triangle", TRIANGLE, 3, ""), ("path", PATH, 2, ""),
+                    ("triangle", TRIANGLE, 4, ""),
+                    ("triangle+lone", TRIANGLE, 1, LONE),
+                    ("path+lone", PATH, 1, LONE))
 
 
 def workload_rewritings():
@@ -183,10 +191,10 @@ def symmetric_rewritings():
     under subsumption none and tail."""
     doc = parse_ontology(SYMMETRIC_ONTOLOGY)
     ctx = rules_context(doc.tgds)
-    for name, shape, copies in SYMMETRIC_SHAPES:
+    for name, shape, copies, lone in SYMMETRIC_SHAPES:
+        body = ", ".join(map(str, copies_body([shape] * copies))) + lone
         for form, head in (("boolean", ""), ("query", "X0_0")):
-            q = parse_query(copies_query(shape, copies, head),
-                            dict(doc.arities))
+            q = parse_query(f"q({head}) :- {body}.", dict(doc.arities))
             for path, rewrite in (("seq", xrewrite),
                                   ("par", xrewrite_parallel)):
                 for mode in ("none", "tail"):

@@ -1,5 +1,5 @@
 """Rewriting basics: backward resolution, the applicability condition, and
-why factorization is needed for completeness.
+why a step must resolve a whole piece of atoms for completeness.
 
 Run:  python demos/rewrite_basics.py
 """
@@ -31,10 +31,12 @@ for text in ("p(B) :- hasCollaborator(c, db, B).",
     out = ow.xrewrite(blocked, ctx).queries
     print(f"{text}  ->  {len(out)} disjunct(s), rule not applicable")
 
-# Factorization.  With a second rule the only applicable step leaves the
-# join variable A in place; unifying the two hasCollaborator atoms first
-# (they share A only at the existential position) unlocks the rule and the
-# disjunct that makes the rewriting complete.
+# Pieces.  With a second rule, resolving collaborator(A) adds a second
+# hasCollaborator atom that holds A at the existential position.  Neither
+# atom can be resolved alone, since A joins them, but together they form a
+# piece: the atoms that share A only there.  One step resolves the piece,
+# unifying both atoms with the rule head at once, and yields the disjunct
+# that makes the rewriting complete.
 ONTOLOGY2 = ONTOLOGY + "\nhasCollaborator(X,Y,Z) -> collaborator(X)."
 doc2 = ow.parse_ontology(ONTOLOGY2)
 tgds2, _, aux2 = ow.normalize_tgds(doc2.tgds)
@@ -43,7 +45,7 @@ q2 = ow.parse_query("p(B,C) :- hasCollaborator(A,B,C), collaborator(A).",
                     doc2.arities)
 res = ow.xrewrite(q2, ctx2, ow.RewriteOptions(elimination=False))
 print(f"\nquery:      {q2}")
-print(f"factorizations applied: {res.metrics.factorized}")
+print(f"pieces of two or more atoms resolved: {res.metrics.factorized}")
 for disjunct in res.queries:
     print("rewriting: ", disjunct)
 

@@ -8,7 +8,7 @@ rewriting, subsumption pruning, and a bounded-chase oracle for verification.
 
 The names below are the pipeline's entry points by stage, the types they
 take and return, and the paper's notions that the demos show.  Everything
-else, such as the single rewriting and factorization steps, unification or
+else, such as the rewriting step that resolves a single piece, unification or
 the cover graph, lives in its module: `ontorewrite.<module>.<name>`.
 """
 

@@ -1,5 +1,5 @@
-"""The backward-chaining rewriting loop: applicability, factorizability,
-rewriting and factorization steps, dedup modulo renaming, query
+"""The backward-chaining rewriting loop: applicability, single pieces and
+the rewriting step that resolves them, dedup modulo renaming, query
 provenance, the MGU cache and metrics.
 
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
@@ -7,13 +7,16 @@ the sorted keys of the body's groups, the atoms that non-head variables
 link (`model.group_keys`); for a query none of whose non-head variables
 joins two atoms they are its atom keys sorted.
 
-Queries are labeled r/f by the step that produced them (the input query is
-r).  Every step's output is deduplicated against all queries so far, and a
-rewriting step that reaches an f-labeled query relabels it r.  The loop runs
-until its queue is empty, so every admitted query is explored, and the final
-rewriting collects the r-labeled queries whose bodies mention no auxiliary
-normalization predicate.  The loop prunes nothing: a subsumption mode other
-than `none` prunes that final rewriting once, through `subsume.prune_ucq`.
+The loop has one step: it resolves a single piece of the query (König,
+Leclère, Mugnier and Thomazo, "Sound, complete and minimal UCQ-rewriting
+for existential rules", SWJ 2015) against a rule, the atoms that must
+unify with the rule head together because they share the variable that
+the head's existential takes.  Every step's output is deduplicated
+against all queries so far.  The loop runs until its queue is empty, so
+every admitted query is explored, and the final rewriting collects the
+admitted queries whose bodies mention no auxiliary normalization
+predicate.  The loop prunes nothing: a subsumption mode other than `none`
+prunes that final rewriting once, through `subsume.prune_ucq`.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class RewriteOptions:
 class Metrics:
     explored: int = 0
     generated: int = 0
-    factorized: int = 0
+    factorized: int = 0  # steps that resolved a piece of two or more atoms
     rewrite_time: float = 0.0
     split_time: float = 0.0
     unfold_time: float = 0.0
@@ -128,37 +131,51 @@ class RewriterContext:
 
 
 # ---------------------------------------------------------------------------
-# Applicability and factorizability.
-
-
-def _existential_free(tgd: TGD, S: Tuple[Atom, ...], shared: Set[Term]) -> bool:
-    """`applicable` short of unification: S matches the rule head and carries
-    no constant or variable of `shared` (the query's shared variables) at
-    the rule's existential position."""
-    if not S:
-        return False
-    head = tgd.head
-    if any(a.pred != head.pred or len(a.args) != len(head.args) for a in S):
-        return False
-    epos = tgd.existential_position()
-    if epos is not None:
-        for a in S:
-            t = a.args[epos - 1]
-            if t.kind != VAR or t in shared:
-                return False
-    return True
+# Applicability, single pieces and the rewriting step.
 
 
 def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
     """The rule can resolve against S: S plus the rule head unifies, and no
     atom of S carries a constant or a shared variable of q at the rule's
     existential position."""
-    if not _existential_free(tgd, S, q.shared_variables()):
+    head = tgd.head
+    if not S or any(a.pred != head.pred or len(a.args) != len(head.args)
+                    for a in S):
         return False
+    epos = tgd.existential_position()
+    if epos is not None:
+        shared = q.shared_variables()
+        if any(a.args[epos - 1].kind != VAR or a.args[epos - 1] in shared
+               for a in S):
+            return False
     renamed = tgd.rename(apart_index(q.variables(), "^"))
     return mgu(tuple(S) + (renamed.head,)) is not None
 
 
+def _pieces(q: ConjunctiveQuery, tgd: TGD, occ: dict) -> List[Tuple[Atom, ...]]:
+    """The single pieces of q for the rule, in order of their first atom:
+    the sets of atoms that one step must resolve together.  Without an
+    existential each atom matching the rule head is a piece alone.  With
+    one, a piece is every atom holding a variable v at the existential
+    position, and only when v occurs nowhere else: not in the head, not in
+    another atom, not twice in one atom.  A constant there makes no piece.
+    `occ` is `q.occurrences()`."""
+    head = tgd.head
+    matching = [a for a in q.body
+                if a.pred == head.pred and len(a.args) == len(head.args)]
+    epos = tgd.existential_position()
+    if epos is None:
+        return [(a,) for a in matching]
+    by_var: Dict[Term, List[Atom]] = {}
+    for a in matching:
+        v = a.args[epos - 1]
+        if v.kind == VAR:
+            by_var.setdefault(v, []).append(a)
+    # the holders account for len(S) occurrences of v; any more lie elsewhere
+    return [tuple(S) for v, S in by_var.items() if occ[v] == len(S)]
+
+
+# Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
 def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
     """S unifies, the rule has an existential position, and some variable
     outside the rest of the body occurs in every atom of S exactly there."""
@@ -202,6 +219,7 @@ def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
                       (subst_atom(gamma, a) for a in new_body))
 
 
+# Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
 def factorize_step(q: ConjunctiveQuery, S: Tuple[Atom, ...],
                    preferred: FrozenSet = frozenset(),
                    ctx: Optional[RewriterContext] = None) -> ConjunctiveQuery:
@@ -223,14 +241,13 @@ def factorize_step(q: ConjunctiveQuery, S: Tuple[Atom, ...],
 class QueryEntry:
     node: int
     query: ConjunctiveQuery
-    label: str  # 'r' or 'f'
     # Only perfbench/tracing.py reads it; ROADMAP item 1 drops it.
     pruned: bool = False
     parents: Set[int] = field(default_factory=set)
 
 
 class RewriteState:
-    """The labeled query set with its renaming-key index, FIFO of
+    """The admitted queries with their renaming-key index, FIFO of
     unexplored queries, provenance (each entry's parents) and counters."""
 
     def __init__(self, ctx: RewriterContext):
@@ -244,17 +261,14 @@ class RewriteState:
         if parent is not None and parent.node != child.node:
             child.parents.add(parent.node)
 
-    def admit(self, q: ConjunctiveQuery, label: str,
+    def admit(self, q: ConjunctiveQuery,
               parent: Optional[QueryEntry]) -> Optional[QueryEntry]:
         canon = renaming_key(q)
         node = self.canon_index.get(canon)
         if node is not None:
-            entry = self.entries[node]
-            if label == "r" and entry.label == "f":
-                entry.label = "r"  # an r-producer reached an f-only query
-            self._add_edge(parent, entry)
+            self._add_edge(parent, self.entries[node])
             return None
-        entry = QueryEntry(len(self.entries), q, label)
+        entry = QueryEntry(len(self.entries), q)
         self.entries.append(entry)
         self.canon_index[canon] = entry.node
         self.queue.append(entry.node)
@@ -264,10 +278,9 @@ class RewriteState:
     # -- results -------------------------------------------------------------
 
     def final_entries(self) -> List[QueryEntry]:
-        """The entries whose queries the unpruned rewriting outputs:
-        r-labeled and free of auxiliary predicates."""
-        return [e for e in self.entries
-                if e.label == "r" and not self.ctx.mentions_aux(e.query)]
+        """The entries whose queries the unpruned rewriting outputs: those
+        free of auxiliary predicates."""
+        return [e for e in self.entries if not self.ctx.mentions_aux(e.query)]
 
     def final_queries(self) -> List[ConjunctiveQuery]:
         return [e.query for e in self.final_entries()]
@@ -280,38 +293,16 @@ class RewriteResult:
     state: RewriteState
 
 
-def _enumerate_factorizable(q: ConjunctiveQuery, tgd: TGD) -> List[tuple]:
-    """The sets `factorizable` may accept, smallest first, then by their
-    first atom: per variable v, the atoms matching the rule head that hold v
-    at its existential position.  No other set can pass, because a
-    factorizable set holds v there in every atom and takes in every atom
-    that mentions v."""
-    epos = tgd.existential_position()
-    if epos is None:
-        return []
-    by_var: Dict[Term, List[Atom]] = {}
-    for a in q.body:
-        if a.pred == tgd.head.pred and len(a.args) == len(tgd.head.args):
-            v = a.args[epos - 1]
-            if v.kind == VAR:
-                by_var.setdefault(v, []).append(a)
-    # the sets are disjoint and by_var keeps first-atom order, so a stable
-    # sort by size gives the order of the subsets by size, then by position
-    return sorted((tuple(S) for S in by_var.values() if len(S) >= 2), key=len)
-
-
 def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
              options: Optional[RewriteOptions] = None) -> RewriteResult:
-    """Exhaustively apply rewriting and factorization steps until fixpoint.
+    """Resolve single pieces against the rules until fixpoint.
 
     Every step's output is deduplicated modulo bijective variable renaming
-    against all queries so far; a rewriting-step output that renames an
-    f-labeled query relabels it r.  The n-th rewriting step that yields a
-    query renames its rule apart by n, counted on from the index that
-    `model.apart_index` gives for q's variables, so that a variable of q
-    named like `Y^1` is never captured.  With elimination on (default for
-    linear rule sets) every step's output is first reduced through atom
-    coverage.
+    against all queries so far.  The n-th step that yields a query renames
+    its rule apart by n, counted on from the index that `model.apart_index`
+    gives for q's variables, so that a variable of q named like `Y^1` is
+    never captured.  With elimination on (default for linear rule sets)
+    every step's output is first reduced through atom coverage.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
@@ -322,43 +313,31 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     first_step = max(1, apart_index(preferred, "^"))
 
     q0 = reduce_query(q, elim) if elim else q
-    state.admit(q0, "r", None)
+    state.admit(q0, None)
 
     while state.queue:
         node = state.queue.popleft()
         entry = state.entries[node]
         cur = entry.query
         body_preds = {a.pred for a in cur.body}
-        shared = cur.shared_variables()
-        for k, tgd in enumerate(ctx.tgds):
+        occ = cur.occurrences()
+        for tgd in ctx.tgds:
             if tgd.head.pred not in body_preds:
                 continue
-            # rewriting step (single-atom resolution; factorization below
-            # prepares any multi-atom unification that matters)
-            for a in cur.body:
-                S = (a,)
-                if not _existential_free(tgd, S, shared):
-                    continue
+            for S in _pieces(cur, tgd, occ):
                 out = rewrite_step(cur, S, tgd,
                                    first_step + state.metrics.generated,
                                    preferred, ctx)
                 if out is None:
                     continue
                 state.metrics.generated += 1
+                state.metrics.factorized += len(S) > 1
                 if elim:
                     out = reduce_query(out, elim)
                 if options.budget is not None and state.metrics.generated > options.budget:
                     raise BudgetExhaustedError(
                         f"rewriting exceeded the step budget of {options.budget}")
-                state.admit(out, "r", entry)
-            # factorization step
-            for S in _enumerate_factorizable(cur, tgd):
-                if factorizable(S, tgd, cur):
-                    out = factorize_step(cur, S, preferred, ctx)
-                    state.metrics.factorized += 1
-                    if elim:
-                        out = reduce_query(out, elim)
-                    state.admit(out, "f", entry)
+                state.admit(out, entry)
         state.metrics.explored += 1
 
     queries = state.final_queries()

@@ -7,11 +7,13 @@ two equivalent queries the one whose form sorts first stays.  Every mode
 prunes through it: on the decomposed pipeline `tail` prunes the unfolded
 rewriting, `idec` and `irew` each component's rewriting before unfolding;
 `xrewrite` alone prunes its whole rewriting under any of the three.
-Nothing is pruned inside the rewriting loop: with one-atom resolution plus
-factorization a query pruned there may be the only source of a disjunct no
-survivor subsumes (König, Leclère, Mugnier and Thomazo, "Sound, complete
-and minimal UCQ-rewriting for existential rules", SWJ 2015), so pruning
-early loses answers."""
+Nothing is pruned inside the rewriting loop yet.  Its step resolves single
+pieces, and with single-piece unifiers a breadth-first loop may drop every
+query that one kept so far subsumes and stay complete (König, Leclère,
+Mugnier and Thomazo, "Sound, complete and minimal UCQ-rewriting for
+existential rules", SWJ 2015); but checked against every kept query that
+pruning goes quadratic, so it waits for a filter on cheap query features
+(ROADMAP items 14, stage 2, and 4)."""
 
 from __future__ import annotations
 

@@ -240,6 +240,59 @@ def copies_query(shape, copies, head=""):
     return f"q({head}) :- {', '.join(map(str, body))}."
 
 
+def random_piece_case(rng):
+    """A linear rule set and a query in which 2-4 atoms of the existential
+    rule's head predicate `s` share one variable V at its existential
+    position, beside distractors that may keep them from forming a piece:
+    V at a second position, in the head or in an atom of another predicate,
+    a constant at that position, an `s` atom of the wrong arity, and a
+    second group of `s` atoms.  The other rules rewrite `t`, turn a `c(V)`
+    atom into one more `s` atom holding V there, and derive `s` without an
+    existential."""
+    arity = rng.randint(2, 3)
+    epos = rng.randrange(arity)
+    xs = [var(f"X{i}") for i in range(arity)]
+    head = list(xs)
+    head[epos] = var("Y")
+    frontier = tuple(x for i, x in enumerate(xs) if i != epos)
+    rules = [RawTGD((Atom("r", frontier),), (Atom("s", tuple(head)),)),
+             RawTGD((Atom("s", tuple(xs)),), (Atom("c", (xs[epos],)),)),
+             RawTGD((Atom("w", (xs[0], xs[1])),), (Atom("t", (xs[0], xs[1])),)),
+             RawTGD((Atom("k", tuple(xs)),), (Atom("s", tuple(xs)),))]
+    V, W = var("V"), var("W")
+    pool = [var(n) for n in "ABC"] + CONSTS[:1]
+
+    def s_atom(at_epos, n=arity):
+        args = [rng.choice(pool) for _ in range(n)]
+        args[epos] = at_epos
+        return Atom("s", tuple(args))
+
+    body = [s_atom(V) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.15:  # V at a second position of one holder
+        args = list(body[0].args)
+        args[rng.choice([i for i in range(arity) if i != epos])] = V
+        body[0] = Atom("s", tuple(args))
+    if rng.random() < 0.15:
+        body.append(Atom("t", (V, rng.choice(pool))))
+    if rng.random() < 0.3:
+        body.append(Atom("c", (V,)))
+    if rng.random() < 0.15:
+        body.append(s_atom(rng.choice(CONSTS[:2])))
+    if rng.random() < 0.15:
+        body.append(s_atom(V, arity + 1))
+    if rng.random() < 0.3:
+        body.append(Atom("t", (rng.choice(pool), rng.choice(pool))))
+    if rng.random() < 0.3:
+        body += [s_atom(W) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(body)
+    held = sorted({t for a in body for t in a.args if t.kind == VAR} - {V},
+                  key=lambda t: t.name)
+    head_args = rng.sample(held, rng.randint(0, min(2, len(held))))
+    if rng.random() < 0.15:
+        head_args.append(V)
+    return rules, ow.make_query("q", head_args, body)
+
+
 def rules_context(rules):
     tgds, _, aux = ow.normalize_tgds(rules)
     arities = {}

@@ -58,7 +58,7 @@ def test_criterion_01_example_suite_golden():
         assert bad not in canon_set(out.queries)
         assert len(out.queries) == 1
 
-    # Incomplete Rewritings: the factorization-enabled disjunct is present
+    # Incomplete Rewritings: the disjunct of a two-atom piece is present
     doc2, tgds2, ctx2 = pipeline(
         COLLAB + "\nhasCollaborator(X,Y,Z) -> collaborator(X).")
     q2 = query("p(B,C) :- hasCollaborator(A,B,C), collaborator(A).", doc2)

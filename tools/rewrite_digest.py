@@ -1,7 +1,7 @@
 """Digest of the rewritings the compiler emits and of what the parser reads,
 to check that a change keeps them byte-identical.
 
-Run from a checkout, at two commits, and compare the seven printed lines:
+Run from a checkout, at two commits, and compare the eight printed lines:
 
     python3 tools/rewrite_digest.py
 
@@ -64,6 +64,16 @@ text "budget".  The last three shapes are bodies on which a walk over the
 whole body, as canonical renaming once made, would interleave the groups
 of linked atoms or branch over the order of tied copies.
 
+The eighth line gives the number of rewritings and the SHA-256 of their
+canonical forms, each preceded by its label: per rewriting of the first,
+sixth and seventh lines, and per `PIECE_CASES` cases of
+`random_piece_case` of `tests/conftest.py` drawn from a generator of its
+own seed and rewritten by `xrewrite` and by `xrewrite_parallel` with
+elimination at its default and off, the `str` of each disjunct's
+`model.canonical_rename`, sorted, one a line, or "budget".  It ignores the
+numbering of the variables that rewriting steps introduce and the order of
+the disjuncts, which the first, sixth and seventh lines keep.
+
 Only temporary ontology, query and database files for the CLI are
 written; the benchmark's modules are only imported.
 """
@@ -83,7 +93,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 
 from ontorewrite import chase, cli, emit  # noqa: E402
-from ontorewrite.model import make_query  # noqa: E402
+from ontorewrite.model import canonical_rename, make_query  # noqa: E402
 from ontorewrite.parser import (ParseError, parse_ontology,  # noqa: E402
                                 parse_query)
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
@@ -94,14 +104,16 @@ import workloads  # noqa: E402
 from conftest import (DL_LITE_QUERY, FINANCIAL, PATH,  # noqa: E402
                       QUERY_POOL, SYMMETRIC_ONTOLOGY, TRIANGLE, copies_body,
                       dl_lite_ontology, mutate, random_database,
-                      random_linear_rules, random_query, random_sticky_rules,
-                      rules_context)
+                      random_linear_rules, random_piece_case, random_query,
+                      random_sticky_rules, rules_context)
 
 SEEDS = (7, 8)
 SUITE_SEED = 2024
 DATABASE_SEED = 2025
 MUTATION_SEED = 2026
 MUTATIONS = 4
+PIECE_SEED = 2027
+PIECE_CASES = 300
 SUITES = 300
 BUDGET = 50_000
 DL_LITE_CONCEPTS = (100, 200)
@@ -206,6 +218,25 @@ def symmetric_rewritings():
                         yield label, None
 
 
+def piece_rewritings():
+    """(label, UCQ or None when the budget ran out) for every case of
+    `random_piece_case` on both paths, with elimination at its default and
+    off."""
+    rng = random.Random(PIECE_SEED)
+    for i in range(PIECE_CASES):
+        rules, q = random_piece_case(rng)
+        ctx = rules_context(rules)
+        for path, rewrite in (("seq", xrewrite), ("par", xrewrite_parallel)):
+            for elimination in (None, False):
+                options = RewriteOptions(elimination=elimination,
+                                         budget=BUDGET)
+                label = f"piece/{i}/{path}/{elimination}"
+                try:
+                    yield label, rewrite(q, ctx, options).queries
+                except BudgetExhaustedError:
+                    yield label, None
+
+
 def analyses(tmp: str):
     """(label, text) for `graph` and `classify` on the financial ontology
     and on every random suite's rule set: the exit code, then the output."""
@@ -293,6 +324,12 @@ def answers_text(ucq, db) -> str:
                    for t in sorted(chase.evaluate_ucq(ucq, db)))
 
 
+def canonical_text(ucq) -> str:
+    """The canonical forms of the UCQ's disjuncts, sorted, one a line."""
+    return "".join(f"{line}\n" for line in
+                   sorted(str(canonical_rename(q)) for q in ucq))
+
+
 def main() -> int:
     rewritings = list(itertools.chain(workload_rewritings(),
                                       suite_rewritings()))
@@ -313,14 +350,22 @@ def main() -> int:
     count, sha = digest((label, parse_outcome(text))
                         for label, text in parse_texts())
     print(f"{count} parses sha256={sha}")
+    dl_lite = list(dl_lite_rewritings())
     count, sha = digest(
         (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
-        for label, ucq in dl_lite_rewritings())
+        for label, ucq in dl_lite)
     print(f"{count} DL-Lite rewritings sha256={sha}")
+    symmetric = list(symmetric_rewritings())
     count, sha = digest(
         (label, "budget\n" if ucq is None else emit.serialize_ucq(ucq))
-        for label, ucq in symmetric_rewritings())
+        for label, ucq in symmetric)
     print(f"{count} symmetric rewritings sha256={sha}")
+    count, sha = digest(
+        (label, "budget\n" if ucq is None else canonical_text(ucq))
+        for label, ucq in itertools.chain(
+            ((label, ucq) for label, ucq, _ in rewritings), dl_lite,
+            symmetric, piece_rewritings()))
+    print(f"{count} canonical rewritings sha256={sha}")
     return 0
 
 

@@ -1,4 +1,11 @@
-"""A small LRU map used for the MGU cache."""
+"""A small LRU map used for the MGU memo of the rewriter's general step.
+
+Only `rewriter.rewrite_step` reads the memo: a piece of two or more atoms,
+or a rule head holding a constant or a repeated variable.  The common step,
+one atom against a head of distinct variables, binds the head without an
+`mgu`.  The memo stays because the benchmark tracer reads
+`RewriterContext.mgu_cache` (perfbench/tracing.py); deleting it waits for
+ROADMAP item 1."""
 
 from __future__ import annotations
 

@@ -45,7 +45,8 @@ def covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
     `tb`: removing b loses neither constants nor joins (tb sits inside a)
     and one tight rule sequence, compatible to a, carries each term of tb
     from its positions in a into all its positions in b along the
-    propagation graph, ending in a rule whose head has b's predicate.
+    propagation graph, ending in a rule whose head has b's predicate and
+    arity.
 
     The search runs over states: the last rule k of a tight sequence
     compatible to `a` and the pairs (t, p) such that k carries the term t
@@ -68,7 +69,9 @@ def covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
         if len({t for t, _ in held}) < len(tb) or (k, held) in seen:
             continue
         seen.add((k, held))
-        if ctx.tgds[k].head.pred == b.pred and needed <= held:
+        head = ctx.tgds[k].head
+        if (head.pred == b.pred and len(head.args) == len(b.args)
+                and needed <= held):
             return True
         frontier.extend([(k2, held) for k2 in cg.tight[k]])
     return False

@@ -1,6 +1,6 @@
 """The backward-chaining rewriting loop: applicability, single pieces and
-the rewriting step that resolves them, dedup modulo renaming, query
-provenance, the MGU cache and metrics.
+the two paths of the rewriting step that resolves them, dedup modulo
+renaming, query provenance, the MGU memo and metrics.
 
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
 the sorted keys of the body's groups, the atoms that non-head variables
@@ -11,12 +11,23 @@ The loop has one step: it resolves a single piece of the query (König,
 Leclère, Mugnier and Thomazo, "Sound, complete and minimal UCQ-rewriting
 for existential rules", SWJ 2015) against a rule, the atoms that must
 unify with the rule head together because they share the variable that
-the head's existential takes.  Every step's output is deduplicated
-against all queries so far.  The loop runs until its queue is empty, so
-every admitted query is explored, and the final rewriting collects the
-admitted queries whose bodies mention no auxiliary normalization
-predicate.  The loop prunes nothing: a subsumption mode other than `none`
-prunes that final rewriting once, through `subsume.prune_ucq`.
+the head's existential takes.  It visits only the rules whose head
+predicate the query's body holds, in rule order.  A one-atom piece against
+a head of distinct variables, every step of the paper's financial
+rewriting, binds the head directly (`_bind_head`): no renamed copy of the
+rule, no `mgu`.  Any other piece takes the general path, `rewrite_step`,
+which renames the rule apart and unifies through the context's MGU memo.
+The memo serves only that path; it stays because the benchmark tracer
+reads `ctx.mgu_cache` (perfbench/tracing.py), and deleting it waits for
+ROADMAP item 1.
+
+Every step's output is deduplicated against all queries so far.  The loop
+runs until its queue is empty, so every admitted query is explored, and
+the final rewriting collects the admitted queries whose bodies mention no
+auxiliary normalization predicate.  The loop prunes nothing: a
+subsumption mode other than `none` prunes that final rewriting once,
+through `subsume.prune_ucq`.  With single-piece steps, dropping a query
+that a kept one subsumes can lose disjuncts (see `subsume`).
 """
 
 from __future__ import annotations
@@ -24,7 +35,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from itertools import chain
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from . import subsume
 from .cache import MGU_CACHE_SIZE, LRUCache
@@ -76,9 +90,31 @@ class Metrics:
         self.factorized += other.factorized
 
 
+class _RuleFacts(NamedTuple):
+    """What the loop reads of a rule on every step, computed once."""
+    epos: Optional[int]  # the existential position, 1-based
+    plain_head: bool  # the head's arguments are distinct variables
+    body_only: Tuple[Term, ...]  # the body variables outside the head
+
+    @staticmethod
+    def of(tgd: TGD) -> "_RuleFacts":
+        args = tgd.head.args
+        head = set(args)
+        plain = len(head) == len(args) and all(t.kind == VAR for t in args)
+        return _RuleFacts(tgd.existential_position(), plain,
+                          tuple(tgd.body_variables() - head))
+
+
 class RewriterContext:
-    """Shared state for one ontology: normalized rules, the MGU cache, and
-    lazily built elimination/affected structures."""
+    """Shared state for one ontology: normalized rules, the MGU memo of the
+    general step, and lazily built structures: each rule's `_RuleFacts`
+    and the rules by head predicate, which every rewriting reads, and the
+    elimination/affected structures.
+
+    The memo serves only `rewrite_step`, which a step takes for a piece of
+    two or more atoms or a head holding a constant or a repeated variable;
+    it stays because the benchmark tracer reads `mgu_cache`
+    (perfbench/tracing.py), and its deletion waits for ROADMAP item 1."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None):
@@ -129,6 +165,22 @@ class RewriterContext:
     def mentions_aux(self, q: ConjunctiveQuery) -> bool:
         return any(a.pred in self.aux_preds for a in q.body)
 
+    @cached_property
+    def rule_facts(self) -> List[_RuleFacts]:
+        return [_RuleFacts.of(t) for t in self.tgds]
+
+    @cached_property
+    def rules_by_head(self) -> Dict[str, List[int]]:
+        by_head: Dict[str, List[int]] = {}
+        for k, tgd in enumerate(self.tgds):
+            by_head.setdefault(tgd.head.pred, []).append(k)
+        return by_head
+
+    def rules_for(self, preds: Iterable[str]) -> List[int]:
+        """The numbers of the rules whose head predicate is in `preds`, in
+        rule order."""
+        return sorted(k for p in preds for k in self.rules_by_head.get(p, ()))
+
 
 # ---------------------------------------------------------------------------
 # Applicability, single pieces and the rewriting step.
@@ -152,18 +204,19 @@ def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
     return mgu(tuple(S) + (renamed.head,)) is not None
 
 
-def _pieces(q: ConjunctiveQuery, tgd: TGD, occ: dict) -> List[Tuple[Atom, ...]]:
+def _pieces(q: ConjunctiveQuery, tgd: TGD, epos: Optional[int],
+            occ: dict) -> List[Tuple[Atom, ...]]:
     """The single pieces of q for the rule, in order of their first atom:
     the sets of atoms that one step must resolve together.  Without an
     existential each atom matching the rule head is a piece alone.  With
     one, a piece is every atom holding a variable v at the existential
     position, and only when v occurs nowhere else: not in the head, not in
     another atom, not twice in one atom.  A constant there makes no piece.
-    `occ` is `q.occurrences()`."""
+    `epos` is the rule's existential position and `occ` is
+    `q.occurrences()`."""
     head = tgd.head
     matching = [a for a in q.body
                 if a.pred == head.pred and len(a.args) == len(head.args)]
-    epos = tgd.existential_position()
     if epos is None:
         return [(a,) for a in matching]
     by_var: Dict[Term, List[Atom]] = {}
@@ -217,6 +270,34 @@ def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
     return make_query(q.head_pred,
                       (gamma.get(t, t) for t in q.head_args),
                       (subst_atom(gamma, a) for a in new_body))
+
+
+def _bind_head(q: ConjunctiveQuery, a: Atom, tgd: TGD, step: int,
+               preferred: FrozenSet,
+               body_only: Tuple[Term, ...]) -> ConjunctiveQuery:
+    """`rewrite_step(q, (a,), tgd, step, preferred)` for a rule whose head's
+    arguments are distinct variables, without renaming the rule or running
+    `mgu`: each head variable binds to a's term at its position and each
+    body-only variable V becomes V^step.  The unifier's class of a variable
+    t of a holds t and the head variables H at t's positions; `mgu`
+    represents it by t when t is preferred, else by the least name among t
+    and the H^step, so t is renamed to an H^step that sorts before it
+    (`X^12` before `X^5`) in the rest of q too.  `body_only` is the rule's
+    body variables outside its head."""
+    rename: Dict[Term, Term] = {}
+    for h, t in zip(tgd.head.args, a.args):
+        if t.kind == VAR and t not in preferred:
+            name = f"{h.name}^{step}"
+            if name < rename.get(t, t).name:
+                rename[t] = Term(VAR, name)
+    sub = {v: Term(VAR, f"{v.name}^{step}") for v in body_only}
+    sub.update((h, rename.get(t, t)) for h, t in zip(tgd.head.args, a.args))
+    head_args, rest = q.head_args, [b for b in q.body if b != a]
+    if rename:
+        head_args = [rename.get(t, t) for t in head_args]
+        rest = [subst_atom(rename, b) for b in rest]
+    return make_query(q.head_pred, head_args,
+                      chain(rest, (subst_atom(sub, b) for b in tgd.body)))
 
 
 # Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
@@ -319,15 +400,16 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
         node = state.queue.popleft()
         entry = state.entries[node]
         cur = entry.query
-        body_preds = {a.pred for a in cur.body}
         occ = cur.occurrences()
-        for tgd in ctx.tgds:
-            if tgd.head.pred not in body_preds:
-                continue
-            for S in _pieces(cur, tgd, occ):
-                out = rewrite_step(cur, S, tgd,
-                                   first_step + state.metrics.generated,
-                                   preferred, ctx)
+        for k in ctx.rules_for({a.pred for a in cur.body}):
+            tgd, facts = ctx.tgds[k], ctx.rule_facts[k]
+            for S in _pieces(cur, tgd, facts.epos, occ):
+                step = first_step + state.metrics.generated
+                if len(S) == 1 and facts.plain_head:
+                    out = _bind_head(cur, S[0], tgd, step, preferred,
+                                     facts.body_only)
+                else:
+                    out = rewrite_step(cur, S, tgd, step, preferred, ctx)
                 if out is None:
                     continue
                 state.metrics.generated += 1

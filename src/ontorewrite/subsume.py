@@ -7,13 +7,20 @@ two equivalent queries the one whose form sorts first stays.  Every mode
 prunes through it: on the decomposed pipeline `tail` prunes the unfolded
 rewriting, `idec` and `irew` each component's rewriting before unfolding;
 `xrewrite` alone prunes its whole rewriting under any of the three.
-Nothing is pruned inside the rewriting loop yet.  Its step resolves single
-pieces, and with single-piece unifiers a breadth-first loop may drop every
-query that one kept so far subsumes and stay complete (König, Leclère,
-Mugnier and Thomazo, "Sound, complete and minimal UCQ-rewriting for
-existential rules", SWJ 2015); but checked against every kept query that
-pruning goes quadratic, so it waits for a filter on cheap query features
-(ROADMAP items 14, stage 2, and 4)."""
+Nothing is pruned inside the rewriting loop, and with its operator nothing
+may be.  Its step resolves one single piece at a time, and a loop that
+drops every query subsumed by one it kept is then incomplete: under
+`stockPortfolio(X,Y,Z) -> company(X,V,W).` and
+`company(X,Y,Z) -> legalPerson(X).` the kept
+`p(B) :- company(B,E,F), company(B,Y,Z).` subsumes
+`p(B) :- stockPortfolio(B,Y,Z), company(B,Y2,Z2).` by mapping both company
+atoms onto one, so the loop never reaches
+`p(B) :- stockPortfolio(B,Y,Z), stockPortfolio(B,Y2,Z2).`  König, Leclère,
+Mugnier and Thomazo ("Sound, complete and minimal UCQ-rewriting for
+existential rules", SWJ 2015) prove such pruning complete for aggregated
+single-piece unifiers, which resolve several pieces of one query in one
+step; in-loop pruning waits for that operator and for a filter on cheap
+query features (ROADMAP items 14, stage 2, and 4)."""
 
 from __future__ import annotations
 

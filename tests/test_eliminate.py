@@ -181,6 +181,17 @@ def test_reduce_example_to_single_atom():
     assert len(reduce_query(q, ec).body) == 1
 
 
+def test_reduce_keeps_an_atom_of_another_arity():
+    # the rule derives s with two arguments, so nothing covers s(V, B, A)
+    doc, ec = _ctx("k(X0, X1) -> s(X0, X1).")
+    V = var("V")
+    q = make_query("q", [], [atom("s", V, B, A), atom("k", V, B)])
+    assert not covers(q.body[1], q.body[0], {V, B}, ec)
+    assert reduce_query(q, ec) == q
+    two = make_query("q", [], [atom("s", V, B), atom("k", V, B)])
+    assert str(reduce_query(two, ec)) == "q() :- k(V, B)."
+
+
 def test_monotone_shrinkage_and_cache():
     doc, ec = _ctx(ELIM_EXAMPLE)
     q = parse_query("p(A) :- t(A,B), r(A,B,C), s(A,B,B).", dict(doc.arities))

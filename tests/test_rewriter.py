@@ -9,9 +9,11 @@ from ontorewrite import chase
 from ontorewrite.eliminate import reduce_query
 from ontorewrite.model import (TGD, VAR, Atom, apart_index, atom, const,
                                make_query, mgu, renaming_key, var)
+from ontorewrite import rewriter
 from ontorewrite.rewriter import (BudgetExhaustedError, RewriteOptions,
-                                  _pieces, applicable, factorizable,
-                                  factorize_step, rewrite_step, xrewrite)
+                                  _bind_head, _pieces, _RuleFacts, applicable,
+                                  factorizable, factorize_step, rewrite_step,
+                                  xrewrite)
 from ontorewrite.subsume import subsumes
 
 from conftest import canon_set, pipeline, query
@@ -62,7 +64,8 @@ def test_rewrite_step_unifies_exactly_when_applicable_random():
         q = random_query(rng, pool=QUERY_POOL)
         preferred = frozenset(q.variables())
         for tgd in ctx.tgds:
-            pieces = _pieces(q, tgd, q.occurrences())
+            pieces = _pieces(q, tgd, tgd.existential_position(),
+                             q.occurrences())
             for a in q.body:
                 S = (a,)
                 out = rewrite_step(q, S, tgd, 1, preferred, ctx)
@@ -125,7 +128,8 @@ def _brute_force_pieces(q, tgd):
 def _resolvable_pieces(q, tgd):
     """The pieces `_pieces` gives that `rewrite_step` resolves."""
     preferred = frozenset(q.variables())
-    return [S for S in _pieces(q, tgd, q.occurrences())
+    return [S for S in _pieces(q, tgd, tgd.existential_position(),
+                               q.occurrences())
             if rewrite_step(q, S, tgd, apart_index(preferred, "^"),
                             preferred) is not None]
 
@@ -194,6 +198,140 @@ def test_rewrite_step_hand_applied_mgu():
     q = query("p(A) :- s(A,B), t(A).", doc)
     out = rewrite_step(q, (q.body[0],), tgds[0], 1, frozenset(q.variables()))
     assert canon_set([out]) == canon_set([query("p(A) :- r(A), t(A).", doc)])
+
+
+def _both_paths(q, a, tgd, step, preferred):
+    """The str of the general step and of the direct one on the piece (a,)."""
+    general = rewrite_step(q, (a,), tgd, step, preferred)
+    direct = _bind_head(q, a, tgd, step, preferred,
+                        _RuleFacts.of(tgd).body_only)
+    return str(general), str(direct)
+
+
+def test_bind_head_equals_the_general_step_random():
+    # Every query a rewriting admits, against every rule with a head of
+    # distinct variables and every atom matching its head, at a step past
+    # every step the rewriting took and at ten times it, with the loop's
+    # preferred variables and with none: the variables earlier steps
+    # introduced (V^k) make the renamed head's variables represent their
+    # classes in many of them.
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    rng = random.Random(2703)
+    checked = renamed = 0
+    for i in range(600):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        ctx = rules_context(rules)
+        q = random_query(rng, pool=QUERY_POOL)
+        res = xrewrite(q, ctx, RewriteOptions(elimination=False, budget=2000))
+        first_step = max(1, apart_index(q.variables(), "^"))
+        for entry in res.state.entries[:40]:
+            cur = entry.query
+            step = max(first_step + res.metrics.generated,
+                       apart_index(cur.variables(), "^"))
+            for tgd, facts in zip(ctx.tgds, ctx.rule_facts):
+                if not facts.plain_head:
+                    continue
+                for at in cur.body:
+                    if (at.pred, len(at.args)) != (tgd.head.pred,
+                                                   len(tgd.head.args)):
+                        continue
+                    for st, preferred in itertools.product(
+                            (step, 10 * step),
+                            (frozenset(q.variables()), frozenset())):
+                        general, direct = _both_paths(cur, at, tgd, st,
+                                                      preferred)
+                        assert direct == general, (cur, at, tgd, st)
+                        checked += 1
+                        renamed += any(
+                            t.kind == VAR and t not in preferred
+                            and f"{h.name}^{st}" < t.name
+                            for h, t in zip(tgd.head.args, at.args))
+    assert checked > 5000 and renamed > 300, (checked, renamed)
+
+
+def test_bind_head_renames_a_variable_that_sorts_after_the_head_variable():
+    # mgu represents {X^5, X^12} by X^12, which sorts first, so X^5 becomes
+    # X^12 in the rest of the body too
+    tgd = TGD((atom("r", X, Y),), atom("s", X, Y))
+    x5 = var("X^5")
+    q = make_query("q", [A], [atom("s", x5, A), atom("t", x5)])
+    general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset([A]))
+    assert direct == general == "q(A) :- t(X^12), r(X^12, A)."
+    # a preferred variable represents its class whatever its name
+    general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset([A, x5]))
+    assert direct == general == "q(A) :- t(X^5), r(X^5, A)."
+
+
+def test_bind_head_binds_a_constant_of_the_piece():
+    tgd = TGD((atom("r", X, Y), atom("u", Y, var("Z"))), atom("s", X, Y))
+    q = make_query("q", [B], [atom("s", a, B), atom("t", B)])
+    general, direct = _both_paths(q, q.body[0], tgd, 3, frozenset([B]))
+    assert direct == general == "q(B) :- t(B), r(a, B), u(B, Z^3)."
+
+
+def test_bind_head_one_variable_at_two_head_positions():
+    tgd = TGD((atom("r", X, Y),), atom("s", X, Y))
+    z7 = var("Z^7")
+    q = make_query("q", [], [atom("s", z7, z7), atom("t", z7)])
+    # the class {Z^7, X^12, Y^12} is represented by X^12
+    general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset())
+    assert direct == general == "q() :- t(X^12), r(X^12, X^12)."
+    general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset([z7]))
+    assert direct == general == "q() :- t(Z^7), r(Z^7, Z^7)."
+
+
+def test_bind_head_at_the_existential_position():
+    tgd = TGD((atom("r", X),), atom("s", X, Y))
+    for held in (B, var("Y^9")):  # sorts before and after Y^10
+        q = make_query("q", [A], [atom("s", A, held), atom("t", A)])
+        for preferred in (frozenset([A]), frozenset([A, held])):
+            general, direct = _both_paths(q, q.body[0], tgd, 10, preferred)
+            assert direct == general == "q(A) :- t(A), r(A)."
+
+
+@pytest.mark.parametrize("text", ["r(X) -> s(X, a).", "r(X) -> s(X, X).",
+                                  "r(X, Y) -> s(X, Y)."])
+def test_only_heads_of_distinct_variables_bind_directly(text, monkeypatch):
+    # a head holding a constant or a repeated variable takes the general
+    # path, rename + mgu through the memo; a plain head never does
+    doc, tgds, ctx = pipeline(text)
+    plain = text.startswith("r(X, Y)")
+    assert ctx.rule_facts[0].plain_head == plain
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rewrite_step(*args)
+
+    monkeypatch.setattr(rewriter, "rewrite_step", counting)
+    q = make_query("q", [], [atom("s", A, B), atom("t", B)])
+    res = xrewrite(q, ctx, RewriteOptions(elimination=False))
+    assert res.metrics.generated == 1
+    assert len(calls) == (0 if plain else 1)
+    assert (ctx.mgu_cache.hits + ctx.mgu_cache.misses) == len(calls)
+
+
+def test_rules_for_visits_the_rules_of_the_body_predicates_in_order():
+    doc, tgds, ctx = pipeline("a(X) -> b(X).  c(X) -> d(X).  e(X) -> b(X).  "
+                              "f(X) -> d(X).")
+    assert ctx.rules_by_head == {"b": [0, 2], "d": [1, 3]}
+    assert ctx.rules_for({"d", "b", "z"}) == [0, 1, 2, 3]
+    assert ctx.rules_for({"d"}) == [1, 3]
+    assert ctx.rules_for(()) == []
+
+
+def test_xrewrite_financial_counters():
+    # the paper's query, sequential without elimination: every step binds
+    # the head directly, so the memo of the general path stays empty
+    from conftest import FINANCIAL, FINANCIAL_QUERY
+    doc, tgds, ctx = pipeline(FINANCIAL)
+    res = xrewrite(query(FINANCIAL_QUERY, doc), ctx,
+                   RewriteOptions(elimination=False))
+    assert (res.metrics.explored, res.metrics.generated,
+            len(res.queries)) == (1232, 4732, 60)
+    assert ctx.mgu_cache.hits + ctx.mgu_cache.misses == 0
 
 
 def test_factorize_step_collapses_collaborator_pair():

@@ -206,3 +206,27 @@ def test_sequential_pruning_compares_only_the_output_queries(monkeypatch):
     assert n == 60
     assert calls <= n * (n - 1)
     assert res.queries == prune_ucq(unpruned)
+
+
+def test_complete_rewriting_keeps_what_pruning_inside_the_loop_would_lose():
+    # A breadth-first loop that drops every query subsumed by one it kept
+    # loses the second query below: the kept company(B,E,F), company(B,Y,Z)
+    # subsumes the only query the derivation passes through, by mapping
+    # both company atoms onto its one, and a single-piece step rewrites one
+    # company atom at a time.  König et al. restore completeness with
+    # aggregated single-piece unifiers; until the loop has them, it must
+    # keep every query.
+    doc, tgds, ctx = pipeline("stockPortfolio(X,Y,Z) -> company(X,V,W).\n"
+                              "company(X,Y,Z) -> legalPerson(X).")
+    q = query("p(B) :- company(B,E,F), legalPerson(B).", doc)
+    kept = query("p(B) :- company(B,E,F), company(B,Y,Z).", doc)
+    passed = query("p(B) :- stockPortfolio(B,Y,Z), company(B,Y2,Z2).", doc)
+    needed = query("p(B) :- stockPortfolio(B,Y,Z), stockPortfolio(B,Y2,Z2).",
+                   doc)
+    assert subsumes(kept, passed)
+    for mode in ("none", "tail"):
+        res = xrewrite(q, ctx, RewriteOptions(elimination=False,
+                                              subsumption=mode))
+        assert canon_set([needed]) <= canon_set(res.queries), mode
+    entries = canon_set(e.query for e in res.state.entries)
+    assert canon_set([kept, passed]) <= entries

@@ -21,12 +21,20 @@ The memo serves only that path; it stays because the benchmark tracer
 reads `ctx.mgu_cache` (perfbench/tracing.py), and deleting it waits for
 ROADMAP item 1.
 
-Every step's output is deduplicated against all queries so far.  The loop
-runs until its queue is empty, so every admitted query is explored, and
-the final rewriting collects the admitted queries whose bodies mention no
-auxiliary normalization predicate.  The loop prunes nothing: a
-subsumption mode other than `none` prunes that final rewriting once,
-through `subsume.prune_ucq`.  With single-piece steps, dropping a query
+Every step's output is deduplicated against all queries so far.  With
+elimination off, a one-atom step against a head of distinct variables
+from a query whose body is private (no non-head variable links two atoms,
+so each atom is a group of its own) is keyed before it is built: its key
+is the parent's atom keys, minus the resolved atom's, plus the keys of the
+rule body bound to that atom, which depend only on the rule and the atom's
+key and are memoized under both (`_ChildKeys`).  Its query is built only
+when that key is new, so a duplicate step costs a key, not a query.
+Every other step is built and then keyed.  The loop runs until its queue
+is empty, so every admitted query is explored, and the final rewriting
+collects the admitted queries whose bodies mention no auxiliary
+normalization predicate.  The loop prunes nothing: a subsumption mode
+other than `none` prunes that final rewriting once, through
+`subsume.prune_ucq`.  With single-piece steps, dropping a query
 that a kept one subsumes can lose disjuncts (see `subsume`).
 """
 
@@ -35,17 +43,18 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Set, Tuple, Union)
 
 from . import subsume
 from .cache import MGU_CACHE_SIZE, LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
-                    make_query, mgu, renaming_key, subst_atom)
+                    group_keys, head_assignment, make_query, mgu,
+                    private_atom_keys, renaming_key, subst_atom)
 # Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
 # ROADMAP item 1 removes that hold.
 from .model import canonical_rename  # noqa: F401
@@ -277,13 +286,30 @@ def _bind_head(q: ConjunctiveQuery, a: Atom, tgd: TGD, step: int,
                body_only: Tuple[Term, ...]) -> ConjunctiveQuery:
     """`rewrite_step(q, (a,), tgd, step, preferred)` for a rule whose head's
     arguments are distinct variables, without renaming the rule or running
-    `mgu`: each head variable binds to a's term at its position and each
-    body-only variable V becomes V^step.  The unifier's class of a variable
-    t of a holds t and the head variables H at t's positions; `mgu`
-    represents it by t when t is preferred, else by the least name among t
-    and the H^step, so t is renamed to an H^step that sorts before it
-    (`X^12` before `X^5`) in the rest of q too.  `body_only` is the rule's
-    body variables outside its head."""
+    `mgu`: the rest of q, then the rule body as `_bound_body` binds it.  The
+    rest and the head change only where they hold a variable of a that the
+    binding renames.  `body_only` is the rule's body variables outside its
+    head."""
+    rename, bound = _bound_body(a, tgd, step, preferred, body_only)
+    head_args, rest = q.head_args, [b for b in q.body if b != a]
+    if rename:
+        if not rename.keys().isdisjoint(head_args):
+            head_args = [rename.get(t, t) for t in head_args]
+        rest = [b if rename.keys().isdisjoint(b.args) else subst_atom(rename, b)
+                for b in rest]
+    return make_query(q.head_pred, head_args, chain(rest, bound))
+
+
+def _bound_body(a: Atom, tgd: TGD, step: int, preferred: FrozenSet,
+                body_only: Tuple[Term, ...]) -> Tuple[Dict[Term, Term], list]:
+    """The rule body bound to a as the unifier of a and the renamed head
+    binds it, and the renaming of a's variables that the unifier makes: each
+    head variable binds to a's term at its position and each body-only
+    variable V becomes V^step.  The unifier's class of a variable t of a
+    holds t and the head variables H at t's positions; `mgu` represents it
+    by t when t is preferred, else by the least name among t and the H^step,
+    so t is renamed to an H^step that sorts before it (`X^12` before `X^5`),
+    in the rest of the query too."""
     rename: Dict[Term, Term] = {}
     for h, t in zip(tgd.head.args, a.args):
         if t.kind == VAR and t not in preferred:
@@ -292,12 +318,72 @@ def _bind_head(q: ConjunctiveQuery, a: Atom, tgd: TGD, step: int,
                 rename[t] = Term(VAR, name)
     sub = {v: Term(VAR, f"{v.name}^{step}") for v in body_only}
     sub.update((h, rename.get(t, t)) for h, t in zip(tgd.head.args, a.args))
-    head_args, rest = q.head_args, [b for b in q.body if b != a]
-    if rename:
-        head_args = [rename.get(t, t) for t in head_args]
-        rest = [subst_atom(rename, b) for b in rest]
-    return make_query(q.head_pred, head_args,
-                      chain(rest, (subst_atom(sub, b) for b in tgd.body)))
+    return rename, [subst_atom(sub, b) for b in tgd.body]
+
+
+class _PrivateParent(NamedTuple):
+    """What deriving its children's renaming keys reads of a query whose
+    body is private: no variable outside the head occurs in two atoms, so
+    every atom is a group of its own, keyed by its atom key."""
+    head: tuple  # the head, its variables numbered as `renaming_key` does
+    assignment: Dict[Term, int]  # the head variables' numbers
+    keys: Dict[Atom, tuple]  # body atom -> its key, in body order
+
+    @staticmethod
+    def of(q: ConjunctiveQuery) -> Optional["_PrivateParent"]:
+        assignment, head = head_assignment(q)
+        keys = private_atom_keys(q.body, assignment)
+        if keys is None:
+            return None
+        return _PrivateParent(head, assignment, dict(zip(q.body, keys)))
+
+
+class _ChildKeys:
+    """The renaming keys of one rewriting's one-atom steps against heads of
+    distinct variables from parents whose body is private, derived without
+    building the children.  The head's variables are among the loop's
+    preferred ones, so the binding renames only variables of the resolved
+    atom outside the head, which occur in no other atom, and bijectively:
+    the head and the rest of the body keep their keys.  The bound rule body's unnamed
+    variables are the atom's and the rule's fresh ones, so its groups link
+    to no atom of the rest and keep the keys they have on their own
+    (`model.group_keys`).  Those keys depend only on the rule and the
+    atom's key, and are memoized under both."""
+
+    def __init__(self, ctx: RewriterContext, preferred: FrozenSet):
+        self.ctx = ctx
+        self.preferred = preferred
+        # (rule number, atom key) -> the bound rule body's group keys, split
+        # into those of atoms free of unnamed variables and the others
+        self.bound: Dict[tuple, Tuple[list, list]] = {}
+
+    def key(self, q: ConjunctiveQuery, parent: _PrivateParent, a: Atom,
+            k: int, step: int) -> tuple:
+        """`renaming_key` of the query that `_bind_head` makes of q, a and
+        rule k at this step.  Of the bound atoms free of unnamed variables
+        the child drops those the rest of the body holds."""
+        atom_key = parent.keys[a]
+        bound = self.bound.get((k, atom_key))
+        if bound is None:
+            bound = self.bound[k, atom_key] = self._bound_keys(
+                a, k, step, parent.assignment)
+        rest = list(parent.keys.values())
+        rest.remove(atom_key)
+        named, other = bound
+        body = rest + [key for key in named if key not in rest] + other
+        return q.head_pred, parent.head, tuple(sorted(body))
+
+    def _bound_keys(self, a: Atom, k: int, step: int,
+                    assignment: Dict[Term, int]) -> Tuple[list, list]:
+        bound = list(dict.fromkeys(_bound_body(
+            a, self.ctx.tgds[k], step, self.preferred,
+            self.ctx.rule_facts[k].body_only)[1]))
+        named: list = []
+        other: list = []
+        for b, key in zip(bound, group_keys(bound, assignment)):
+            free = all(t.kind != VAR or t in assignment for t in b.args)
+            (named if free else other).append(key)
+        return named, other
 
 
 # Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
@@ -329,7 +415,10 @@ class QueryEntry:
 
 class RewriteState:
     """The admitted queries with their renaming-key index, FIFO of
-    unexplored queries, provenance (each entry's parents) and counters."""
+    unexplored queries, provenance (each entry's parents) and counters.
+    Every step goes through `admit`, duplicates too, with its query or,
+    when the loop derived its key, with that key and a function that
+    builds the query."""
 
     def __init__(self, ctx: RewriterContext):
         self.ctx = ctx
@@ -342,13 +431,21 @@ class RewriteState:
         if parent is not None and parent.node != child.node:
             child.parents.add(parent.node)
 
-    def admit(self, q: ConjunctiveQuery,
-              parent: Optional[QueryEntry]) -> Optional[QueryEntry]:
-        canon = renaming_key(q)
+    def admit(self, q: Union[ConjunctiveQuery, Callable[[], ConjunctiveQuery]],
+              parent: Optional[QueryEntry],
+              key: Optional[tuple] = None) -> Optional[QueryEntry]:
+        """Admit q unless a renaming of it was admitted before, and record
+        parent as a parent of the admitted query; the new entry, or None.
+        `key` is q's renaming key, computed from q when not given; with it,
+        q may be a function of no arguments that builds the query, called
+        only when the key is new."""
+        canon = renaming_key(q) if key is None else key
         node = self.canon_index.get(canon)
         if node is not None:
             self._add_edge(parent, self.entries[node])
             return None
+        if callable(q):
+            q = q()
         entry = QueryEntry(len(self.entries), q)
         self.entries.append(entry)
         self.canon_index[canon] = entry.node
@@ -379,11 +476,15 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     """Resolve single pieces against the rules until fixpoint.
 
     Every step's output is deduplicated modulo bijective variable renaming
-    against all queries so far.  The n-th step that yields a query renames
-    its rule apart by n, counted on from the index that `model.apart_index`
-    gives for q's variables, so that a variable of q named like `Y^1` is
-    never captured.  With elimination on (default for linear rule sets)
-    every step's output is first reduced through atom coverage.
+    against all queries so far; a step whose renaming key the loop derives
+    from its parent's (see the module docstring) builds its query only when
+    that key is new, and otherwise only records the parent.  Either way the
+    step counts in `generated` and against the budget.  The n-th step that
+    yields a query renames its rule apart by n, counted on from the index
+    that `model.apart_index` gives for q's variables, so that a variable of
+    q named like `Y^1` is never captured.  With elimination on (default for
+    linear rule sets) every step's output is first reduced through atom
+    coverage.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
@@ -395,19 +496,27 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
 
     q0 = reduce_query(q, elim) if elim else q
     state.admit(q0, None)
+    child_keys = _ChildKeys(ctx, preferred)
 
     while state.queue:
         node = state.queue.popleft()
         entry = state.entries[node]
         cur = entry.query
         occ = cur.occurrences()
+        parent = None if elim else _PrivateParent.of(cur)
         for k in ctx.rules_for({a.pred for a in cur.body}):
             tgd, facts = ctx.tgds[k], ctx.rule_facts[k]
             for S in _pieces(cur, tgd, facts.epos, occ):
                 step = first_step + state.metrics.generated
+                key = None
                 if len(S) == 1 and facts.plain_head:
-                    out = _bind_head(cur, S[0], tgd, step, preferred,
-                                     facts.body_only)
+                    if parent is None:
+                        out = _bind_head(cur, S[0], tgd, step, preferred,
+                                         facts.body_only)
+                    else:
+                        key = child_keys.key(cur, parent, S[0], k, step)
+                        out = partial(_bind_head, cur, S[0], tgd, step,
+                                      preferred, facts.body_only)
                 else:
                     out = rewrite_step(cur, S, tgd, step, preferred, ctx)
                 if out is None:
@@ -419,7 +528,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                 if options.budget is not None and state.metrics.generated > options.budget:
                     raise BudgetExhaustedError(
                         f"rewriting exceeded the step budget of {options.budget}")
-                state.admit(out, entry)
+                state.admit(out, entry, key)
         state.metrics.explored += 1
 
     queries = state.final_queries()

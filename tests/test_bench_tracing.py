@@ -48,3 +48,24 @@ def test_traced_compile_and_answer_reports_every_per_layer_metric():
         assert metrics[name] > 0, name
     # the tracer put every binding back
     assert parallel.xrewrite_parallel.__module__ == "ontorewrite.parallel"
+
+
+def test_traced_financial_compile_admits_every_step():
+    # Steps keyed before they are built still pass through admit, duplicates
+    # too, so the traced admission counts stay one per step plus the query.
+    from conftest import FINANCIAL, FINANCIAL_QUERY
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        doc = parser.parse_ontology(FINANCIAL)
+        q = parser.parse_query(FINANCIAL_QUERY, dict(doc.arities))
+        tgds, _, aux = normalize.normalize_tgds(doc.tgds)
+        ctx = rewriter.RewriterContext(tgds, aux, doc.arities)
+        rewriter.xrewrite(q, ctx, RewriteOptions(elimination=False))
+        metrics = tracing.layer_metrics(tracer, 1.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert metrics["rewriter.generated"] == 4732
+    assert metrics["rewriter.admit_calls"] == metrics["rewriter.generated"] + 1
+    assert metrics["model.mgu_calls"] == 0

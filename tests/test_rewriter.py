@@ -262,6 +262,10 @@ def test_bind_head_renames_a_variable_that_sorts_after_the_head_variable():
     # a preferred variable represents its class whatever its name
     general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset([A, x5]))
     assert direct == general == "q(A) :- t(X^5), r(X^5, A)."
+    # with no variable preferred, a head variable is renamed too
+    q = make_query("q", [x5], [atom("s", x5, A), atom("t", A)])
+    general, direct = _both_paths(q, q.body[0], tgd, 12, frozenset())
+    assert direct == general == "q(X^12) :- t(A), r(X^12, A)."
 
 
 def test_bind_head_binds_a_constant_of_the_piece():
@@ -428,6 +432,12 @@ def test_xrewrite_budget_exhaustion():
     q = query(FINANCIAL_QUERY, doc)
     with pytest.raises(BudgetExhaustedError):
         xrewrite(q, ctx, RewriteOptions(elimination=False, budget=5))
+    # the last of its 4,732 steps, a duplicate keyed without being built,
+    # still counts against the budget
+    with pytest.raises(BudgetExhaustedError):
+        xrewrite(q, ctx, RewriteOptions(elimination=False, budget=4731))
+    res = xrewrite(q, ctx, RewriteOptions(elimination=False, budget=4732))
+    assert res.metrics.generated == 4732
 
 
 def test_linear_bound_on_produced_queries():
@@ -615,3 +625,170 @@ def test_xrewrite_is_equivalent_to_the_reference_loop_on_pieces():
             differ += new.keys() != old.keys()
     assert multi >= 50
     assert differ > 0
+
+
+# ---------------------------------------------------------------------------
+# Keys derived before building: a step from a parent whose body is private
+# is keyed from the parent's atom keys, and its query is built only when
+# that key is new.
+
+
+def _build_then_key_xrewrite(q, ctx, elimination):
+    """The loop that builds every step's query and then keys it, kept as
+    the reference: (the admitted queries' str in order, their parents,
+    explored, generated, factorized)."""
+    elim = ctx.elimination_for(elimination)
+    preferred = frozenset(q.variables())
+    first_step = max(1, apart_index(preferred, "^"))
+    queries, parents, index, queue = [], [], {}, deque()
+    generated = factorized = explored = 0
+
+    def admit(out, parent):
+        key = renaming_key(out)
+        node = index.setdefault(key, len(queries))
+        if node == len(queries):
+            queries.append(out)
+            parents.append(set())
+            queue.append(node)
+        if parent is not None and parent != node:
+            parents[node].add(parent)
+
+    admit(reduce_query(q, elim) if elim else q, None)
+    while queue:
+        node = queue.popleft()
+        cur = queries[node]
+        occ = cur.occurrences()
+        for k in ctx.rules_for({at.pred for at in cur.body}):
+            tgd, facts = ctx.tgds[k], ctx.rule_facts[k]
+            for S in _pieces(cur, tgd, facts.epos, occ):
+                step = first_step + generated
+                if len(S) == 1 and facts.plain_head:
+                    out = _bind_head(cur, S[0], tgd, step, preferred,
+                                     facts.body_only)
+                else:
+                    out = rewrite_step(cur, S, tgd, step, preferred, ctx)
+                if out is None:
+                    continue
+                generated += 1
+                factorized += len(S) > 1
+                admit(reduce_query(out, elim) if elim else out, node)
+        explored += 1
+    return ([str(x) for x in queries], parents, explored, generated,
+            factorized)
+
+
+class _KeyedAdmits:
+    """Wraps RewriteState.admit: every key the loop hands in must equal
+    renaming_key of the query its builder makes.  Counts the steps keyed
+    before building and, of those, the duplicates."""
+
+    def __init__(self, monkeypatch):
+        self.keyed = self.duplicates = self.built_first = 0
+        original = rewriter.RewriteState.admit
+
+        def admit(state, q, parent, key=None):
+            if key is None:
+                self.built_first += parent is not None
+            else:
+                assert renaming_key(q()) == key, str(q())
+                self.keyed += 1
+            entry = original(state, q, parent, key)
+            self.duplicates += key is not None and entry is None
+            return entry
+
+        monkeypatch.setattr(rewriter.RewriteState, "admit", admit)
+
+
+def _rewrite_as_reference(q, ctx, elimination):
+    """Rewrite q with both loops and require the same admitted queries in
+    order, the same parents and the same counters."""
+    res = xrewrite(q, ctx, RewriteOptions(elimination=elimination,
+                                          budget=20000))
+    mine = ([str(e.query) for e in res.state.entries],
+            [e.parents for e in res.state.entries], res.metrics.explored,
+            res.metrics.generated, res.metrics.factorized)
+    assert mine == _build_then_key_xrewrite(q, ctx, elimination), str(q)
+    return res
+
+
+def test_keyed_steps_equal_the_build_then_key_loop(monkeypatch):
+    # The financial queries of the benchmark, random linear and sticky
+    # rewritings and the piece cases, with elimination off and at its
+    # default: the same queries, parents and counters as the loop that
+    # builds every step, and every key handed to admit equals the built
+    # query's (a memo of the bound bodies' keys that ignored the rule
+    # would fail here first).
+    from conftest import (QUERY_POOL, random_linear_rules, random_piece_case,
+                          random_query, random_sticky_rules, rules_context)
+    admits = _KeyedAdmits(monkeypatch)
+    inputs = _load_bench_inputs()
+    doc, tgds, ctx = pipeline(inputs.FINANCIAL)
+    for text in inputs.FINANCIAL_QUERIES + inputs.ANSWER_QUERIES:
+        for elimination in (None, False):
+            _rewrite_as_reference(query(text, doc), ctx, elimination)
+    financial = admits.keyed, admits.duplicates
+    rng = random.Random(2801)
+    for i in range(240):
+        if i % 3 == 0:
+            rules, q = random_piece_case(rng)
+        else:
+            rules = (random_linear_rules(rng) if i % 3 == 1
+                     else random_sticky_rules(rng, max_rules=4))
+            q = random_query(rng, pool=QUERY_POOL)
+        ctx = rules_context(rules)
+        for elimination in (None, False):
+            _rewrite_as_reference(q, ctx, elimination)
+    random_keyed = (admits.keyed - financial[0],
+                    admits.duplicates - financial[1])
+    # seen: (20692, 15412) financial, (398, 160) random, 11900 built first
+    assert financial[0] > 20000 and financial[1] > 15000, financial
+    assert random_keyed[0] > 300 and random_keyed[1] > 100, random_keyed
+    assert admits.built_first > 10000, admits.built_first
+
+
+def _keyed_run(monkeypatch, ontology, text):
+    doc, tgds, ctx = pipeline(ontology)
+    admits = _KeyedAdmits(monkeypatch)
+    res = _rewrite_as_reference(query(text, doc), ctx, False)
+    return res, admits
+
+
+def test_keyed_step_drops_a_bound_atom_the_rest_holds(monkeypatch):
+    # r(A) becomes s(A), which the rest holds
+    res, admits = _keyed_run(monkeypatch, "s(X) -> r(X).",
+                             "q(A) :- r(A), s(A).")
+    assert [str(e.query) for e in res.state.entries] == [
+        "q(A) :- r(A), s(A).", "q(A) :- s(A)."]
+    assert (admits.keyed, admits.duplicates) == (1, 0)
+
+
+@pytest.mark.parametrize("text", ["q() :- s(B, B), t(C).",
+                                  "q(A) :- s(A, a), t(A).",
+                                  "q(A) :- s(B, B), s(a, A)."])
+def test_keyed_step_from_an_atom_with_a_repeated_variable_or_a_constant(
+        text, monkeypatch):
+    # bound to s(B, B), the second rule's body is one atom, u(B, B)
+    res, admits = _keyed_run(
+        monkeypatch, "r(X, Y) -> s(X, Y).  u(X, Y), u(Y, X) -> s(X, Y).",
+        text)
+    assert admits.keyed == res.metrics.generated > 0
+    assert admits.built_first == 0
+
+
+def test_keyed_step_to_a_child_that_is_not_private(monkeypatch):
+    # the rule body's atoms share Z^n, so the child is not private and its
+    # own steps build first
+    res, admits = _keyed_run(monkeypatch, "r(X, Z), u(Z) -> s(X).  "
+                             "v(Y) -> u(Y).", "q(A) :- s(A), t(A).")
+    assert [str(e.query) for e in res.state.entries] == [
+        "q(A) :- s(A), t(A).", "q(A) :- t(A), r(A, Z^1), u(Z^1).",
+        "q(A) :- t(A), r(A, Y^2), v(Y^2)."]
+    assert (admits.keyed, admits.built_first) == (1, 1)
+
+
+def test_keyed_step_whose_child_is_its_parent(monkeypatch):
+    res, admits = _keyed_run(monkeypatch, "s(X, Y) -> s(Y, X).",
+                             "q() :- s(A, B).")
+    assert len(res.state.entries) == 1 and res.metrics.generated == 1
+    assert (admits.keyed, admits.duplicates) == (1, 1)
+    assert res.state.entries[0].parents == set()

@@ -10,11 +10,14 @@ first homomorphism, or when its body is one group of atoms linked by shared
 variables.  Any other body splits into such groups: each is joined once for
 its constant-only rows over the head variables it holds, a group holding
 none only has to match, and the answers are the product of the rows.  A
-UCQ's disjuncts are often such products of a few small parts (the
-decomposed rewriting unfolds into them), so `evaluate_ucq` memoizes each
-group's rows for the duration of one call, keyed by the group's atoms and
-its projection: the same atoms and projection over the same instance always
-give the same rows, and every disjunct holding the group reuses them."""
+UCQ's disjuncts are often such products of a few small parts under one head
+(the decomposed rewriting unfolds into them), so `evaluate_ucq` keeps a
+memo for the duration of one call that does each disjunct's bookkeeping
+once per call: each distinct atom's variables, from which a body is grouped
+by `connected_components`; per head, its variables; and under the head,
+per group, its projection and rows, keyed by the group's atoms.  The same
+atoms and projection over the same instance always give the same rows, so
+every disjunct holding the group under that head reuses them."""
 
 from __future__ import annotations
 
@@ -108,19 +111,22 @@ def evaluate_cq(q: ConjunctiveQuery, instance) -> Set[tuple]:
     atoms linked by shared variables, is one join; a Boolean one stops at
     its first homomorphism.  Any other body is joined group by group, and
     its answers are the product of the groups' rows (see `_answers`)."""
-    return _answers(q, as_index(instance), {})
+    return _answers(q, as_index(instance), _Memo())
 
 
 def evaluate_ucq(queries: Iterable[ConjunctiveQuery], instance) -> Set[tuple]:
     """The union of the disjuncts' answers; once a Boolean disjunct has
-    answered, the remaining Boolean disjuncts are skipped.  The rows of each
-    group of a split body are memoized, keyed by the group's atoms and the
-    head variables it holds, so every disjunct holding the same group shares
-    one join: the same atoms and projection over the same instance always
-    give the same rows.  The memo lives only as long as the call, since the
-    instance may grow after it."""
+    answered, the remaining Boolean disjuncts are skipped.  A memo serves
+    every disjunct: each distinct atom's variables, read to group a body;
+    per head, its variables; and under the head, per group of a split body,
+    the head variables the group holds and its rows.  So every disjunct
+    holding the same group under the same head shares one join, and only
+    the first disjunct to meet an atom, a head or a group computes its part:
+    the same atoms and projection over the same instance always give the
+    same rows.  The memo lives only as long as the call, since the instance
+    may grow after it."""
     instance = as_index(instance)
-    memo: Dict[tuple, Set[tuple]] = {}
+    memo = _Memo()
     out: Set[tuple] = set()
     for q in queries:
         if not q.head_args and () in out:
@@ -129,26 +135,55 @@ def evaluate_ucq(queries: Iterable[ConjunctiveQuery], instance) -> Set[tuple]:
     return out
 
 
-def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: dict) -> Set[tuple]:
+class _AtomVariables(dict):
+    """Each atom's variables in argument order, computed at its first
+    lookup."""
+
+    def __missing__(self, a: Atom) -> tuple:
+        vs = self[a] = tuple([t for t in a.args if t.kind == VAR])
+        return vs
+
+
+class _Memo:
+    """What answering a query computes that depends only on its atoms, its
+    head and its groups, shared by the queries of one call: `variables`
+    maps each atom to its variables, `heads` each head to its variables and
+    a dict from each group met under it to the group's projection (the head
+    variables it holds, in head order) and rows."""
+
+    def __init__(self):
+        self.variables = _AtomVariables()
+        self.heads: Dict[tuple, Tuple[list, dict]] = {}
+
+
+def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: _Memo) -> Set[tuple]:
     """q's answers over the index, by one join or group by group (see the
-    module docstring), each group's rows taken from the memo or joined into
-    it.  An empty group leaves no answers; else the answers are the product
-    of the rows in head order, the head's constants passed through.  A head
-    variable in no atom leaves no answers, as it does in one join."""
+    module docstring), each group's projection and rows taken from the memo
+    or computed into it.  An empty group leaves no answers; else the answers
+    are the product of the rows in head order, the head's constants passed
+    through.  A head variable in no atom leaves no answers, as it does in
+    one join."""
     head = q.head_args
-    groups = connected_components(q.body, _is_var) if head else ()
+    variables = memo.variables
+    groups = (connected_components(q.body, links=variables.__getitem__)
+              if head else ())
     if len(groups) < 2:
         return _rows(q.body, head, index)
-    head_vars = [t for t in dict.fromkeys(head) if t.kind == VAR]
+    under_head = memo.heads.get(head)
+    if under_head is None:
+        under_head = memo.heads[head] = (
+            [t for t in dict.fromkeys(head) if t.kind == VAR], {})
+    head_vars, by_group = under_head
     names: List[Term] = []  # the head variables of the groups with rows
     parts = []  # their rows
     for group in groups:
-        held = {t for a in group for t in a.args}
-        projection = tuple([v for v in head_vars if v in held])
-        key = (group, projection)
-        rows = memo.get(key)
-        if rows is None:
-            rows = memo[key] = _rows(group, projection, index)
+        part = by_group.get(group)
+        if part is None:
+            held = {t for a in group for t in variables[a]}
+            projection = tuple([v for v in head_vars if v in held])
+            part = by_group[group] = (projection,
+                                      _rows(group, projection, index))
+        projection, rows = part
         if not rows:
             return set()
         if projection:
@@ -161,10 +196,6 @@ def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: dict) -> Set[tuple]:
         h = dict(zip(names, chain.from_iterable(combo)))
         answers.add(tuple([h.get(t, t) for t in head]))
     return answers
-
-
-def _is_var(t: Term) -> bool:
-    return t.kind == VAR
 
 
 def _rows(body, terms: tuple, index: AtomIndex) -> Set[tuple]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import chase as chase_mod
 from . import emit
@@ -103,9 +104,10 @@ def cmd_rewrite(args) -> int:
         elimination=False if args.no_elimination else None,
         subsumption=args.subsumption, budget=args.budget))
     queries = result.queries
+    answered = None  # with a database: the answer count and the seconds
 
     if args.database is not None:
-        code = _check_and_evaluate(args, doc, ctx, queries)
+        code, answered = _check_and_evaluate(args, doc, ctx, queries)
         if code != OK:
             return code
     elif args.output == "ucq":
@@ -121,11 +123,14 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
     if args.stats:
-        sys.stdout.write(emit.stats_report(queries, result.metrics) + "\n")
+        sys.stdout.write(emit.stats_report(queries, result.metrics, answered)
+                         + "\n")
     return OK
 
 
-def _check_and_evaluate(args, doc, ctx, queries) -> int:
+def _check_and_evaluate(args, doc, ctx, queries) -> tuple:
+    """The exit code, and once the checks pass, the number of answers
+    printed and the seconds their evaluation took."""
     db = _load_database(args.database, doc)
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
@@ -139,10 +144,13 @@ def _check_and_evaluate(args, doc, ctx, queries) -> int:
     if violations:
         for v in violations:
             sys.stderr.write(v + "\n")
-        return CONSTRAINT_VIOLATION
+        return CONSTRAINT_VIOLATION, None
 
-    _write_answers(chase_mod.evaluate_ucq(queries, instance))
-    return OK
+    t0 = time.perf_counter()
+    answers = chase_mod.evaluate_ucq(queries, instance)
+    seconds = time.perf_counter() - t0
+    _write_answers(answers)
+    return OK, (len(answers), seconds)
 
 
 def _write_answers(answers) -> None:

@@ -3,7 +3,7 @@ ANSI SQL, plus the size/atoms/joins metrics report."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .model import CONST, ConjunctiveQuery, Term, VAR
 
@@ -147,9 +147,12 @@ def count_joins_total(queries: Iterable[ConjunctiveQuery]) -> int:
     return sum(count_joins(q) for q in queries)
 
 
-def stats_report(queries: List[ConjunctiveQuery], metrics) -> str:
+def stats_report(queries: List[ConjunctiveQuery], metrics,
+                 answered: Optional[Tuple[int, float]] = None) -> str:
     """Size, atom and join counts of the given queries or rules, then the
-    run's counters and timers, pretty and as key=value lines."""
+    run's counters and timers, then, given `answered` (the number of
+    answers and the seconds their evaluation took), the `answers` and
+    `answer_ms` rows; pretty and as key=value lines."""
     rows = [
         ("size", len(queries)),
         ("atoms", count_atoms(queries)),
@@ -162,6 +165,9 @@ def stats_report(queries: List[ConjunctiveQuery], metrics) -> str:
         ("rewrite_ms", round(metrics.rewrite_time * 1000, 3)),
         ("unfold_ms", round(metrics.unfold_time * 1000, 3)),
     ]
+    if answered is not None:
+        count, seconds = answered
+        rows += [("answers", count), ("answer_ms", round(seconds * 1000, 3))]
     width = max(len(k) for k, _ in rows)
     pretty = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
     machine = "\n".join(f"{k}={v}" for k, v in rows)

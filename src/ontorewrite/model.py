@@ -129,11 +129,14 @@ def make_query(head_pred: str, head_args: Iterable[Term], body: Iterable[Atom]) 
     return ConjunctiveQuery(head_pred, tuple(head_args), tuple(seen))
 
 
-def connected_components(atoms: Iterable[Atom], linked) -> List[Tuple[Atom, ...]]:
+def connected_components(atoms: Iterable[Atom], linked=None,
+                         links=None) -> List[Tuple[Atom, ...]]:
     """The groups of atoms joined by chains of shared terms for which
     `linked(term)` holds, each in the atoms' order, in order of their first
-    atom.  One sweep over the arguments, with union-find over atom positions
-    in which every group's root is its first atom."""
+    atom.  `links(atom)`, when given, yields an atom's linked terms in place
+    of filtering its arguments by `linked`, so a caller may read them from a
+    memo.  One sweep over the linked terms, with union-find over atom
+    positions in which every group's root is its first atom."""
     atoms = tuple(atoms)
     parent = list(range(len(atoms)))
     holder: Dict[Term, int] = {}  # linked term -> the first atom holding it
@@ -145,16 +148,21 @@ def connected_components(atoms: Iterable[Atom], linked) -> List[Tuple[Atom, ...]
         return i
 
     for i, a in enumerate(atoms):
-        for t in a.args:
-            if linked(t):
-                j = holder.setdefault(t, i)
-                if j != i:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
+        for t in filter(linked, a.args) if links is None else links(a):
+            j = holder.setdefault(t, i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    # an atom's parent precedes it, so in position order the parent already
+    # points at the root
     groups: Dict[int, List[Atom]] = {}
     for i, a in enumerate(atoms):
-        groups.setdefault(find(i), []).append(a)
+        root = parent[i] = parent[parent[i]]
+        if root == i:
+            groups[i] = [a]
+        else:
+            groups[root].append(a)
     return [tuple(g) for g in groups.values()]
 
 

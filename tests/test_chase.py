@@ -214,7 +214,9 @@ def _random_product_ucq(rng):
     """Disjuncts that are products of a few random component bodies, one
     drawn per slot from that slot's pool, with the slots' variables kept
     apart, so that identical groups repeat across disjuncts.  The head
-    variables are drawn from all slots; a disjunct may hold none of one."""
+    variables are drawn from all slots; a disjunct may hold none of one.
+    In two UCQs of five each disjunct varies the head on its own (see
+    `_varied_head`), so the same groups also repeat under other heads."""
     from conftest import QUERY_POOL, random_query
     slots = []
     for s in range(rng.randint(2, 3)):
@@ -230,26 +232,46 @@ def _random_product_ucq(rng):
     head = tuple(rng.sample(variables, min(len(variables), rng.randint(0, 3))))
     if rng.random() < 0.2:
         head += (const("a"),)
-    return [ConjunctiveQuery("q", head, tuple(itertools.chain(*bodies)))
+    varied = rng.random() < 0.4
+    return [ConjunctiveQuery("q", _varied_head(rng, head) if varied else head,
+                             tuple(itertools.chain(*bodies)))
             for bodies in itertools.product(*slots)]
+
+
+def _varied_head(rng, head):
+    """The head with its terms reordered, with one variable repeated, or
+    with one variable replaced by a constant; a head without variables is
+    only reordered."""
+    positions = [i for i, t in enumerate(head) if t.kind == VAR]
+    way = rng.randrange(3) if positions else 0
+    if way == 0:
+        return tuple(rng.sample(head, len(head)))
+    i = rng.choice(positions)
+    if way == 1:
+        return head[:i + 1] + head[i:]
+    return head[:i] + (b,) + head[i + 1:]
 
 
 def test_evaluate_ucq_of_random_products_agrees_with_brute_force():
     rng = random.Random(4444)
     repeated = 0  # groups that a disjunct shares with an earlier one
+    reheaded = 0  # those that an earlier disjunct held under another head
     for _ in range(300):
         ucq = _random_product_ucq(rng)
         facts = _random_facts(rng)
         expected = set().union(*(_brute_answers(q, facts) for q in ucq))
         assert evaluate_ucq(ucq, facts) == expected, (ucq, facts)
-        seen = set()
+        heads_of = {}
         for q in ucq:
             assert evaluate_cq(q, facts) == _brute_answers(q, facts), (q, facts)
             if q.head_args:
-                groups = set(_groups(q))
-                repeated += len(groups & seen)
-                seen |= groups
+                for group in _groups(q):
+                    heads = heads_of.setdefault(group, set())
+                    repeated += bool(heads)
+                    reheaded += bool(heads - {q.head_args})
+                    heads.add(q.head_args)
     assert repeated >= 1000
+    assert reheaded >= 500
 
 
 def test_evaluate_cq_answers_split_bodies_like_brute_force():
@@ -293,25 +315,43 @@ def _counting_joins(monkeypatch):
     return joined
 
 
-def test_evaluate_ucq_joins_each_shared_group_once(monkeypatch):
-    """The n=6 size law's 4,096 disjuncts are products of 25 one-atom
-    groups, and `evaluate_ucq` joins each group once, not each disjunct."""
+def _size_law_ucq(n):
+    """The decomposed rewriting of the non-Boolean size law at m=3: 4**n
+    disjuncts, products of 4*n + 1 one-atom groups under one head."""
     from conftest import pipeline, query
     from ontorewrite.parallel import xrewrite_parallel
     doc, _, ctx = pipeline(
         "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
-    names = [f"A{i}" for i in range(1, 7)]
+    names = [f"A{i}" for i in range(1, n + 1)]
     q = query(f"p({', '.join(names)}) :- "
               f"{', '.join(f'p_0({v})' for v in names)}, e(B, B).", doc)
     ucq = xrewrite_parallel(q, ctx).queries
-    assert len(ucq) == 4 ** 6
+    assert len(ucq) == 4 ** n
+    return ucq
+
+
+def test_evaluate_ucq_joins_each_shared_group_once(monkeypatch):
+    """The size law's disjuncts are products of 4*n + 1 one-atom groups,
+    and `evaluate_ucq` joins each group once, not each disjunct; so its
+    time grows with the disjuncts, about 4x from n=6 to n=7."""
     ks = [const(f"k{i}") for i in range(4)]
     facts = [atom(f"p_{i}", k) for i, k in enumerate(ks)]
     facts.append(atom("e", a, a))
-    joined = _counting_joins(monkeypatch)
-    assert evaluate_ucq(ucq, facts) == set(itertools.product(ks, repeat=6))
-    assert len(joined) == 25
-    assert len(set(joined)) == 25
+    seconds = {}
+    for n in (6, 7):
+        ucq = _size_law_ucq(n)
+        joined = _counting_joins(monkeypatch)
+        assert evaluate_ucq(ucq, facts) == set(itertools.product(ks, repeat=n))
+        assert len(joined) == len(set(joined)) == 4 * n + 1
+        monkeypatch.undo()
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            evaluate_ucq(ucq, facts)
+            times.append(time.perf_counter() - t0)
+        seconds[n] = min(times)
+    assert seconds[7] < 2.0, seconds
+    assert seconds[7] < 8 * seconds[6], seconds
 
 
 def test_evaluate_ucq_joins_a_connected_disjunct_once(monkeypatch, financial):

@@ -45,6 +45,28 @@ def test_rewrite_financial_stats(files, capsys):
     assert "size=2" in out and "joins=2" in out and "components=2" in out
 
 
+def test_rewrite_database_stats_add_the_answer_rows(files, capsys):
+    onto = files("o.dlog", COLLAB)
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    db = files("d.dlog", "project(a). inArea(a, db). project(b). "
+                         "inArea(b, db). project(c).\n")
+    base = ["rewrite", "--ontology", onto, "--query", qf, "--stats"]
+    code, plain, _ = _run(capsys, base)
+    assert code == 0 and "answer" not in plain
+    code, out, err = _run(capsys, base + ["--database", db])
+    assert code == 0 and err == ""
+    assert out.startswith("(a)\n(b)\n")
+    pretty, machine = out[len("(a)\n(b)\n"):].split("\n\n")
+    # the rows without a database, then the answer count and time
+    rows = [ln.split()[0] for ln in pretty.splitlines()]
+    keys = [ln.split("=")[0] for ln in machine.splitlines()]
+    before = [ln.split("=")[0] for ln in plain.split("\n\n")[1].splitlines()]
+    assert rows == keys == before + ["answers", "answer_ms"]
+    assert pretty.splitlines()[-2].split() == ["answers", "2"]
+    assert machine.splitlines()[-2] == "answers=2"
+    assert float(machine.splitlines()[-1].split("=")[1]) >= 0
+
+
 def test_rewrite_is_byte_deterministic(files, capsys):
     onto = files("fin.dlog", FINANCIAL)
     qf = files("q.dlog", f"? {FINANCIAL_QUERY}\n")

@@ -1,18 +1,13 @@
-"""A small LRU map used for the MGU memo of the rewriter's general step.
-
-Only `rewriter.rewrite_step` reads the memo: a piece of two or more atoms,
-or a rule head holding a constant or a repeated variable.  The common step,
-one atom against a head of distinct variables, binds the head without an
-`mgu`.  The memo stays because the benchmark tracer reads
-`RewriterContext.mgu_cache` (perfbench/tracing.py); deleting it waits for
-ROADMAP item 1."""
+"""A small LRU map.  Its only instances are the rewriter context's
+`mgu_cache` and `rename_cache` and the elimination context's `cache`, all
+of capacity 0 and never read by the program: no step unifies, renames or
+eliminates through a memo.  They stay because the benchmark tracer reads
+their hit counts (perfbench/tracing.py); deleting them, and this module,
+waits for ROADMAP item 1."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-
-# Capacity, in entries, of the rewriter's MGU cache.
-MGU_CACHE_SIZE = 4500
 
 
 class LRUCache:

@@ -123,8 +123,10 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(emit.to_sql(queries, mapping) + "\n")
 
     if args.stats:
-        sys.stdout.write(emit.stats_report(queries, result.metrics, answered)
-                         + "\n")
+        # a blank line first, so that the rows are the last paragraph even
+        # after an answer or rule that holds "="
+        sys.stdout.write("\n" + emit.stats_report(queries, result.metrics,
+                                                  answered) + "\n")
     return OK
 
 

@@ -542,7 +542,8 @@ def private_atom_keys(body, assignment: dict) -> Optional[list]:
     return keys
 
 
-def _atom_key(a: Atom, assignment: dict) -> tuple:
+def atom_key(a: Atom, assignment: dict) -> tuple:
+    """The key of a alone (`private_atom_keys`)."""
     return private_atom_keys((a,), assignment)[0]
 
 
@@ -576,7 +577,7 @@ def _canonical_order(body, assignment):
                 touched.update(occurs[t])
         touched.discard(i)
         for j in touched:
-            keys[j] = _atom_key(body[j], assign)
+            keys[j] = atom_key(body[j], assign)
         return idx
 
     def candidates(tied, assign):
@@ -627,7 +628,7 @@ def _canonical_order(body, assignment):
             idx = place(tied[0], remaining, assign, idx, keys)
         return order, form
 
-    keys = [_atom_key(a, assignment) for a in body]
+    keys = [atom_key(a, assignment) for a in body]
     return walk(list(range(len(body))), dict(assignment), len(assignment) + 1,
                 keys)
 
@@ -641,11 +642,15 @@ def head_assignment(q: ConjunctiveQuery):
     return assignment, head
 
 
+# The tag of a group mark, above the argument tags 0, 1 and 2 of atom keys.
+_GROUP = 3
+
+
 def _ordered_groups(body, assignment: dict) -> list:
     """Per group of body (`connected_components`), in order of first atom,
     its key and its atoms in its own order.  A lone atom's key is its atom
-    key; a larger group's is its key sequence under the mark `("", (3, form))`
-    (empty predicate, tag above the argument tags), equal to no atom key."""
+    key; a larger group's is its key sequence under the mark
+    `("", (_GROUP, form))`, equal to no atom key."""
     keys = private_atom_keys(body, assignment)
     if keys is not None:
         return [(key, (a,)) for key, a in zip(keys, body)]
@@ -653,9 +658,19 @@ def _ordered_groups(body, assignment: dict) -> list:
     for group in connected_components(
             body, lambda t: t.kind == VAR and t not in assignment):
         order, form = _canonical_order(group, assignment)
-        key = form[0] if len(form) == 1 else ("", (3, tuple(form)))
+        key = form[0] if len(form) == 1 else ("", (_GROUP, tuple(form)))
         groups.append((key, [group[i] for i in order]))
     return groups
+
+
+def private_body_keys(key: tuple) -> Optional[tuple]:
+    """The body's atom keys, sorted, read off the renaming key `key` of a
+    query whose body is private (every group a lone atom); None when one of
+    its group keys is a group mark."""
+    body = key[2]
+    if any(len(k) == 2 and k[1][0] == _GROUP for k in body):
+        return None
+    return body
 
 
 def canonical_rename(q: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -698,4 +713,11 @@ def renaming_key(q: ConjunctiveQuery) -> tuple:
     of each other: the head predicate, the head with its variables numbered
     and the body's group keys under that numbering, sorted."""
     assignment, head = head_assignment(q)
-    return (q.head_pred, head, tuple(sorted(group_keys(q.body, assignment))))
+    return key_of_groups(q.head_pred, head, group_keys(q.body, assignment))
+
+
+def key_of_groups(head_pred: str, head: tuple, keys: Iterable) -> tuple:
+    """The renaming key of the query with head predicate `head_pred`, the
+    head `head` as `head_assignment` numbers it, and a body whose group keys
+    are `keys`, one per atom, in any order."""
+    return (head_pred, head, tuple(sorted(keys)))

@@ -1,8 +1,7 @@
 """Decomposition-based rewriting: split the query on existential joins,
 rewrite each component independently, one after another, reconcile with a
 Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
-space; the components share the rewriter context and its MGU cache, and one
-step budget.
+space; the components share the rewriter context and one step budget.
 
 Unfolding goes by position: component i's disjuncts, standardized apart
 from the reconciliation's variables, unify with the reconciliation's i-th
@@ -32,8 +31,8 @@ from typing import Dict, List, Optional, Set
 from .eliminate import reduce_query
 from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
                     connected_components, group_keys, head_assignment,
-                    make_query, mgu, renaming_key, subst_atom, subst_atoms,
-                    subst_query)
+                    key_of_groups, make_query, mgu, renaming_key, subst_atom,
+                    subst_atoms, subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriteResult, RewriterContext, xrewrite)
@@ -148,7 +147,7 @@ def unfold(component_rewritings: List[List[ConjunctiveQuery]],
         pairs = [p for _, _, p in parts]
         if None not in pairs:
             key_of = dict(chain.from_iterable(pairs))
-            key = (head_pred, numbered_head, tuple(sorted(key_of.values())))
+            key = key_of_groups(head_pred, numbered_head, key_of.values())
             if key in seen:
                 continue
             query = ConjunctiveQuery(head_pred, head_args, tuple(key_of))
@@ -191,7 +190,7 @@ class ParallelResult:
 def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                       options: Optional[RewriteOptions] = None) -> ParallelResult:
     """Decompose, rewrite each component in turn with an independent
-    rewriter sharing the context's graphs and MGU cache, then unfold.  The
+    rewriter sharing the context's rules and graphs, then unfold.  The
     query is reduced before decomposition when elimination applies."""
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)

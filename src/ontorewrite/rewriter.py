@@ -1,6 +1,6 @@
 """The backward-chaining rewriting loop: applicability, single pieces and
 the two paths of the rewriting step that resolves them, dedup modulo
-renaming, query provenance, the MGU memo and metrics.
+renaming, query provenance and metrics.
 
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
 the sorted keys of the body's groups, the atoms that non-head variables
@@ -16,26 +16,25 @@ predicate the query's body holds, in rule order.  A one-atom piece against
 a head of distinct variables, every step of the paper's financial
 rewriting, binds the head directly (`_bind_head`): no renamed copy of the
 rule, no `mgu`.  Any other piece takes the general path, `rewrite_step`,
-which renames the rule apart and unifies through the context's MGU memo.
-The memo serves only that path; it stays because the benchmark tracer
-reads `ctx.mgu_cache` (perfbench/tracing.py), and deleting it waits for
-ROADMAP item 1.
+which renames the rule apart and runs `mgu`.
 
-Every step's output is deduplicated against all queries so far.  With
-elimination off, a one-atom step against a head of distinct variables
-from a query whose body is private (no non-head variable links two atoms,
-so each atom is a group of its own) is keyed before it is built: its key
-is the parent's atom keys, minus the resolved atom's, plus the keys of the
-rule body bound to that atom, which depend only on the rule and the atom's
-key and are memoized under both (`_ChildKeys`).  Its query is built only
-when that key is new, so a duplicate step costs a key, not a query.
-Every other step is built and then keyed.  The loop runs until its queue
-is empty, so every admitted query is explored, and the final rewriting
-collects the admitted queries whose bodies mention no auxiliary
+Every step's output is deduplicated against all queries so far, and each
+admitted query keeps its renaming key.  With elimination off, a one-atom
+step against a head of distinct variables from a query whose body is
+private (no non-head variable links two atoms, so each atom is a group of
+its own, as `model.private_body_keys` reads off its key) is keyed before
+it is built: its key is the parent's stored atom keys, minus the resolved
+atom's, plus the keys of the rule body bound to that atom, which depend
+only on the rule and the atom's key and are memoized under both
+(`_ChildKeys`).  Its query is built only when that key is new, so a
+duplicate step costs a key, not a query, and no admitted body is keyed
+again.  Every other step is built and then keyed.  The loop runs until its
+queue is empty, so every admitted query is explored, and the final
+rewriting collects the admitted queries whose bodies mention no auxiliary
 normalization predicate.  The loop prunes nothing: a subsumption mode
 other than `none` prunes that final rewriting once, through
-`subsume.prune_ucq`.  With single-piece steps, dropping a query
-that a kept one subsumes can lose disjuncts (see `subsume`).
+`subsume.prune_ucq`.  With single-piece steps, dropping a query that a
+kept one subsumes can lose disjuncts (see `subsume`).
 """
 
 from __future__ import annotations
@@ -49,12 +48,13 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Set, Tuple, Union)
 
 from . import subsume
-from .cache import MGU_CACHE_SIZE, LRUCache
+from .cache import LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
-                    group_keys, head_assignment, make_query, mgu,
-                    private_atom_keys, renaming_key, subst_atom)
+                    atom_key, group_keys, head_assignment, key_of_groups,
+                    make_query, mgu, private_body_keys, renaming_key,
+                    subst_atom)
 # Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
 # ROADMAP item 1 removes that hold.
 from .model import canonical_rename  # noqa: F401
@@ -115,15 +115,9 @@ class _RuleFacts(NamedTuple):
 
 
 class RewriterContext:
-    """Shared state for one ontology: normalized rules, the MGU memo of the
-    general step, and lazily built structures: each rule's `_RuleFacts`
-    and the rules by head predicate, which every rewriting reads, and the
-    elimination/affected structures.
-
-    The memo serves only `rewrite_step`, which a step takes for a piece of
-    two or more atoms or a head holding a constant or a repeated variable;
-    it stays because the benchmark tracer reads `mgu_cache`
-    (perfbench/tracing.py), and its deletion waits for ROADMAP item 1."""
+    """Shared state for one ontology: normalized rules and lazily built
+    structures: each rule's `_RuleFacts` and the rules by head predicate,
+    which every rewriting reads, and the elimination/affected structures."""
 
     def __init__(self, tgds: List[TGD], aux_preds: Iterable[str] = (),
                  arities: Optional[dict] = None):
@@ -131,23 +125,15 @@ class RewriterContext:
         self.aux_preds = frozenset(aux_preds)
         self.arities = dict(arities or {})
         self.linear = is_linear(self.tgds)
-        self.mgu_cache = LRUCache(MGU_CACHE_SIZE)
-        # Always empty: deduplication keys through model.renaming_key.  Its
-        # only reader is the benchmark tracer's cache.rename_hit_ratio
+        # Always empty: no step unifies through a memo, and deduplication
+        # keys through model.renaming_key.  Their only reader is the
+        # benchmark tracer's cache.mgu_hit_ratio and cache.rename_hit_ratio
         # (perfbench/tracing.py); ROADMAP item 1 removes that hold, and then
-        # this attribute.
+        # these attributes.
+        self.mgu_cache = LRUCache(0)
         self.rename_cache = LRUCache(0)
         self._elim: Optional[EliminationContext] = None
         self._affected = None
-
-    def unify(self, atoms: Tuple[Atom, ...], preferred: FrozenSet) -> Optional[dict]:
-        key = (frozenset(atoms), preferred)
-        hit = self.mgu_cache.get(key, False)
-        if hit is not False:
-            return hit
-        result = mgu(atoms, preferred)
-        self.mgu_cache.put(key, result)
-        return result
 
     def elimination(self) -> EliminationContext:
         if self._elim is None:
@@ -263,14 +249,12 @@ def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
 
 
 def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
-                 preferred: FrozenSet = frozenset(),
-                 ctx: Optional[RewriterContext] = None) -> Optional[ConjunctiveQuery]:
+                 preferred: FrozenSet = frozenset()) -> Optional[ConjunctiveQuery]:
     """Replace S with the body of the rule renamed by the step counter and
     apply the mgu of S and the renamed head throughout; None if there is none.
     The step must rename the rule apart from q (see `model.apart_index`)."""
     renamed = tgd.rename(step)
-    atoms = tuple(S) + (renamed.head,)
-    gamma = ctx.unify(atoms, preferred) if ctx else mgu(atoms, preferred)
+    gamma = mgu(tuple(S) + (renamed.head,), preferred)
     if gamma is None:
         return None
     removed = set(S)
@@ -321,34 +305,18 @@ def _bound_body(a: Atom, tgd: TGD, step: int, preferred: FrozenSet,
     return rename, [subst_atom(sub, b) for b in tgd.body]
 
 
-class _PrivateParent(NamedTuple):
-    """What deriving its children's renaming keys reads of a query whose
-    body is private: no variable outside the head occurs in two atoms, so
-    every atom is a group of its own, keyed by its atom key."""
-    head: tuple  # the head, its variables numbered as `renaming_key` does
-    assignment: Dict[Term, int]  # the head variables' numbers
-    keys: Dict[Atom, tuple]  # body atom -> its key, in body order
-
-    @staticmethod
-    def of(q: ConjunctiveQuery) -> Optional["_PrivateParent"]:
-        assignment, head = head_assignment(q)
-        keys = private_atom_keys(q.body, assignment)
-        if keys is None:
-            return None
-        return _PrivateParent(head, assignment, dict(zip(q.body, keys)))
-
-
 class _ChildKeys:
     """The renaming keys of one rewriting's one-atom steps against heads of
-    distinct variables from parents whose body is private, derived without
-    building the children.  The head's variables are among the loop's
-    preferred ones, so the binding renames only variables of the resolved
-    atom outside the head, which occur in no other atom, and bijectively:
-    the head and the rest of the body keep their keys.  The bound rule body's unnamed
-    variables are the atom's and the rule's fresh ones, so its groups link
-    to no atom of the rest and keep the keys they have on their own
-    (`model.group_keys`).  Those keys depend only on the rule and the
-    atom's key, and are memoized under both."""
+    distinct variables from parents whose body is private, derived from the
+    parent's stored key without building the children.  The head's
+    variables are among the loop's preferred ones, so the binding renames
+    only variables of the resolved atom outside the head, which occur in no
+    other atom, and bijectively: the head and the rest of the body keep
+    their keys.  The bound rule body's unnamed variables are the atom's and
+    the rule's fresh ones, so its groups link to no atom of the rest and
+    keep the keys they have on their own (`model.group_keys`).  Those keys
+    depend only on the rule and the atom's key, and are memoized under
+    both."""
 
     def __init__(self, ctx: RewriterContext, preferred: FrozenSet):
         self.ctx = ctx
@@ -357,21 +325,33 @@ class _ChildKeys:
         # into those of atoms free of unnamed variables and the others
         self.bound: Dict[tuple, Tuple[list, list]] = {}
 
-    def key(self, q: ConjunctiveQuery, parent: _PrivateParent, a: Atom,
-            k: int, step: int) -> tuple:
-        """`renaming_key` of the query that `_bind_head` makes of q, a and
-        rule k at this step.  Of the bound atoms free of unnamed variables
-        the child drops those the rest of the body holds."""
-        atom_key = parent.keys[a]
-        bound = self.bound.get((k, atom_key))
+    def of(self, entry: "QueryEntry") -> Optional[Callable]:
+        """The function of (atom, rule number, step) that gives the renaming
+        key of the query `_bind_head` makes of entry's query, the atom and
+        the rule at that step; None when that query's body is not
+        private."""
+        body = private_body_keys(entry.key)
+        if body is None:
+            return None
+        q = entry.query
+        assignment, head = head_assignment(q)
+        return partial(self.key, q.head_pred, head, assignment, body)
+
+    def key(self, head_pred: str, head: tuple, assignment: Dict[Term, int],
+            body: tuple, a: Atom, k: int, step: int) -> tuple:
+        """The parent's atom keys `body` minus a's, plus the bound body's.
+        Of the bound atoms free of unnamed variables the child drops those
+        the rest of the body holds."""
+        resolved = atom_key(a, assignment)
+        bound = self.bound.get((k, resolved))
         if bound is None:
-            bound = self.bound[k, atom_key] = self._bound_keys(
-                a, k, step, parent.assignment)
-        rest = list(parent.keys.values())
-        rest.remove(atom_key)
+            bound = self.bound[k, resolved] = self._bound_keys(
+                a, k, step, assignment)
+        rest = list(body)
+        rest.remove(resolved)
         named, other = bound
-        body = rest + [key for key in named if key not in rest] + other
-        return q.head_pred, parent.head, tuple(sorted(body))
+        return key_of_groups(head_pred, head, rest + [
+            key for key in named if key not in rest] + other)
 
     def _bound_keys(self, a: Atom, k: int, step: int,
                     assignment: Dict[Term, int]) -> Tuple[list, list]:
@@ -388,11 +368,9 @@ class _ChildKeys:
 
 # Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
 def factorize_step(q: ConjunctiveQuery, S: Tuple[Atom, ...],
-                   preferred: FrozenSet = frozenset(),
-                   ctx: Optional[RewriterContext] = None) -> ConjunctiveQuery:
+                   preferred: FrozenSet = frozenset()) -> ConjunctiveQuery:
     """Apply the most general unifier of S to the whole query."""
-    atoms = tuple(S)
-    gamma = ctx.unify(atoms, preferred) if ctx else mgu(atoms, preferred)
+    gamma = mgu(S, preferred)
     if gamma is None:
         raise ValueError("factorize_step requires a unifiable atom set")
     return make_query(q.head_pred,
@@ -408,6 +386,7 @@ def factorize_step(q: ConjunctiveQuery, S: Tuple[Atom, ...],
 class QueryEntry:
     node: int
     query: ConjunctiveQuery
+    key: tuple  # the query's renaming key, as `canon_index` holds it
     # Only perfbench/tracing.py reads it; ROADMAP item 1 drops it.
     pruned: bool = False
     parents: Set[int] = field(default_factory=set)
@@ -436,9 +415,9 @@ class RewriteState:
               key: Optional[tuple] = None) -> Optional[QueryEntry]:
         """Admit q unless a renaming of it was admitted before, and record
         parent as a parent of the admitted query; the new entry, or None.
-        `key` is q's renaming key, computed from q when not given; with it,
-        q may be a function of no arguments that builds the query, called
-        only when the key is new."""
+        `key` is q's renaming key, computed from q when not given, and the
+        new entry keeps it; with it, q may be a function of no arguments
+        that builds the query, called only when the key is new."""
         canon = renaming_key(q) if key is None else key
         node = self.canon_index.get(canon)
         if node is not None:
@@ -446,7 +425,7 @@ class RewriteState:
             return None
         if callable(q):
             q = q()
-        entry = QueryEntry(len(self.entries), q)
+        entry = QueryEntry(len(self.entries), q, canon)
         self.entries.append(entry)
         self.canon_index[canon] = entry.node
         self.queue.append(entry.node)
@@ -503,22 +482,22 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
         entry = state.entries[node]
         cur = entry.query
         occ = cur.occurrences()
-        parent = None if elim else _PrivateParent.of(cur)
+        keyer = None if elim else child_keys.of(entry)
         for k in ctx.rules_for({a.pred for a in cur.body}):
             tgd, facts = ctx.tgds[k], ctx.rule_facts[k]
             for S in _pieces(cur, tgd, facts.epos, occ):
                 step = first_step + state.metrics.generated
                 key = None
                 if len(S) == 1 and facts.plain_head:
-                    if parent is None:
+                    if keyer is None:
                         out = _bind_head(cur, S[0], tgd, step, preferred,
                                          facts.body_only)
                     else:
-                        key = child_keys.key(cur, parent, S[0], k, step)
+                        key = keyer(S[0], k, step)
                         out = partial(_bind_head, cur, S[0], tgd, step,
                                       preferred, facts.body_only)
                 else:
-                    out = rewrite_step(cur, S, tgd, step, preferred, ctx)
+                    out = rewrite_step(cur, S, tgd, step, preferred)
                 if out is None:
                     continue
                 state.metrics.generated += 1

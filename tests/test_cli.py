@@ -35,6 +35,12 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _stats_rows(out):
+    """The `--stats` rows, key -> value: the output's last paragraph."""
+    return dict(ln.split("=", 1)
+                for ln in out.rstrip("\n").split("\n\n")[-1].splitlines())
+
+
 def test_rewrite_financial_stats(files, capsys):
     onto = files("fin.dlog", FINANCIAL)
     qf = files("q.dlog", f"? {FINANCIAL_QUERY}\n")
@@ -42,7 +48,8 @@ def test_rewrite_financial_stats(files, capsys):
                                    "--stats"])
     assert code == 0
     assert out.count(":-") == 2
-    assert "size=2" in out and "joins=2" in out and "components=2" in out
+    rows = _stats_rows(out)
+    assert (rows["size"], rows["joins"], rows["components"]) == ("2", "2", "2")
 
 
 def test_rewrite_database_stats_add_the_answer_rows(files, capsys):
@@ -55,16 +62,29 @@ def test_rewrite_database_stats_add_the_answer_rows(files, capsys):
     assert code == 0 and "answer" not in plain
     code, out, err = _run(capsys, base + ["--database", db])
     assert code == 0 and err == ""
-    assert out.startswith("(a)\n(b)\n")
-    pretty, machine = out[len("(a)\n(b)\n"):].split("\n\n")
+    answers, pretty, machine = out.split("\n\n")
+    assert answers == "(a)\n(b)"
     # the rows without a database, then the answer count and time
     rows = [ln.split()[0] for ln in pretty.splitlines()]
-    keys = [ln.split("=")[0] for ln in machine.splitlines()]
-    before = [ln.split("=")[0] for ln in plain.split("\n\n")[1].splitlines()]
-    assert rows == keys == before + ["answers", "answer_ms"]
+    assert rows == list(_stats_rows(out))
+    assert rows == list(_stats_rows(plain)) + ["answers", "answer_ms"]
     assert pretty.splitlines()[-2].split() == ["answers", "2"]
-    assert machine.splitlines()[-2] == "answers=2"
-    assert float(machine.splitlines()[-1].split("=")[1]) >= 0
+    assert _stats_rows(out)["answers"] == "2"
+    assert float(_stats_rows(out)["answer_ms"]) >= 0
+
+
+def test_rewrite_stats_follow_an_answer_that_holds_equals(files, capsys):
+    # the answer 'x=1' reads as no row: the rows are the last paragraph
+    onto = files("o.dlog", "r(X) -> s(X).\n")
+    qf = files("q.dlog", "q(A) :- s(A).\n")
+    db = files("d.dlog", "r('x=1').\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query",
+                                   qf, "--database", db, "--stats"])
+    assert code == 0 and err == ""
+    assert out.startswith("('x=1')\n\n")
+    rows = _stats_rows(out)
+    assert len(rows) == 12 and "('x" not in rows
+    assert rows["answers"] == "1"
 
 
 def test_rewrite_is_byte_deterministic(files, capsys):
@@ -301,8 +321,8 @@ def test_rewrite_datalog_output_honours_idec(files, capsys):
     # --stats counts the printed rules: three component rules plus the
     # reconciliation, with their six body atoms
     assert sum(ln.split(":-")[1].count("(") for ln in rules) == 6
-    stats = [ln for ln in out.splitlines() if "=" in ln]
-    assert stats[:3] == ["size=4", "atoms=6", "joins=0"]
+    rows = _stats_rows(out)
+    assert (rows["size"], rows["atoms"], rows["joins"]) == ("4", "6", "0")
 
 
 def test_rewrite_datalog_output_refuses_tail(files, capsys):

@@ -7,8 +7,9 @@ import pytest
 import ontorewrite as ow
 from ontorewrite import chase
 from ontorewrite.eliminate import reduce_query
-from ontorewrite.model import (TGD, VAR, Atom, apart_index, atom, const,
-                               make_query, mgu, renaming_key, var)
+from ontorewrite.model import (TGD, VAR, Atom, ConjunctiveQuery, apart_index,
+                               atom, const, make_query, mgu, renaming_key,
+                               var)
 from ontorewrite import rewriter
 from ontorewrite.rewriter import (BudgetExhaustedError, RewriteOptions,
                                   _bind_head, _pieces, _RuleFacts, applicable,
@@ -68,7 +69,7 @@ def test_rewrite_step_unifies_exactly_when_applicable_random():
                              q.occurrences())
             for a in q.body:
                 S = (a,)
-                out = rewrite_step(q, S, tgd, 1, preferred, ctx)
+                out = rewrite_step(q, S, tgd, 1, preferred)
                 resolved = S in pieces and out is not None
                 assert applicable(tgd, S, q) == resolved, (tgd, a, q)
                 if S not in pieces:
@@ -299,7 +300,7 @@ def test_bind_head_at_the_existential_position():
                                   "r(X, Y) -> s(X, Y)."])
 def test_only_heads_of_distinct_variables_bind_directly(text, monkeypatch):
     # a head holding a constant or a repeated variable takes the general
-    # path, rename + mgu through the memo; a plain head never does
+    # path, rename + mgu; a plain head never does
     doc, tgds, ctx = pipeline(text)
     plain = text.startswith("r(X, Y)")
     assert ctx.rule_facts[0].plain_head == plain
@@ -310,11 +311,24 @@ def test_only_heads_of_distinct_variables_bind_directly(text, monkeypatch):
         return rewrite_step(*args)
 
     monkeypatch.setattr(rewriter, "rewrite_step", counting)
+    unifications = _count_mgu(monkeypatch)
     q = make_query("q", [], [atom("s", A, B), atom("t", B)])
     res = xrewrite(q, ctx, RewriteOptions(elimination=False))
     assert res.metrics.generated == 1
     assert len(calls) == (0 if plain else 1)
-    assert (ctx.mgu_cache.hits + ctx.mgu_cache.misses) == len(calls)
+    assert len(unifications) == len(calls)
+
+
+def _count_mgu(monkeypatch):
+    """The calls of `mgu` that the rewriter makes from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mgu(*args)
+
+    monkeypatch.setattr(rewriter, "mgu", counting)
+    return calls
 
 
 def test_rules_for_visits_the_rules_of_the_body_predicates_in_order():
@@ -326,16 +340,17 @@ def test_rules_for_visits_the_rules_of_the_body_predicates_in_order():
     assert ctx.rules_for(()) == []
 
 
-def test_xrewrite_financial_counters():
+def test_xrewrite_financial_counters(monkeypatch):
     # the paper's query, sequential without elimination: every step binds
-    # the head directly, so the memo of the general path stays empty
+    # the head directly, so no step runs mgu
     from conftest import FINANCIAL, FINANCIAL_QUERY
     doc, tgds, ctx = pipeline(FINANCIAL)
+    unifications = _count_mgu(monkeypatch)
     res = xrewrite(query(FINANCIAL_QUERY, doc), ctx,
                    RewriteOptions(elimination=False))
     assert (res.metrics.explored, res.metrics.generated,
             len(res.queries)) == (1232, 4732, 60)
-    assert ctx.mgu_cache.hits + ctx.mgu_cache.misses == 0
+    assert unifications == []
 
 
 def test_factorize_step_collapses_collaborator_pair():
@@ -526,7 +541,7 @@ def _reference_xrewrite(q, ctx, elimination=None):
                                          or at.args[epos - 1] in shared):
                     continue
                 out = rewrite_step(cur, (at,), tgd, first_step + generated,
-                                   preferred, ctx)
+                                   preferred)
                 if out is not None:
                     generated += 1
                     admit(out, "r")
@@ -539,7 +554,7 @@ def _reference_xrewrite(q, ctx, elimination=None):
             for S in sorted((tuple(S) for S in by_var.values() if len(S) > 1),
                             key=len):
                 if factorizable(S, tgd, cur):
-                    admit(factorize_step(cur, S, preferred, ctx), "f")
+                    admit(factorize_step(cur, S, preferred), "f")
     return [out for out, label in found.values()
             if label == "r" and not ctx.mentions_aux(out)]
 
@@ -666,7 +681,7 @@ def _build_then_key_xrewrite(q, ctx, elimination):
                     out = _bind_head(cur, S[0], tgd, step, preferred,
                                      facts.body_only)
                 else:
-                    out = rewrite_step(cur, S, tgd, step, preferred, ctx)
+                    out = rewrite_step(cur, S, tgd, step, preferred)
                 if out is None:
                     continue
                 generated += 1
@@ -708,6 +723,8 @@ def _rewrite_as_reference(q, ctx, elimination):
             [e.parents for e in res.state.entries], res.metrics.explored,
             res.metrics.generated, res.metrics.factorized)
     assert mine == _build_then_key_xrewrite(q, ctx, elimination), str(q)
+    for e in res.state.entries:
+        assert e.key == renaming_key(e.query), str(e.query)
     return res
 
 
@@ -715,9 +732,9 @@ def test_keyed_steps_equal_the_build_then_key_loop(monkeypatch):
     # The financial queries of the benchmark, random linear and sticky
     # rewritings and the piece cases, with elimination off and at its
     # default: the same queries, parents and counters as the loop that
-    # builds every step, and every key handed to admit equals the built
+    # builds every step, every key handed to admit equals the built
     # query's (a memo of the bound bodies' keys that ignored the rule
-    # would fail here first).
+    # would fail here first), and every entry keeps its query's key.
     from conftest import (QUERY_POOL, random_linear_rules, random_piece_case,
                           random_query, random_sticky_rules, rules_context)
     admits = _KeyedAdmits(monkeypatch)
@@ -784,6 +801,53 @@ def test_keyed_step_to_a_child_that_is_not_private(monkeypatch):
         "q(A) :- s(A), t(A).", "q(A) :- t(A), r(A, Z^1), u(Z^1).",
         "q(A) :- t(A), r(A, Y^2), v(Y^2)."]
     assert (admits.keyed, admits.built_first) == (1, 1)
+
+
+def test_keyed_steps_from_the_private_child_of_a_query_that_is_not(
+        monkeypatch):
+    # Z links the root's atoms, so its steps build first; binding s(A, Z)
+    # to the head s(X, X) unlinks them, and the child's own step is keyed
+    # from the key it was admitted with
+    res, admits = _keyed_run(monkeypatch, "p(X) -> s(X, X).  v(X) -> t(X).",
+                             "q(A) :- s(A, Z), t(Z).")
+    assert [str(e.query) for e in res.state.entries] == [
+        "q(A) :- s(A, Z), t(Z).", "q(A) :- t(A), p(A).",
+        "q(A) :- s(A, Z), v(Z).", "q(A) :- p(A), v(A)."]
+    assert res.state.entries[3].parents == {1, 2}
+    assert (admits.keyed, admits.duplicates, admits.built_first) == (1, 0, 3)
+
+
+def test_no_admitted_body_is_keyed_again(monkeypatch):
+    # The paper's query, sequential without elimination: every explored
+    # query's key is the one it was admitted with, so of the bodies that
+    # the rewriter's keying functions see, only the initial query's holds
+    # more than one atom (a loop that keys each parent's body again keys
+    # 1,233).
+    from conftest import FINANCIAL, FINANCIAL_QUERY
+    from ontorewrite import model
+    doc, tgds, ctx = pipeline(FINANCIAL)
+    sizes = []
+
+    def counting(function):
+        def keyed(first, *rest):
+            if isinstance(first, ConjunctiveQuery):
+                sizes.append(len(first.body))
+            elif isinstance(first, Atom):
+                sizes.append(1)
+            elif all(isinstance(a, Atom) for a in first):
+                sizes.append(len(first))
+            return function(first, *rest)
+        return keyed
+
+    keying = [name for name, f in vars(rewriter).items() if "key" in name
+              and getattr(f, "__module__", None) == model.__name__]
+    assert "renaming_key" in keying and "group_keys" in keying
+    for name in keying:
+        monkeypatch.setattr(rewriter, name, counting(getattr(rewriter, name)))
+    res = xrewrite(query(FINANCIAL_QUERY, doc), ctx,
+                   RewriteOptions(elimination=False))
+    assert res.metrics.explored == 1232
+    assert sum(size > 1 for size in sizes) == 1
 
 
 def test_keyed_step_whose_child_is_its_parent(monkeypatch):

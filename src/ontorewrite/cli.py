@@ -1,7 +1,8 @@
 """Command-line entry point wiring the pipeline together.
 
 `rewrite` rewrites the query, and each negative constraint's check query,
-through the one pipeline `parallel.xrewrite_parallel`.
+through the one pipeline `parallel.xrewrite_parallel`, all with the one
+`RewriteOptions` its flags give.
 
 Exit codes: 0 ok, 1 constraint violation, 2 input error, 3 budget exhausted.
 """
@@ -100,14 +101,15 @@ def cmd_rewrite(args) -> int:
     if args.output == "sql" and args.mapping is None:
         raise InputError("--output=sql requires --mapping")
 
-    result = xrewrite_parallel(query, ctx, RewriteOptions(
+    options = RewriteOptions(
         elimination=False if args.no_elimination else None,
-        subsumption=args.subsumption, budget=args.budget))
+        subsumption=args.subsumption, budget=args.budget)
+    result = xrewrite_parallel(query, ctx, options)
     queries = result.queries
     answered = None  # with a database: the answer count and the seconds
 
     if args.database is not None:
-        code, answered = _check_and_evaluate(args, doc, ctx, queries)
+        code, answered = _check_and_evaluate(args, doc, ctx, options, queries)
         if code != OK:
             return code
     elif args.output == "ucq":
@@ -130,17 +132,17 @@ def cmd_rewrite(args) -> int:
     return OK
 
 
-def _check_and_evaluate(args, doc, ctx, queries) -> tuple:
+def _check_and_evaluate(args, doc, ctx, options, queries) -> tuple:
     """The exit code, and once the checks pass, the number of answers
-    printed and the seconds their evaluation took."""
+    printed and the seconds their evaluation took.  Each negative
+    constraint's check query is rewritten with the query's `options`."""
     db = _load_database(args.database, doc)
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
     # one instance, so its join indexes serve every check and the answers
     instance = as_index(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
-        rewritten = xrewrite_parallel(check, ctx, RewriteOptions(
-            elimination=False, budget=args.budget)).queries
+        rewritten = xrewrite_parallel(check, ctx, options).queries
         if chase_mod.evaluate_ucq(rewritten, instance):
             violations.append(f"nc violated: {nc}")
     if violations:

@@ -16,9 +16,11 @@ reconciliation variables are all head variables, is keyed by its parts'
 group keys, sorted, and built only when that key is new; any other product
 is built and keyed by `model.renaming_key`.
 
-Components are rewritten without subsumption.  `idec` and `irew` prune each
+This pipeline is the one reader of the subsumption mode
+(`RewriteOptions.subsumption`), and prunes through `subsume.prune_ucq`.
+Components are rewritten unpruned.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
-UCQ."""
+UCQ; `none` prunes nothing."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
                     subst_atoms, subst_query)
 from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
-                       RewriteResult, RewriterContext, xrewrite)
+                       RewriterContext, xrewrite)
 from . import subsume
 
 
@@ -183,7 +185,6 @@ class ParallelResult:
     queries: List[ConjunctiveQuery]
     metrics: Metrics
     decomposition: Decomposition
-    component_results: List[RewriteResult]
     component_ucqs: List[List[ConjunctiveQuery]]  # what unfold consumed
 
 
@@ -202,13 +203,15 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
 
     # the budget bounds the steps of all components together
     budget = options.budget
+    metrics = Metrics()
+    component_ucqs = []
     rewrite_start = time.perf_counter()
-    component_results = []
     try:
         for cq in decomposition.component_queries:
             result = xrewrite(cq, ctx, RewriteOptions(
                 elimination=options.elimination, budget=budget))
-            component_results.append(result)
+            metrics.merge(result.metrics)
+            component_ucqs.append(result.queries)
             if budget is not None:
                 budget -= result.metrics.generated
     except BudgetExhaustedError:
@@ -216,7 +219,6 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                                    f"{options.budget}") from None
     rewrite_time = time.perf_counter() - rewrite_start
 
-    component_ucqs = [r.queries for r in component_results]
     if options.subsumption in ("idec", "irew"):
         component_ucqs = [subsume.prune_ucq(u) for u in component_ucqs]
 
@@ -227,12 +229,8 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     if options.subsumption == "tail":
         queries = subsume.prune_ucq(queries)
 
-    metrics = Metrics()
-    for r in component_results:
-        metrics.merge(r.metrics)
     metrics.split_time = split_time
     metrics.rewrite_time = rewrite_time
     metrics.unfold_time = unfold_time
     metrics.components = len(decomposition.component_queries)
-    return ParallelResult(queries, metrics, decomposition, component_results,
-                          component_ucqs)
+    return ParallelResult(queries, metrics, decomposition, component_ucqs)

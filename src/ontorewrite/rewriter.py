@@ -31,10 +31,8 @@ duplicate step costs a key, not a query, and no admitted body is keyed
 again.  Every other step is built and then keyed.  The loop runs until its
 queue is empty, so every admitted query is explored, and the final
 rewriting collects the admitted queries whose bodies mention no auxiliary
-normalization predicate.  The loop prunes nothing: a subsumption mode
-other than `none` prunes that final rewriting once, through
-`subsume.prune_ucq`.  With single-piece steps, dropping a query that a
-kept one subsumes can lose disjuncts (see `subsume`).
+normalization predicate.  The loop prunes nothing and reads no
+subsumption mode; `parallel` applies the modes.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from itertools import chain
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Set, Tuple, Union)
 
-from . import subsume
 from .cache import LRUCache
 from .eliminate import EliminationContext, reduce_query
 from .graphs import affected_positions
@@ -71,7 +68,10 @@ SUBSUMPTION_MODES = ("none", "tail", "idec", "irew")
 @dataclass
 class RewriteOptions:
     elimination: Optional[bool] = None  # None: enabled iff the rule set is linear
-    subsumption: str = "none"  # one of SUBSUMPTION_MODES
+    # One of SUBSUMPTION_MODES.  Only the decomposed pipeline
+    # (parallel.xrewrite_parallel) reads it; xrewrite ignores it, and a
+    # sequential caller prunes its output with subsume.prune_ucq.
+    subsumption: str = "none"
     budget: Optional[int] = None
 
     def __post_init__(self):
@@ -463,7 +463,7 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     that `model.apart_index` gives for q's variables, so that a variable of
     q named like `Y^1` is never captured.  With elimination on (default for
     linear rule sets) every step's output is first reduced through atom
-    coverage.
+    coverage.  The result is unpruned under every subsumption mode.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
@@ -510,9 +510,5 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
                 state.admit(out, entry, key)
         state.metrics.explored += 1
 
-    queries = state.final_queries()
-    if options.subsumption != "none":
-        queries = subsume.prune_ucq(queries)
-
     state.metrics.rewrite_time = time.perf_counter() - start
-    return RewriteResult(queries, state.metrics, state)
+    return RewriteResult(state.final_queries(), state.metrics, state)

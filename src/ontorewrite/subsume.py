@@ -3,13 +3,11 @@
 A finished rewriting is pruned pairwise by `prune_ucq`: in the order of
 their canonical forms (`model.canonical_rename`, the body laid out group by
 group), each surviving query drops every other survivor it subsumes, so of
-two equivalent queries the one whose form sorts first stays.  Every mode
-prunes through it: on the decomposed pipeline `tail` prunes the unfolded
-rewriting, `idec` and `irew` each component's rewriting before unfolding;
-`xrewrite` alone prunes its whole rewriting under any of the three.
-Nothing is pruned inside the rewriting loop, and with its operator nothing
-may be.  Its step resolves one single piece at a time, and a loop that
-drops every query subsumed by one it kept is then incomplete: under
+two equivalent queries the one whose form sorts first stays.  Every
+subsumption mode prunes through it (`parallel` says where).  Nothing is
+pruned inside the rewriting loop, and with its operator nothing may be.
+Its step resolves one single piece at a time, and a loop that drops every
+query subsumed by one it kept is then incomplete: under
 `stockPortfolio(X,Y,Z) -> company(X,V,W).` and
 `company(X,Y,Z) -> legalPerson(X).` the kept
 `p(B) :- company(B,E,F), company(B,Y,Z).` subsumes

@@ -423,7 +423,9 @@ def test_constraint_checks_agree_with_the_chase(files, capsys):
     rng = random.Random(47)
     variables = [var(v) for v in "XYZ"]
     decided = violated = 0
-    for _ in range(40):
+    for i in range(40):
+        # every other round without elimination, which the checks honour
+        extra = ["--no-elimination"] if i % 2 else []
         for rules in (random_linear_rules(rng),
                       random_sticky_rules(rng, max_rules=4)):
             q = random_query(rng, pool=QUERY_POOL)
@@ -440,12 +442,43 @@ def test_constraint_checks_agree_with_the_chase(files, capsys):
             qf = files("q.dlog", f"{q}\n")
             dbf = files("d.dlog", "".join(f"{a}.\n" for a in db))
             code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
-                                           "--query", qf, "--database", dbf])
-            assert code == expected, (rules, nc, db, err)
+                                           "--query", qf, "--database", dbf]
+                                  + extra)
+            assert code == expected, (rules, nc, db, extra, err)
             assert ("nc violated" in err) == bool(expected)
             decided += 1
             violated += expected
     assert decided >= 60 and 10 <= violated <= decided - 10, (decided, violated)
+
+
+def test_constraint_checks_compile_with_the_query_options(files, capsys,
+                                                          monkeypatch):
+    # a check compiled without elimination put this linear ontology on the
+    # unpruned loop: 95,483 steps and ~9 s for the one check.  Every
+    # compile of the run now reads the one RewriteOptions its flags give.
+    from ontorewrite import cli
+    calls = []
+    compile_query = cli.xrewrite_parallel
+
+    def recording(q, ctx, options):
+        result = compile_query(q, ctx, options)
+        calls.append((options, result.metrics.generated))
+        return result
+
+    monkeypatch.setattr(cli, "xrewrite_parallel", recording)
+    onto = files("o.dlog", dl_lite_ontology(22, 200) + "c0(X), c1(X) -> !.\n")
+    qf = files("q.dlog", DL_LITE_QUERY + "\n")
+    db = files("d.dlog", "c0(a). c1(a).\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                   "--query", qf, "--database", db])
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (1, "", "nc violated: c0(X), c1(X) -> !.\n")
+    assert len(calls) == 2  # the query, then the constraint's check
+    (options, _), (check_options, check_steps) = calls
+    assert check_options == options
+    assert check_steps < 1000, check_steps
+    assert elapsed < 2.0, elapsed
 
 
 @pytest.mark.parametrize("rules, query, facts", [

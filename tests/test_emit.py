@@ -156,13 +156,12 @@ def test_stats_report_shapes():
 def test_to_datalog_folds_components(financial):
     doc, tgds, ctx, q = financial
     par = ow.xrewrite_parallel(q, ctx, ow.RewriteOptions(elimination=True))
-    text = to_datalog([r.queries for r in par.component_results],
-                      par.decomposition.reconciliation)
+    text = to_datalog(par.component_ucqs, par.decomposition.reconciliation)
     lines = [ln for ln in text.strip().splitlines()]
     assert lines[-1].startswith("p(A, B, C) :- ")
     assert all(":-" in ln for ln in lines)
     # folded size: component rules plus the reconciliation rule
-    assert len(lines) == sum(len(r.queries) for r in par.component_results) + 1
+    assert len(lines) == sum(len(u) for u in par.component_ucqs) + 1
 
 
 def test_serialize_ucq_round_trips():

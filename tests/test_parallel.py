@@ -138,7 +138,9 @@ def test_parallel_financial_without_elimination():
     assert len(canon_set(res.queries)) == 60
     assert res.metrics.components == 4
     # without idec, unfold consumed the component rewritings as they came
-    assert res.component_ucqs == [r.queries for r in res.component_results]
+    assert res.component_ucqs == [
+        xrewrite(cq, ctx, RewriteOptions(elimination=False)).queries
+        for cq in res.decomposition.component_queries]
     assert canon_set(unfold(res.component_ucqs,
                             res.decomposition.reconciliation)) == \
         canon_set(res.queries)

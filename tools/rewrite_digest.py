@@ -14,6 +14,8 @@ The first line gives the number of rewritings and the SHA-256 of their
   `tests/conftest.py`, each a linear and a sticky rule set with one query
   apiece, rewritten on the sequential and the decomposed path under
   subsumption none, tail and idec, with elimination at its default and off.
+  `xrewrite` reads no subsumption mode, so the sequential path prunes its
+  output with `subsume.prune_ucq` under tail and idec.
 
 A rewriting that exhausts its budget counts with the text "budget".
 
@@ -58,7 +60,8 @@ and 4 variable-disjoint `TRIANGLE`s, two copies of a `PATH`, and one
 `TRIANGLE` and one `PATH` followed by the `LONE` atoms (`copies_body` of
 `tests/conftest.py`), over `SYMMETRIC_ONTOLOGY`, Boolean and with the first
 variable in the head, rewritten by `xrewrite` and by `xrewrite_parallel`
-under subsumption none and tail, at the default elimination and under the
+under subsumption none and tail (`xrewrite`'s output pruned by
+`subsume.prune_ucq` under tail), at the default elimination and under the
 `BUDGET` step budget.  A rewriting that exhausts its budget counts with the
 text "budget".  The last three shapes are bodies on which a walk over the
 whole body, as canonical renaming once made, would interleave the groups
@@ -99,6 +102,7 @@ from ontorewrite.parser import (ParseError, parse_ontology,  # noqa: E402
 from ontorewrite.parallel import xrewrite_parallel  # noqa: E402
 from ontorewrite.rewriter import (BudgetExhaustedError,  # noqa: E402
                                   RewriteOptions, xrewrite)
+from ontorewrite.subsume import prune_ucq  # noqa: E402
 
 import workloads  # noqa: E402
 from conftest import (DL_LITE_QUERY, FINANCIAL, PATH,  # noqa: E402
@@ -171,7 +175,10 @@ def suite_rewritings():
                                              subsumption=mode, budget=BUDGET)
                     label = f"{suite}/{path}/{mode}/{elimination}"
                     try:
-                        yield label, rewrite(q, ctx, options).queries, db
+                        queries = rewrite(q, ctx, options).queries
+                        if path == "seq" and mode != "none":
+                            queries = prune_ucq(queries)
+                        yield label, queries, db
                     except BudgetExhaustedError:
                         yield label, None, db
 
@@ -213,7 +220,10 @@ def symmetric_rewritings():
                     options = RewriteOptions(subsumption=mode, budget=BUDGET)
                     label = f"{name}/{copies}/{form}/{path}/{mode}"
                     try:
-                        yield label, rewrite(q, ctx, options).queries
+                        queries = rewrite(q, ctx, options).queries
+                        if path == "seq" and mode != "none":
+                            queries = prune_ucq(queries)
+                        yield label, queries
                     except BudgetExhaustedError:
                         yield label, None
 

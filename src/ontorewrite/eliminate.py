@@ -4,9 +4,9 @@ strategy-driven eliminate pass, and the reduction wired into the rewriter.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .cache import LRUCache
 from .graphs import Position, build_cover_graph
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR,
                     atom_matches_injectively, make_query, ordered_body)
@@ -19,6 +19,15 @@ def shared_terms(shared: set, a: Atom) -> set:
     return {t for t in a.args if t.kind != VAR or t in shared}
 
 
+# The one record behind the rewriter context's `mgu_cache` and
+# `rename_cache` and the elimination context's `cache`: no step unifies,
+# renames or eliminates through a memo, so it counts no hit and no miss.
+# Its only reader is the benchmark tracer's cache.*_hit_ratio
+# (perfbench/tracing.py); ROADMAP item 1 removes that hold, and then these
+# attributes.
+NO_CACHE = SimpleNamespace(hits=0, misses=0)
+
+
 class EliminationContext:
     """Bundles a linear rule set with its cover graph, the steps of the
     coverage search in `covers`.  Building the cover graph rejects a rule
@@ -27,10 +36,7 @@ class EliminationContext:
     def __init__(self, tgds: List[TGD]):
         self.tgds = tgds
         self.cover_graph = build_cover_graph(tgds)
-        # Always empty: reduce_query keeps no memo.  Its only reader is the
-        # benchmark tracer's cache.elim_hit_ratio (perfbench/tracing.py);
-        # ROADMAP item 1 removes that hold, and then this attribute.
-        self.cache = LRUCache(0)
+        self.cache = NO_CACHE  # ROADMAP item 1 deletes it (see NO_CACHE)
 
 
 def _placed(a: Atom, terms: set) -> FrozenSet[Tuple[Term, Position]]:

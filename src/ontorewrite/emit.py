@@ -52,13 +52,8 @@ def _sql_literal(t: Term) -> str:
 
 
 def _cq_to_select(q: ConjunctiveQuery, mapping: SchemaMapping) -> str:
-    aliases = []
-    from_parts = []
-    for i, a in enumerate(q.body, start=1):
-        table, _ = mapping.tables[a.pred]
-        alias = f"t{i}"
-        aliases.append(alias)
-        from_parts.append(f"{table} {alias}")
+    from_parts = [f"{mapping.tables[a.pred][0]} t{i}"
+                  for i, a in enumerate(q.body, start=1)]
 
     anchor: Dict[Term, str] = {}
     conditions: List[str] = []

@@ -32,25 +32,16 @@ def _is_normal(rule: RawTGD) -> bool:
     return True
 
 
-def fresh_prefix(base: str, used_preds: Set[str]) -> str:
-    """`base`, extended with x until no predicate of `used_preds` is it or
-    starts with it plus `_`, so that every `<base>_...` name is fresh."""
-    while any(p == base or p.startswith(base + "_") for p in used_preds):
-        base += "x"
-    return base
-
-
 def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[str]]:
     """Split raw rules into normal form.
 
     Returns (normalized rules, provenance, auxiliary predicates) where
     provenance[i] is the index of the raw rule the i-th output came from.
-    Auxiliary predicates are named deterministically `aux_<rule>_<step>`
-    (base escalated if a user predicate collides with the reserved prefix).
+    Auxiliary predicates are named deterministically `aux#<rule>_<step>`:
+    the tokenizer rejects `#`, so no rule, query, constraint or fact can
+    name one.  A rule without existentials adds no auxiliary rule: its head
+    atoms fan out from its body.
     """
-    rules = list(rules)
-    base = fresh_prefix("aux", {a.pred for r in rules for a in r.body + r.head})
-
     out: List[TGD] = []
     provenance: List[int] = []
     aux_preds: Set[str] = set()
@@ -60,12 +51,6 @@ def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[s
             provenance.append(idx)
             continue
         existentials = rule.existential_vars()
-        if not existentials:
-            # No existentials: a multi-atom head splits into one rule per atom.
-            for head_atom in rule.head:
-                out.append(TGD(rule.body, head_atom))
-                provenance.append(idx)
-            continue
         body_vars = []
         for a in rule.body:
             for t in a.args:
@@ -78,7 +63,7 @@ def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[s
         carried = list(frontier)
         prev_body = rule.body
         for step, z in enumerate(existentials, start=1):
-            aux = f"{base}_{idx}_{step}"
+            aux = f"aux#{idx}_{step}"
             aux_preds.add(aux)
             head_atom = Atom(aux, tuple(carried + [z]))
             out.append(TGD(prev_body, head_atom))

@@ -35,7 +35,6 @@ from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
                     connected_components, group_keys, head_assignment,
                     key_of_groups, make_query, mgu, renaming_key, subst_atom,
                     subst_atoms, subst_query)
-from .normalize import fresh_prefix
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
                        RewriterContext, xrewrite)
 from . import subsume
@@ -45,6 +44,14 @@ from . import subsume
 class Decomposition:
     component_queries: List[ConjunctiveQuery]  # a component's atoms are its body
     reconciliation: ConjunctiveQuery  # head of q over the component predicates
+
+
+def fresh_prefix(base: str, used_preds: Set[str]) -> str:
+    """`base`, extended with x until no predicate of `used_preds` is it or
+    starts with it plus `_`, so that every `<base>_...` name is fresh."""
+    while any(p == base or p.startswith(base + "_") for p in used_preds):
+        base += "x"
+    return base
 
 
 def _component_pred_base(q: ConjunctiveQuery, ctx: RewriterContext) -> str:

@@ -45,8 +45,7 @@ from itertools import chain
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Set, Tuple, Union)
 
-from .cache import LRUCache
-from .eliminate import EliminationContext, reduce_query
+from .eliminate import NO_CACHE, EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
                     atom_key, group_keys, head_assignment, key_of_groups,
@@ -125,13 +124,9 @@ class RewriterContext:
         self.aux_preds = frozenset(aux_preds)
         self.arities = dict(arities or {})
         self.linear = is_linear(self.tgds)
-        # Always empty: no step unifies through a memo, and deduplication
-        # keys through model.renaming_key.  Their only reader is the
-        # benchmark tracer's cache.mgu_hit_ratio and cache.rename_hit_ratio
-        # (perfbench/tracing.py); ROADMAP item 1 removes that hold, and then
-        # these attributes.
-        self.mgu_cache = LRUCache(0)
-        self.rename_cache = LRUCache(0)
+        # No step unifies through a memo, and deduplication keys through
+        # model.renaming_key.  ROADMAP item 1 deletes these (see NO_CACHE).
+        self.mgu_cache = self.rename_cache = NO_CACHE
         self._elim: Optional[EliminationContext] = None
         self._affected = None
 

@@ -147,6 +147,37 @@ def test_rewrite_fd_violation_exits_one(files, capsys):
                                 "witness fatherOf(a, c), fatherOf(b, c)"]
 
 
+# Normalizing the two existentials makes two auxiliary predicates, which no
+# input can name: a predicate spelled like the old `aux_0_1` is a database one.
+CHAIN = "person(X) -> hasParent(X, Y), hasParent(Y, Z).\n"
+
+
+def test_a_predicate_spelled_like_an_auxiliary_one_stays_in_the_rewriting(
+        files, capsys):
+    onto = files("o.dlog", CHAIN)
+    qf = files("q.dlog", "q(X) :- aux_0_1(X).\n")
+    db = files("d.dlog", "aux_0_1(a).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf])
+    assert (code, out, err) == (0, "q(X) :- aux_0_1(X).\n", "")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert (code, out, err) == (0, "(a)\n", "")
+    code, out, err = _run(capsys, ["eval", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert code == 0 and out.startswith("(a)\n")
+
+
+def test_a_constraint_over_a_predicate_spelled_like_an_auxiliary_one_is_checked(
+        files, capsys):
+    onto = files("o.dlog", CHAIN + "aux_0_1(X), bad(X) -> !.\n")
+    qf = files("q.dlog", "q(X) :- person(X).\n")
+    db = files("d.dlog", "aux_0_1(a). bad(a). person(a).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["nc violated: aux_0_1(X), bad(X) -> !."]
+
+
 @pytest.mark.parametrize("ontology, query, db, answers", [
     # the rule's Y renamed by the first step is Y^1, the query's variable
     ("p4(Y, Y, X) -> p4(X, Y, Y).\n", "q() :- p4(Y^1, C, C).\n",

@@ -1,10 +1,12 @@
 import random
 
+import pytest
+
 from ontorewrite.model import VAR, atom, var
 from ontorewrite.normalize import (_as_raw, classify, is_linear,
                                    is_multi_linear, is_sticky, normalize_tgds,
                                    smark)
-from ontorewrite.parser import RawTGD, parse_ontology
+from ontorewrite.parser import ParseError, RawTGD, parse_ontology
 
 X, Y, Z, V, W = (var(n) for n in "XYZVW")
 
@@ -48,16 +50,51 @@ def test_hand_derived_chain_for_two_existentials():
 
 
 def test_multi_head_without_existentials_splits():
+    from conftest import random_atom
     doc = parse_ontology("r(X,Y) -> s(X), t(Y).")
     tgds, provenance, aux = normalize_tgds(doc.tgds)
     assert [t.head.pred for t in tgds] == ["s", "t"]
     assert not aux and provenance == [0, 0]
+    # random rules whose heads use body variables only: one TGD per head
+    # atom, in head order, each with the rule's body and provenance
+    rng = random.Random(29)
+    for _ in range(200):
+        rules = []
+        for _ in range(rng.randint(1, 4)):
+            vars_ = [var(v) for v in "XYZ"[:rng.randint(1, 3)]]
+            body = tuple(random_atom(rng, vars_)
+                         for _ in range(rng.randint(1, 2)))
+            pool = sorted({t for a in body for t in a.args if t.kind == VAR},
+                          key=lambda t: t.name)
+            if not pool:
+                continue
+            heads = tuple(random_atom(rng, pool)
+                          for _ in range(rng.randint(1, 3)))
+            rules.append(RawTGD(body, heads))
+        tgds, provenance, aux = normalize_tgds(rules)
+        assert not aux
+        assert [(t.body, t.head) for t in tgds] == [
+            (r.body, h) for r in rules for h in r.head]
+        assert provenance == [i for i, r in enumerate(rules) for _ in r.head]
 
 
-def test_aux_prefix_collision_escalates():
+def test_auxiliary_predicates_cannot_be_named_by_any_input():
+    from conftest import random_linear_rules, random_sticky_rules
+    rng = random.Random(37)
+    made = set()
+    for _ in range(100):
+        for rules in (random_linear_rules(rng), random_sticky_rules(rng),
+                      _random_multi_atom_rules(rng)):
+            made |= normalize_tgds(rules)[2]
+    assert made
+    for pred in made:
+        with pytest.raises(ParseError):
+            parse_ontology(f"{pred}(X) -> r(X).")
+    # a rule predicate spelled like an auxiliary one stays ordinary
     doc = parse_ontology("aux_0_1(X) -> r(X,Y).  r(X,Y) -> s(V,W).")
     tgds, _, aux = normalize_tgds(doc.tgds)
-    assert aux and all(not p.startswith("aux_") for p in aux)
+    assert aux and "aux_0_1" not in aux
+    assert tgds[0].body[0].pred == "aux_0_1"
 
 
 def test_is_linear_examples():

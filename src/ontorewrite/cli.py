@@ -2,7 +2,7 @@
 
 `rewrite` rewrites the query, and each negative constraint's check query,
 through the one pipeline `parallel.xrewrite_parallel`, all with the one
-`RewriteOptions` its flags give.
+`RewriteOptions` its flags give, except that the checks are not pruned.
 
 Exit codes: 0 ok, 1 constraint violation, 2 input error, 3 budget exhausted.
 """
@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 constraint violation, 2 input error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -135,14 +136,17 @@ def cmd_rewrite(args) -> int:
 def _check_and_evaluate(args, doc, ctx, options, queries) -> tuple:
     """The exit code, and once the checks pass, the number of answers
     printed and the seconds their evaluation took.  Each negative
-    constraint's check query is rewritten with the query's `options`."""
+    constraint's check query is rewritten with the query's `options` but
+    unpruned: a check asks only whether its UCQ has an answer, which
+    subsumption cannot change."""
+    check_options = dataclasses.replace(options, subsumption="none")
     db = _load_database(args.database, doc)
     violations = [f"fd violated: {fd} witness {a}, {b}"
                   for fd, a, b in chase_mod.fd_violations(doc.fds, db)]
     # one instance, so its join indexes serve every check and the answers
     instance = as_index(db)
     for nc, check in zip(doc.ncs, chase_mod.nc_check_queries(doc.ncs)):
-        rewritten = xrewrite_parallel(check, ctx, options).queries
+        rewritten = xrewrite_parallel(check, ctx, check_options).queries
         if chase_mod.evaluate_ucq(rewritten, instance):
             violations.append(f"nc violated: {nc}")
     if violations:
@@ -266,7 +270,7 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BUDGET_EXHAUSTED
-    except (InputError, ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, ParseError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
 

@@ -40,7 +40,7 @@ class SchemaMapping:
         for q in queries:
             for a in q.body:
                 if a.pred not in self.tables:
-                    raise KeyError(f"predicate {a.pred!r} has no table mapping")
+                    raise ValueError(f"predicate {a.pred!r} has no table mapping")
                 if len(self.tables[a.pred][1]) != len(a.args):
                     raise ValueError(
                         f"mapping for {a.pred!r} has {len(self.tables[a.pred][1])} "

@@ -502,49 +502,34 @@ def atom_matches_injectively(a: Atom, b: Atom) -> Optional[dict]:
 # identical forms.  The canonical order is the body's groups, the atoms
 # that unnamed variables link, sorted by key, ties in body order, each in
 # its own order; tied groups are renamings of each other that share no
-# unnamed variable, so their order leaves the form as it is.  A group's
-# order places, step by step, the atom of smallest key, branching only on
-# ties; of tied atoms whose unnamed variables occur in no other remaining
-# atom, which are interchangeable, only the first is tried, so p(X),
-# q(X, Y1), ..., q(X, Yk) costs O(k^2) key comparisons, not k!.  Other
-# ties, as in a cycle over one binary predicate, still branch.
-
-
-def private_atom_keys(body, assignment: dict) -> Optional[list]:
-    """Per atom of body, the sort key it would have if placed next, or None
-    as soon as an unnamed variable occurs in a second atom.  Per argument a
-    key holds (0, term) for a term that is not a variable, (1, canonical
-    index) for a named variable and (2, rank) for an unnamed one, its rank
-    among the atom's unnamed variables in arg order.  Atoms keyed at the same
-    step would number their unnamed variables from the same index, so ranks
-    compare as those indices would; and a key changes only when one of the
-    atom's variables is named.  When the keys exist, every atom is a group
-    of its own, keyed by them."""
-    placed: set = set()  # the unnamed variables of the atoms keyed so far
-    keys = []
-    for a in body:
-        key = [a.pred]
-        own: dict = {}
-        for t in a.args:
-            if t.kind != VAR:
-                key.append((0, t))
-            elif t in assignment:
-                key.append((1, assignment[t]))
-            else:
-                rank = own.get(t)
-                if rank is None:
-                    if t in placed:
-                        return None
-                    rank = own[t] = len(own)
-                key.append((2, rank))
-        placed.update(own)
-        keys.append(tuple(key))
-    return keys
+# unnamed variable, so their order leaves the form as it is.  One path,
+# `_ordered_groups`, groups every body: a lone atom is keyed by its atom
+# key, with no walk.  A larger group's order places, step by step, the
+# atom of smallest key, branching only on ties; of tied atoms whose
+# unnamed variables occur in no other remaining atom, which are
+# interchangeable, only the first is tried, so p(X), q(X, Y1), ...,
+# q(X, Yk) costs O(k^2) key comparisons, not k!.  Other ties, as in a
+# cycle over one binary predicate, still branch.
 
 
 def atom_key(a: Atom, assignment: dict) -> tuple:
-    """The key of a alone (`private_atom_keys`)."""
-    return private_atom_keys((a,), assignment)[0]
+    """The sort key of a if placed next: its predicate and, per argument,
+    (0, term) for a term that is not a variable, (1, canonical index) for a
+    named variable and (2, rank) for an unnamed one, its rank among the
+    atom's unnamed variables in arg order.  Atoms keyed at the same step
+    would number their unnamed variables from the same index, so ranks
+    compare as those indices would; and a key changes only when one of the
+    atom's variables is named."""
+    key = [a.pred]
+    own: dict = {}
+    for t in a.args:
+        if t.kind != VAR:
+            key.append((0, t))
+        elif t in assignment:
+            key.append((1, assignment[t]))
+        else:
+            key.append((2, own.setdefault(t, len(own))))
+    return tuple(key)
 
 
 def _canonical_order(body, assignment):
@@ -648,18 +633,19 @@ _GROUP = 3
 
 def _ordered_groups(body, assignment: dict) -> list:
     """Per group of body (`connected_components`), in order of first atom,
-    its key and its atoms in its own order.  A lone atom's key is its atom
-    key; a larger group's is its key sequence under the mark
-    `("", (_GROUP, form))`, equal to no atom key."""
-    keys = private_atom_keys(body, assignment)
-    if keys is not None:
-        return [(key, (a,)) for key, a in zip(keys, body)]
+    its key and its atoms in its own order.  A lone atom is keyed by
+    `atom_key`, with no walk; a larger group by its key sequence
+    (`_canonical_order`) under the mark `("", (_GROUP, form))`, equal to no
+    atom key."""
     groups = []
     for group in connected_components(
             body, lambda t: t.kind == VAR and t not in assignment):
-        order, form = _canonical_order(group, assignment)
-        key = form[0] if len(form) == 1 else ("", (_GROUP, tuple(form)))
-        groups.append((key, [group[i] for i in order]))
+        if len(group) == 1:
+            groups.append((atom_key(group[0], assignment), group))
+        else:
+            order, form = _canonical_order(group, assignment)
+            groups.append((("", (_GROUP, tuple(form))),
+                           [group[i] for i in order]))
     return groups
 
 
@@ -699,9 +685,6 @@ def group_keys(body, assignment: dict) -> list:
     duplicate-free bodies are equal exactly when the bodies are renamings of
     each other; a body of parts that share no unnamed variable has its
     parts' group keys, each computed on its own."""
-    keys = private_atom_keys(body, assignment)
-    if keys is not None:
-        return keys
     key_of = {}
     for key, atoms in _ordered_groups(body, assignment):
         key_of.update(dict.fromkeys(atoms, key))

@@ -315,8 +315,71 @@ def test_renaming_key_of_disjoint_triangles_stays_fast():
 
 def _is_private(q):
     """Whether renaming_key(q) sorts atom keys instead of walking."""
-    assignment = model.head_assignment(q)[0]
-    return model.private_atom_keys(q.body, assignment) is not None
+    return model.private_body_keys(renaming_key(q)) is not None
+
+
+def _reference_private_atom_keys(body, assignment):
+    """Per atom of body, its atom key, or None as soon as an unnamed
+    variable occurs in a second atom: the one loop that once both encoded
+    atom keys and detected private bodies, kept as the reference."""
+    placed = set()  # the unnamed variables of the atoms keyed so far
+    keys = []
+    for a in body:
+        key = [a.pred]
+        own = {}
+        for t in a.args:
+            if t.kind != VAR:
+                key.append((0, t))
+            elif t in assignment:
+                key.append((1, assignment[t]))
+            else:
+                rank = own.get(t)
+                if rank is None:
+                    if t in placed:
+                        return None
+                    rank = own[t] = len(own)
+                key.append((2, rank))
+        placed.update(own)
+        keys.append(tuple(key))
+    return keys
+
+
+def _key_contract_queries(rng):
+    """Random tied queries, then random suites' queries and every query
+    their rewritings admit with elimination off."""
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    for _ in range(2000):
+        yield random_tied_query(rng)
+    for i in range(400):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng, max_rules=4))
+        q = random_query(rng, pool=QUERY_POOL)
+        res = xrewrite(q, rules_context(rules),
+                       RewriteOptions(elimination=False, budget=2000))
+        yield q
+        yield from (entry.query for entry in res.state.entries[:40])
+
+
+def test_group_keys_are_the_atom_keys_exactly_on_private_bodies():
+    # the contract the keyed rewriting step relies on: where no unnamed
+    # variable joins two atoms, every group key is the atom's key, in body
+    # order, and the renaming key hands those keys back sorted; elsewhere
+    # it holds a group mark
+    private = linked = 0
+    for q in _key_contract_queries(random.Random(3301)):
+        assignment = model.head_assignment(q)[0]
+        expected = _reference_private_atom_keys(q.body, assignment)
+        body_keys = model.private_body_keys(renaming_key(q))
+        if expected is None:
+            assert body_keys is None, q
+            linked += 1
+        else:
+            assert model.group_keys(q.body, assignment) == expected, q
+            assert [model.atom_key(a, assignment) for a in q.body] == expected
+            assert body_keys == tuple(sorted(expected)), q
+            private += 1
+    assert private > 1000 and linked > 1000, (private, linked)
 
 
 def _same_class(q1, q2):

@@ -311,6 +311,21 @@ def test_rewrite_malformed_mapping_is_input_error(files, capsys):
             assert "'hasCollaborator'" in err, data
 
 
+def test_rewrite_sql_unmapped_predicate_is_a_clean_input_error(files, capsys):
+    # the message prints as it reads, not quoted as a KeyError's would be
+    onto = files("o.dlog", COLLAB)
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    mapping = files("m.json", json.dumps({
+        "inArea": {"table": "inArea", "columns": ["p_id", "area"]},
+        "hasCollaborator": {"table": "hasCollaborator",
+                            "columns": ["c_id", "area", "p_id"]},
+    }))
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--output", "sql", "--mapping", mapping])
+    assert (code, out) == (2, "")
+    assert err == "error: predicate 'project' has no table mapping\n"
+
+
 def test_rewrite_database_refuses_datalog_and_sql_output(files, capsys):
     # with --database rewrite prints answers, so an --output other than the
     # default would go unhonoured
@@ -510,6 +525,29 @@ def test_constraint_checks_compile_with_the_query_options(files, capsys,
     assert check_options == options
     assert check_steps < 1000, check_steps
     assert elapsed < 2.0, elapsed
+
+
+def test_constraint_checks_are_not_pruned(files, capsys, monkeypatch):
+    # a check asks only whether its rewriting has an answer, which pruning
+    # cannot change, so under --subsumption tail only the query's
+    # rewriting is pruned; pruning the check kept 250 of its 250 disjuncts
+    from ontorewrite import subsume
+    pruned = []
+    prune_ucq = subsume.prune_ucq
+
+    def recording(queries):
+        pruned.append(len(queries))
+        return prune_ucq(queries)
+
+    monkeypatch.setattr(subsume, "prune_ucq", recording)
+    onto = files("o.dlog", dl_lite_ontology(22, 200) + "c0(X), c1(X) -> !.\n")
+    qf = files("q.dlog", DL_LITE_QUERY + "\n")
+    db = files("d.dlog", "c0(a). c1(a).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                   "--query", qf, "--database", db,
+                                   "--subsumption", "tail"])
+    assert (code, out, err) == (1, "", "nc violated: c0(X), c1(X) -> !.\n")
+    assert len(pruned) == 1, pruned
 
 
 @pytest.mark.parametrize("rules, query, facts", [

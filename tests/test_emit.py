@@ -55,7 +55,7 @@ def test_sql_repeated_variable_self_equality():
 
 def test_sql_unmapped_predicate_rejected():
     q = make_query("p", [A], [atom("unknown", A)])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         to_sql([q], COLLAB_MAPPING)
 
 

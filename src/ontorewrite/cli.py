@@ -106,7 +106,8 @@ def cmd_rewrite(args) -> int:
         elimination=False if args.no_elimination else None,
         subsumption=args.subsumption, budget=args.budget)
     result = xrewrite_parallel(query, ctx, options)
-    queries = result.queries
+    # datalog prints the folded program, so only the other outputs unfold
+    queries = None if args.output == "datalog" else result.queries
     answered = None  # with a database: the answer count and the seconds
 
     if args.database is not None:

@@ -1,7 +1,8 @@
 """Decomposition-based rewriting: split the query on existential joins,
-rewrite each component independently, one after another, reconcile with a
-Datalog rule and unfold back into a UCQ.  The gain is the decomposed search
-space; the components share the rewriter context and one step budget.
+rewrite each component independently, one after another, and reconcile
+with a Datalog rule; the result unfolds that folded program into a UCQ on
+first read.  The gain is the decomposed search space; the components share
+the rewriter context and one step budget.
 
 Unfolding goes by position: component i's disjuncts, standardized apart
 from the reconciliation's variables, unify with the reconciliation's i-th
@@ -20,13 +21,14 @@ This pipeline is the one reader of the subsumption mode
 (`RewriteOptions.subsumption`), and prunes through `subsume.prune_ucq`.
 Components are rewritten unpruned.  `idec` and `irew` prune each
 component's finished rewriting before unfolding; `tail` prunes the unfolded
-UCQ; `none` prunes nothing."""
+UCQ when it is built; `none` prunes nothing."""
 
 from __future__ import annotations
 
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from typing import Dict, List, Optional, Set
 
@@ -189,28 +191,39 @@ def _standardize(q: ConjunctiveQuery, index: int) -> ConjunctiveQuery:
 
 @dataclass
 class ParallelResult:
-    queries: List[ConjunctiveQuery]
+    """The folded rewriting.  `queries` unfolds it into the flat UCQ on
+    first read, prunes that under `tail` and sets `metrics.unfold_time`."""
     metrics: Metrics
     decomposition: Decomposition
-    component_ucqs: List[List[ConjunctiveQuery]]  # what unfold consumed
+    component_ucqs: List[List[ConjunctiveQuery]]  # what unfold consumes
+    subsumption: str  # the mode the rewriting was compiled under
+
+    @cached_property
+    def queries(self) -> List[ConjunctiveQuery]:
+        start = time.perf_counter()
+        queries = unfold(self.component_ucqs,
+                         self.decomposition.reconciliation)
+        self.metrics.unfold_time = time.perf_counter() - start
+        if self.subsumption == "tail":
+            queries = subsume.prune_ucq(queries)
+        return queries
 
 
 def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                       options: Optional[RewriteOptions] = None) -> ParallelResult:
-    """Decompose, rewrite each component in turn with an independent
-    rewriter sharing the context's rules and graphs, then unfold.  The
+    """Decompose, then rewrite each component in turn with an independent
+    rewriter sharing the context's rules and graphs; unfold nothing.  The
     query is reduced before decomposition when elimination applies."""
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
 
     split_start = time.perf_counter()
-    base = reduce_query(q, elim) if elim else q
-    decomposition = decompose(base, ctx)
-    split_time = time.perf_counter() - split_start
+    decomposition = decompose(reduce_query(q, elim) if elim else q, ctx)
+    metrics = Metrics(split_time=time.perf_counter() - split_start,
+                      components=len(decomposition.component_queries))
 
     # the budget bounds the steps of all components together
     budget = options.budget
-    metrics = Metrics()
     component_ucqs = []
     rewrite_start = time.perf_counter()
     try:
@@ -224,20 +237,10 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
     except BudgetExhaustedError:
         raise BudgetExhaustedError("rewriting exceeded the step budget of "
                                    f"{options.budget}") from None
-    rewrite_time = time.perf_counter() - rewrite_start
+    metrics.rewrite_time = time.perf_counter() - rewrite_start
 
     if options.subsumption in ("idec", "irew"):
         component_ucqs = [subsume.prune_ucq(u) for u in component_ucqs]
 
-    unfold_start = time.perf_counter()
-    queries = unfold(component_ucqs, decomposition.reconciliation)
-    unfold_time = time.perf_counter() - unfold_start
-
-    if options.subsumption == "tail":
-        queries = subsume.prune_ucq(queries)
-
-    metrics.split_time = split_time
-    metrics.rewrite_time = rewrite_time
-    metrics.unfold_time = unfold_time
-    metrics.components = len(decomposition.component_queries)
-    return ParallelResult(queries, metrics, decomposition, component_ucqs)
+    return ParallelResult(metrics, decomposition, component_ucqs,
+                          options.subsumption)

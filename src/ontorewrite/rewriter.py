@@ -28,17 +28,16 @@ atom's, plus the keys of the rule body bound to that atom, which depend
 only on the rule and the atom's key and are memoized under both
 (`_ChildKeys`).  Its query is built only when that key is new, so a
 duplicate step costs a key, not a query, and no admitted body is keyed
-again.  Every other step is built and then keyed.  The loop runs until its
-queue is empty, so every admitted query is explored, and the final
-rewriting collects the admitted queries whose bodies mention no auxiliary
-normalization predicate.  The loop prunes nothing and reads no
-subsumption mode; `parallel` applies the modes.
+again.  Every other step is built and then keyed.  The admitted entries
+are the loop's FIFO and `metrics.explored` its cursor, so the loop
+explores every admitted query, and the final rewriting collects those
+whose bodies mention no auxiliary normalization predicate.  The loop
+prunes nothing and reads no subsumption mode; `parallel` applies the modes.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -388,8 +387,8 @@ class QueryEntry:
 
 
 class RewriteState:
-    """The admitted queries with their renaming-key index, FIFO of
-    unexplored queries, provenance (each entry's parents) and counters.
+    """The admitted queries, in the order the loop explores them, with their
+    renaming-key index, provenance (each entry's parents) and counters.
     Every step goes through `admit`, duplicates too, with its query or,
     when the loop derived its key, with that key and a function that
     builds the query."""
@@ -398,7 +397,6 @@ class RewriteState:
         self.ctx = ctx
         self.entries: List[QueryEntry] = []
         self.canon_index: Dict[tuple, int] = {}  # renaming key -> node
-        self.queue: deque = deque()
         self.metrics = Metrics()
 
     def _add_edge(self, parent: Optional[QueryEntry], child: QueryEntry):
@@ -423,7 +421,6 @@ class RewriteState:
         entry = QueryEntry(len(self.entries), q, canon)
         self.entries.append(entry)
         self.canon_index[canon] = entry.node
-        self.queue.append(entry.node)
         self._add_edge(parent, entry)
         return entry
 
@@ -472,9 +469,8 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     state.admit(q0, None)
     child_keys = _ChildKeys(ctx, preferred)
 
-    while state.queue:
-        node = state.queue.popleft()
-        entry = state.entries[node]
+    while state.metrics.explored < len(state.entries):
+        entry = state.entries[state.metrics.explored]
         cur = entry.query
         occ = cur.occurrences()
         keyer = None if elim else child_keys.of(entry)

@@ -395,6 +395,77 @@ def test_rewrite_datalog_output_refuses_tail(files, capsys):
     assert code == 2 and out == ""
 
 
+def _counting_unfold(monkeypatch):
+    """The list that records each later `parallel.unfold` call."""
+    from ontorewrite import parallel
+    calls = []
+    unfold = parallel.unfold
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unfold(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "unfold", counting)
+    return calls
+
+
+def test_datalog_output_prints_the_size_law_without_unfolding(
+        files, capsys, monkeypatch):
+    # the n=9 size law: 4 rewritings for each of 9 components, so the flat
+    # UCQ has 4^9 = 262,144 disjuncts, whose unfold took 2 s, while the
+    # printed program is 38 rules
+    calls = _counting_unfold(monkeypatch)
+    n = 9
+    onto = files("o.dlog", "".join(f"p_{i}(X) -> p_0(X).\n" for i in (1, 2, 3)))
+    head = ", ".join(f"A{i}" for i in range(1, n + 1))
+    body = ", ".join(f"p_0(A{i})" for i in range(1, n + 1))
+    qf = files("q.dlog", f"p({head}) :- {body}, e(B, B).\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--output", "datalog", "--stats"])
+    elapsed = time.perf_counter() - start
+    assert (code, err, calls) == (0, "", [])
+    program = [f"comp_{c}(A{c}) :- p_{i}(A{c})."
+               for c in range(1, n + 1) for i in range(4)]
+    program.append(f"comp_{n + 1}() :- e(B, B).")
+    program.append(f"p({head}) :- " + ", ".join(
+        [f"comp_{c}(A{c})" for c in range(1, n + 1)] + [f"comp_{n + 1}()"])
+        + ".")
+    assert out.split("\n\n")[0].splitlines() == program
+    rows = _stats_rows(out)
+    assert (rows["size"], rows["unfold_ms"]) == ("38", "0.0")
+    assert elapsed < 1.0, elapsed
+
+
+def test_only_the_outputs_of_the_flat_ucq_unfold_it(files, capsys,
+                                                    monkeypatch):
+    # datalog prints the folded program; ucq, sql and the answers read the
+    # flat UCQ, which unfolds once, and each constraint's check once more
+    calls = _counting_unfold(monkeypatch)
+    onto = files("o.dlog", COLLAB)
+    qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")
+    mapping = files("m.json", json.dumps({
+        "project": {"table": "project", "columns": ["p_id"]},
+        "inArea": {"table": "inArea", "columns": ["p_id", "area"]},
+        "hasCollaborator": {"table": "hasCollaborator",
+                            "columns": ["c_id", "area", "p_id"]},
+    }))
+    db = files("d.dlog", "project(a). inArea(a, db).\n")
+    base = ["rewrite", "--ontology", onto, "--query", qf]
+    for extra, unfolds in ((["--output", "datalog"], 0),
+                           (["--output", "ucq"], 1),
+                           (["--output", "sql", "--mapping", mapping], 1),
+                           (["--database", db], 1)):
+        calls.clear()
+        code, out, err = _run(capsys, base + extra + ["--stats"])
+        assert (code, err, len(calls)) == (0, "", unfolds), extra
+    onto = files("nc.dlog", COLLAB + "project(X), inArea(X, X) -> !.\n")
+    calls.clear()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query", qf,
+                                   "--database", db])
+    assert (code, out, err, len(calls)) == (0, "(a)\n", "", 2)
+
+
 def _datalog_answers(text, db):
     """The answers of a printed folded program over the database: each
     component predicate's rules evaluated into facts, then the

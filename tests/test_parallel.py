@@ -116,6 +116,37 @@ def test_parallel_atomic_components_size_product():
     assert len(par.queries) == 4
 
 
+def test_the_result_unfolds_on_its_first_read_only(monkeypatch):
+    """xrewrite_parallel returns the folded rewriting: its `queries` unfold
+    it, and prune it under `tail`, on the first read, and not again;
+    `metrics.unfold_time` reads 0.0 until then."""
+    from ontorewrite import parallel, subsume
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parallel, "unfold", recording("unfold", unfold))
+    monkeypatch.setattr(subsume, "prune_ucq",
+                        recording("prune", subsume.prune_ucq))
+    doc, tgds, ctx = pipeline("q_1(X) -> p_1(X).  q_2(X) -> p_2(X).")
+    q = query("p(A,B) :- p_1(A), p_2(B).", doc)
+    for mode, on_read in (("none", ["unfold"]), ("tail", ["unfold", "prune"]),
+                          ("idec", ["unfold"])):
+        res = xrewrite_parallel(q, ctx, RewriteOptions(subsumption=mode))
+        before = ["prune", "prune"] if mode == "idec" else []
+        assert calls == before, mode
+        assert res.metrics.unfold_time == 0.0, mode
+        first = res.queries
+        assert calls == before + on_read, mode
+        assert res.queries is first and len(first) == 4, mode
+        assert calls == before + on_read, mode
+        calls.clear()
+
+
 def test_parallel_equivalence_random():
     from conftest import (random_linear_rules, random_query, random_sticky_rules,
                           rules_context)

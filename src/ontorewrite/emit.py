@@ -152,6 +152,7 @@ def stats_report(queries: List[ConjunctiveQuery], metrics,
         ("size", len(queries)),
         ("atoms", count_atoms(queries)),
         ("joins", count_joins_total(queries)),
+        ("core_removed", metrics.core_removed),
         ("explored", metrics.explored),
         ("generated", metrics.generated),
         ("factorized", metrics.factorized),

@@ -479,6 +479,37 @@ def find_homomorphism(src: Iterable[Atom], dst: Union[Iterable[Atom], AtomIndex]
     return next(homomorphisms(src, as_index(dst), binding), None)
 
 
+def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The core of q: the smallest subquery of q that q maps onto with its
+    head fixed, equivalent to q (Chandra and Merlin, STOC 1977).  Its body
+    is a sub-tuple of q's, in q's order; q itself when q is a core.
+
+    One pass over the body drops each atom `a` for which a homomorphism
+    fixing the head maps the body into the body minus `a`, and shrinks the
+    body to that homomorphism's image.  An atom kept stays kept: were the
+    smaller body, a retract of the larger one, to map into itself minus
+    `a`, so would the larger one.  Only an atom that some other atom of
+    the body accepts under the head's fixed variables can go, so a body in
+    which no atom passes that test costs no search."""
+    if len({a.pred for a in q.body}) == len(q.body):
+        return q  # no two atoms share a predicate, so no atom passes
+    head = Atom(q.head_pred, q.head_args)
+    fixed = _match({}, head, head)
+    body = q.body
+    for a in q.body:
+        if a not in body or not any(
+                b != a and _match(fixed, a, b) is not None for b in body):
+            continue
+        h = find_homomorphism(body, [b for b in body if b != a],
+                              fixed_head=(head, head))
+        if h is not None:
+            image = set(subst_atoms(h, body))
+            body = tuple([b for b in body if b in image])
+    if body is q.body:
+        return q
+    return ConjunctiveQuery(q.head_pred, q.head_args, body)
+
+
 def atom_maps_onto(a: Atom, b: Atom) -> Optional[dict]:
     """A substitution h with h(a) = b (single-atom, positional)."""
     return _match({}, a, b)

@@ -4,6 +4,12 @@ with a Datalog rule; the result unfolds that folded program into a UCQ on
 first read.  The gain is the decomposed search space; the components share
 the rewriter context and one step budget.
 
+`xrewrite_parallel` decomposes the core of its input (`model.core`), so
+that a redundant atom adds no component and multiplies no product.  A
+component of a core is a core, so `xrewrite`, which takes the core of each
+component again, drops nothing more unless elimination dropped atoms
+first.
+
 Unfolding goes by position: component i's disjuncts, standardized apart
 from the reconciliation's variables, unify with the reconciliation's i-th
 body atom, each once, before any product is formed; a disjunct's body is
@@ -34,7 +40,7 @@ from typing import Dict, List, Optional, Set
 
 from .eliminate import reduce_query
 from .model import (Atom, ConjunctiveQuery, Term, VAR, apart_index,
-                    connected_components, group_keys, head_assignment,
+                    connected_components, core, group_keys, head_assignment,
                     key_of_groups, make_query, mgu, renaming_key, subst_atom,
                     subst_atoms, subst_query)
 from .rewriter import (BudgetExhaustedError, Metrics, RewriteOptions,
@@ -212,15 +218,18 @@ class ParallelResult:
 def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                       options: Optional[RewriteOptions] = None) -> ParallelResult:
     """Decompose, then rewrite each component in turn with an independent
-    rewriter sharing the context's rules and graphs; unfold nothing.  The
-    query is reduced before decomposition when elimination applies."""
+    rewriter sharing the context's rules and graphs; unfold nothing.  What
+    is decomposed is the core of q, reduced when elimination applies."""
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
 
     split_start = time.perf_counter()
-    decomposition = decompose(reduce_query(q, elim) if elim else q, ctx)
+    minimal = core(q)
+    decomposition = decompose(
+        reduce_query(minimal, elim) if elim else minimal, ctx)
     metrics = Metrics(split_time=time.perf_counter() - split_start,
-                      components=len(decomposition.component_queries))
+                      components=len(decomposition.component_queries),
+                      core_removed=len(q.body) - len(minimal.body))
 
     # the budget bounds the steps of all components together
     budget = options.budget

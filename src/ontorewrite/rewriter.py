@@ -2,6 +2,11 @@
 the two paths of the rewriting step that resolves them, dedup modulo
 renaming, query provenance and metrics.
 
+`xrewrite` rewrites the core of its input (`model.core`), the smallest
+equivalent subquery, before elimination and the loop: each redundant atom
+of the input would otherwise be rewritten too, and multiply the output.
+`metrics.core_removed` counts the atoms the core dropped.
+
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
 the sorted keys of the body's groups, the atoms that non-head variables
 link (`model.group_keys`); for a query none of whose non-head variables
@@ -47,9 +52,9 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 from .eliminate import NO_CACHE, EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
-                    atom_key, group_keys, head_assignment, key_of_groups,
-                    make_query, mgu, private_body_keys, renaming_key,
-                    subst_atom)
+                    atom_key, core, group_keys, head_assignment,
+                    key_of_groups, make_query, mgu, private_body_keys,
+                    renaming_key, subst_atom)
 # Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
 # ROADMAP item 1 removes that hold.
 from .model import canonical_rename  # noqa: F401
@@ -86,6 +91,7 @@ class Metrics:
     explored: int = 0
     generated: int = 0
     factorized: int = 0  # steps that resolved a piece of two or more atoms
+    core_removed: int = 0  # input atoms that taking the core dropped
     rewrite_time: float = 0.0
     split_time: float = 0.0
     unfold_time: float = 0.0
@@ -95,6 +101,7 @@ class Metrics:
         self.explored += other.explored
         self.generated += other.generated
         self.factorized += other.factorized
+        self.core_removed += other.core_removed
 
 
 class _RuleFacts(NamedTuple):
@@ -453,15 +460,19 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     step counts in `generated` and against the budget.  The n-th step that
     yields a query renames its rule apart by n, counted on from the index
     that `model.apart_index` gives for q's variables, so that a variable of
-    q named like `Y^1` is never captured.  With elimination on (default for
-    linear rule sets) every step's output is first reduced through atom
-    coverage.  The result is unpruned under every subsumption mode.
+    q named like `Y^1` is never captured.  The loop starts from the core of
+    q.  With elimination on (default for linear rule sets) that query and
+    every step's output are first reduced through atom coverage.  The
+    result is unpruned under every subsumption mode.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
 
     start = time.perf_counter()
     state = RewriteState(ctx)
+    size = len(q.body)
+    q = core(q)
+    state.metrics.core_removed = size - len(q.body)
     preferred = frozenset(q.variables())
     first_step = max(1, apart_index(preferred, "^"))
 

@@ -83,7 +83,7 @@ def test_rewrite_stats_follow_an_answer_that_holds_equals(files, capsys):
     assert code == 0 and err == ""
     assert out.startswith("('x=1')\n\n")
     rows = _stats_rows(out)
-    assert len(rows) == 12 and "('x" not in rows
+    assert len(rows) == 13 and "('x" not in rows
     assert rows["answers"] == "1"
 
 
@@ -778,18 +778,54 @@ def test_rewrite_scales_to_a_thousand_rule_ontology(files, capsys):
 
 
 def test_rewrite_of_disjoint_triangles_stays_fast(files, capsys):
-    # 12 one-atom components over 4 variable-disjoint e-triangles: every
+    # 12 one-atom components over 4 variable-disjoint e-triangles, each
+    # pinned by a head variable so that the query is its own core: every
     # one of the 2^12 products is keyed by renaming_key, which walks each
-    # triangle on its own (a walk over the whole body took ~15 s in all)
+    # triangle on its own (a walk over the whole body took ~15 s in all).
+    # Under tail, on 2 triangles, no disjunct subsumes another, since each
+    # pinned node fixes the order of its triangle's e and f edges; the
+    # pairwise pass over 2^12 would take minutes (ROADMAP item 4).
     onto = files("o.dlog", SYMMETRIC_ONTOLOGY)
-    qf = files("q.dlog", copies_query(TRIANGLE, 4) + "\n")
-    for extra, disjuncts in (([], 35), (["--subsumption", "tail"], 4)):
+    for copies, extra, disjuncts in ((4, [], 2 ** 12),
+                                     (2, ["--subsumption", "tail"], 2 ** 6)):
+        head = ", ".join(f"X0_{c}" for c in range(copies))
+        qf = files("q.dlog", copies_query(TRIANGLE, copies, head) + "\n")
         start = time.perf_counter()
         code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
                                        "--query", qf] + extra)
         elapsed = time.perf_counter() - start
         assert code == 0 and err == "" and out.count(":-") == disjuncts
         assert elapsed < 5.0, (extra, elapsed)
+
+
+def test_rewrite_of_boolean_triangles_rewrites_their_core(files, capsys):
+    # 5 variable-disjoint Boolean e-triangles: their core is one triangle,
+    # whose rewriting has 4 disjuncts modulo renaming
+    onto = files("o.dlog", SYMMETRIC_ONTOLOGY)
+    qf = files("q.dlog", copies_query(TRIANGLE, 5) + "\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query",
+                                   qf, "--stats"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert out.split("\n\n")[0].count(":-") == 4
+    rows = _stats_rows(out)
+    assert (rows["size"], rows["atoms"], rows["core_removed"]) == \
+        ("4", "12", "12")
+    assert elapsed < 0.5, elapsed
+    # the same answers as the chase oracle, with and without a triangle
+    printed = []
+    for facts in ("f(a, b). e(b, c). f(c, a). e(a, a).",
+                  "f(a, b). e(b, c). e(c, d).", "f(a, a)."):
+        db = files("d.dlog", facts + "\n")
+        code, answers, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                           "--query", qf, "--database", db])
+        assert code == 0 and err == ""
+        code, oracle, err = _run(capsys, ["eval", "--ontology", onto,
+                                          "--query", qf, "--database", db])
+        assert code == 0 and oracle == answers + "% saturated=true\n"
+        printed.append(answers)
+    assert printed == ["()\n", "", "()\n"]
 
 
 def test_parse_error_exits_two(files, capsys):

@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 
 from ontorewrite.model import (Atom, ConjunctiveQuery, VAR, atom,
                                canonical_rename, connected_components, const,
-                               find_homomorphism, make_query, mgu, subst_atom,
-                               subst_query, var)
+                               core, find_homomorphism, make_query, mgu,
+                               subst_atom, subst_query, var)
 
 A, B, C, X, Y, Z = (var(n) for n in "ABCXYZ")
 a, b, db = const("a"), const("b"), const("db")
@@ -229,3 +230,125 @@ def test_query_sharing_and_safety():
     assert q.is_safe()
     unsafe = ConjunctiveQuery("p", (C,), (atom("r", A, B),))
     assert not unsafe.is_safe()
+
+
+# -- cores -------------------------------------------------------------------
+
+def _head(q):
+    return Atom(q.head_pred, q.head_args)
+
+
+def _maps_into(q, atoms):
+    """Whether a homomorphism fixing q's head maps q's body into atoms."""
+    return find_homomorphism(q.body, atoms,
+                             fixed_head=(_head(q), _head(q))) is not None
+
+
+def _assert_core_of(q, c):
+    # a sub-tuple of q's body, in q's order
+    rest = iter(q.body)
+    assert all(x in rest for x in c.body), (q, c)
+    assert (c.head_pred, c.head_args) == (q.head_pred, q.head_args)
+    # equivalent to q: q maps into its core, and the core is part of q
+    assert _maps_into(q, c.body), (q, c)
+    # drops no further atom
+    for x in c.body:
+        assert not _maps_into(c, [y for y in c.body if y != x]), (q, c, x)
+    # idempotent, and q itself when q is a core
+    assert core(c) is c
+    assert (c is q) == (len(c.body) == len(q.body))
+
+
+def test_core_drops_a_redundant_copy():
+    # the pass tries the atoms in body order, so the first copy goes
+    q = make_query("p", [], [atom("r", A, B), atom("r", A, C)])
+    assert core(q).body == (atom("r", A, C),)
+    q = make_query("p", [], [atom("r", A, B), atom("r", a, B)])
+    assert core(q).body == (atom("r", a, B),)
+
+
+def test_core_keeps_what_the_head_pins():
+    q = make_query("p", [B, C], [atom("r", A, B), atom("r", A, C)])
+    assert core(q) is q
+
+
+def test_core_keeps_the_input_order_of_the_image():
+    # the copies collapse onto one triangle, kept in body order
+    triangle = [atom("e", X, Y), atom("e", Y, Z), atom("e", Z, X)]
+    other = [atom("e", A, B), atom("e", B, C), atom("e", C, A)]
+    q = make_query("p", [], [other[1]] + triangle + [other[0], other[2]])
+    c = core(q)
+    _assert_core_of(q, c)
+    assert len(c.body) == 3
+    assert c.body == tuple(x for x in q.body if x in set(c.body))
+
+
+def test_core_searches_only_where_an_atom_accepts_another(monkeypatch):
+    from ontorewrite import model
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return find_homomorphism(*args, **kwargs)
+
+    monkeypatch.setattr(model, "find_homomorphism", counting)
+    # r(A, B) and r(B, A) do not match with A and B fixed
+    q = make_query("p", [A, B], [atom("r", A, B), atom("r", B, A),
+                                 atom("s", A)])
+    assert core(q) is q and calls == []
+    # r(A, B) matches r(A, a), but s(a) is missing: one search, nothing goes
+    q = make_query("p", [A], [atom("r", A, B), atom("s", B), atom("r", A, a)])
+    assert core(q) is q and len(calls) == 1
+
+
+def _with_copy(rng, q):
+    """q plus a copy of some of its atoms whose variables outside the head
+    are renamed apart, so that the copy is redundant."""
+    head = set(q.head_args)
+    fresh = {v: var(v.name + "2") for v in q.variables() if v not in head}
+    copy = [subst_atom(fresh, x) for x in q.body if rng.random() < 0.7]
+    body = list(q.body) + copy
+    rng.shuffle(body)
+    return make_query(q.head_pred, q.head_args, body)
+
+
+def test_core_properties_on_the_random_generators():
+    from conftest import random_piece_case, random_query
+    rng = random.Random(35)
+    removed = 0
+    for i in range(400):
+        q = (random_query(rng, max_atoms=5) if i % 2
+             else random_piece_case(rng)[1])
+        for case in (q, _with_copy(rng, q)):
+            c = core(case)
+            _assert_core_of(case, c)
+            removed += c is not case
+            # no smaller part of the body takes the whole body
+            if len(case.body) <= 6:
+                for size in range(len(c.body)):
+                    for part in itertools.combinations(case.body, size):
+                        assert not _maps_into(case, part), (case, part)
+    assert removed > 300
+
+
+def test_core_of_symmetric_copies_stays_cheap():
+    # 4-6 variable-disjoint triangles, Boolean (core: one triangle) and
+    # pinned by a head variable each (core: the whole body), and 5 and 6
+    # triangles linked to a hub W (core: one triangle and its link)
+    from conftest import TRIANGLE, copies_body
+    hub = [("l", (var("W"), 0))]
+    cases = []
+    for k in (4, 5, 6):
+        body = copies_body([TRIANGLE] * k)
+        cases.append((make_query("q", [], body), 3))
+        pinned = [var(f"X0_{c}") for c in range(k)]
+        cases.append((make_query("q", pinned, body), 3 * k))
+    for k in (5, 6):
+        body = copies_body([TRIANGLE] * k, extra=hub)
+        cases.append((make_query("q", [], body), 4))
+        cases.append((make_query("q", [var("W")], body), 4))
+    start = time.perf_counter()
+    sizes = [len(core(q).body) for q, _ in cases]
+    elapsed = time.perf_counter() - start
+    assert sizes == [size for _, size in cases]
+    assert elapsed < 1.0, elapsed

@@ -99,9 +99,12 @@ def test_prune_minimal_input_unchanged():
 
 
 def test_tail_shrinks_boolean_size_law_rewriting():
+    # the query is its own core, but p_0(A) rewrites to p_1(A), and
+    # p() :- p_1(A), p_1(B) subsumes the other two disjuncts
     doc, tgds, ctx = pipeline("p_1(X) -> p_0(X).  p_2(X) -> p_0(X).")
-    q = query("p() :- p_0(A), p_0(B).", doc)
+    q = query("p() :- p_0(A), p_1(B).", doc)
     res = xrewrite(q, ctx, RewriteOptions(elimination=False))
+    assert res.metrics.core_removed == 0 and len(res.queries) == 3
     # brute-force subsumption relation confirms redundancy exists
     redundant = any(subsumes(x, y)
                     for x in res.queries for y in res.queries if x != y)
@@ -112,15 +115,20 @@ def test_tail_shrinks_boolean_size_law_rewriting():
 
 
 def test_tail_through_query_graph_state():
-    doc, tgds, ctx = pipeline("p_1(X) -> p_0(X).  p_2(X) -> p_0(X).")
-    q = query("p() :- p_0(A), p_0(B).", doc)
+    # the example of the subsume module: the query is its own core
+    doc, tgds, ctx = pipeline("stockPortfolio(X,Y,Z) -> company(X,V,W).  "
+                              "company(X,Y,Z) -> legalPerson(X).")
+    q = query("p(B) :- legalPerson(B), company(B, Y, Z).", doc)
     res = xrewrite(q, ctx, RewriteOptions(elimination=False,
                                           subsumption="tail"))
     pruned = prune_ucq(res.queries)
     assert is_subsumption_minimal(pruned)
-    # the input query subsumes p_1(A), p_0(B), the only parent of
-    # p_1(A), p_1(B); pruning the finished rewriting still keeps the latter
-    assert evaluate_ucq(pruned, [atom("p_1", const("a"))]) == {()}
+    # p(B) :- company(B, Y, Z), company(B, Y2, Z2) subsumes
+    # p(B) :- stockPortfolio(B, Y, Z), company(B, Y2, Z2), the only parent of
+    # p(B) :- stockPortfolio(B, Y, Z), stockPortfolio(B, Y2, Z2); pruning the
+    # finished rewriting still keeps the latter
+    a, b, c = (const(n) for n in "abc")
+    assert evaluate_ucq(pruned, [atom("stockPortfolio", a, b, c)]) == {(a,)}
     unpruned = xrewrite(q, ctx, RewriteOptions(elimination=False)).queries
     assert len(pruned) < len(unpruned)
     # xrewrite leaves the pruning to its caller, whatever the mode

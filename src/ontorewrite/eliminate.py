@@ -60,11 +60,11 @@ def covers(a: Atom, b: Atom, tb: set, ctx: EliminationContext) -> bool:
     times subsets of one atom's positions, per term), so the search ends.
     It drops a state in which a term is held nowhere, since none of its
     successors holds that term either."""
-    if a == b or not tb <= a.terms():
-        return False
     cg = ctx.cover_graph
+    if a == b or a.pred not in cg.by_body_pred or not tb <= a.terms():
+        return False
     held = _placed(a, tb)
-    frontier = [(k, held) for k in cg.by_body_pred.get(a.pred, ())
+    frontier = [(k, held) for k in cg.by_body_pred[a.pred]
                 if atom_matches_injectively(ctx.tgds[k].body[0], a) is not None]
     needed, seen = _placed(b, tb), set()
     while frontier:

@@ -168,7 +168,7 @@ def connected_components(atoms: Iterable[Atom], linked=None,
 
 class TGD(NamedTuple):
     """A tuple-generating dependency in normal form: a conjunctive body and a
-    single head atom carrying at most one existential variable, occurring once.
+    single head atom in which each existential variable occurs once.
     """
 
     body: tuple
@@ -180,13 +180,11 @@ class TGD(NamedTuple):
             vs.update(t for t in a.args if t.kind == VAR)
         return vs
 
-    def existential_position(self) -> Optional[int]:
-        """1-based argument index of the existential variable, or None."""
+    def existential_positions(self) -> Tuple[int, ...]:
+        """The 1-based argument indexes of the existential variables."""
         body_vars = self.body_variables()
-        for i, t in enumerate(self.head.args, start=1):
-            if t.kind == VAR and t not in body_vars:
-                return i
-        return None
+        return tuple(i for i, t in enumerate(self.head.args, start=1)
+                     if t.kind == VAR and t not in body_vars)
 
     def rename(self, step: int) -> "TGD":
         """The rule with every variable X replaced by X^step."""

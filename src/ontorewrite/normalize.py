@@ -1,11 +1,13 @@
 """Normal-form transformation for rules and syntactic classification.
 
-A rule set is in normal form when every rule has a single head atom with at
-most one existential variable, occurring once.  Rules outside normal form
-are split into a chain through fresh auxiliary predicates that carry the
-frontier variables plus the existentials introduced so far; the chain's last
-predicate fans out to the original head atoms.  The transformation preserves
-linearity and stickiness and grows the rule set at most quadratically.
+A rule set is in normal form when every rule has a single head atom in
+which each existential variable occurs once.  Such a rule is kept whole:
+the rewriter resolves its pieces over all its existentials at once.  Any
+other rule with existentials derives one auxiliary atom that carries the
+frontier variables and the existentials, and that atom fans out to the
+original head atoms; a rule without existentials fans out from its own
+body.  The transformation preserves linearity and stickiness and adds at
+most one rule per head atom plus one.
 
 Classification decides linearity, multi-linearity and stickiness on raw or
 normalized rules.  `smark` returns each rule's marked body variables as a
@@ -16,20 +18,15 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set, Tuple
 
-from .model import Atom, TGD, VAR
+from .model import Atom, TGD
 from .parser import RawTGD
 
 
 def _is_normal(rule: RawTGD) -> bool:
     if len(rule.head) != 1:
         return False
-    ev = rule.existential_vars()
-    if len(ev) > 1:
-        return False
-    if ev:
-        occurrences = sum(1 for t in rule.head[0].args if t == ev[0])
-        return occurrences == 1
-    return True
+    args = rule.head[0].args
+    return all(args.count(z) == 1 for z in rule.existential_vars())
 
 
 def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[str]]:
@@ -37,10 +34,8 @@ def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[s
 
     Returns (normalized rules, provenance, auxiliary predicates) where
     provenance[i] is the index of the raw rule the i-th output came from.
-    Auxiliary predicates are named deterministically `aux#<rule>_<step>`:
-    the tokenizer rejects `#`, so no rule, query, constraint or fact can
-    name one.  A rule without existentials adds no auxiliary rule: its head
-    atoms fan out from its body.
+    Rule k's auxiliary predicate is named `aux#<k>`: the tokenizer rejects
+    `#`, so no rule, query, constraint or fact can name one.
     """
     out: List[TGD] = []
     provenance: List[int] = []
@@ -50,28 +45,19 @@ def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[s
             out.append(TGD(rule.body, rule.head[0]))
             provenance.append(idx)
             continue
+        body = rule.body
         existentials = rule.existential_vars()
-        body_vars = []
-        for a in rule.body:
-            for t in a.args:
-                if t.kind == VAR and t not in body_vars:
-                    body_vars.append(t)
-        head_vars = set()
-        for a in rule.head:
-            head_vars.update(a.variables())
-        frontier = [v for v in body_vars if v in head_vars]
-        carried = list(frontier)
-        prev_body = rule.body
-        for step, z in enumerate(existentials, start=1):
-            aux = f"aux#{idx}_{step}"
-            aux_preds.add(aux)
-            head_atom = Atom(aux, tuple(carried + [z]))
-            out.append(TGD(prev_body, head_atom))
+        if existentials:
+            head_vars = set().union(*(a.variables() for a in rule.head))
+            body_terms = dict.fromkeys(t for a in body for t in a.args)
+            frontier = [t for t in body_terms if t in head_vars]
+            aux = Atom(f"aux#{idx}", tuple(frontier + existentials))
+            aux_preds.add(aux.pred)
+            out.append(TGD(body, aux))
             provenance.append(idx)
-            carried.append(z)
-            prev_body = (head_atom,)
+            body = (aux,)
         for head_atom in rule.head:
-            out.append(TGD(prev_body, head_atom))
+            out.append(TGD(body, head_atom))
             provenance.append(idx)
     return out, provenance, aux_preds
 

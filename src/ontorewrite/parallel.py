@@ -2,13 +2,14 @@
 rewrite each component independently, one after another, and reconcile
 with a Datalog rule; the result unfolds that folded program into a UCQ on
 first read.  The gain is the decomposed search space; the components share
-the rewriter context and one step budget.
+the rewriter context and one step budget, which also bounds the products
+of the unfold.
 
-`xrewrite_parallel` decomposes the core of its input (`model.core`), so
-that a redundant atom adds no component and multiplies no product.  A
-component of a core is a core, so `xrewrite`, which takes the core of each
-component again, drops nothing more unless elimination dropped atoms
-first.
+`xrewrite_parallel` decomposes the core (`model.core`) of its input,
+taken after elimination has reduced the input, so that a redundant atom
+adds no component and multiplies no product.  A component of a core is a
+core, so `xrewrite`, which reduces each component and takes its core
+again, drops nothing more unless that reduction dropped atoms.
 
 Unfolding goes by position: component i's disjuncts, standardized apart
 from the reconciliation's variables, unify with the reconciliation's i-th
@@ -36,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from math import prod
 from typing import Dict, List, Optional, Set
 
 from .eliminate import reduce_query
@@ -77,7 +79,7 @@ def _component_pred_base(q: ConjunctiveQuery, ctx: RewriterContext) -> str:
 def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
     """The unique optimal existential-join decomposition: body atoms are
     grouped when they share a variable whose body occurrences all sit at
-    positions affected w.r.t. one and the same rule."""
+    positions affected w.r.t. one and the same existential head position."""
     affected = ctx.affected()
 
     var_positions: Dict[Term, Set] = {}
@@ -198,14 +200,25 @@ def _standardize(q: ConjunctiveQuery, index: int) -> ConjunctiveQuery:
 @dataclass
 class ParallelResult:
     """The folded rewriting.  `queries` unfolds it into the flat UCQ on
-    first read, prunes that under `tail` and sets `metrics.unfold_time`."""
+    first read, prunes that under `tail` and sets `metrics.unfold_time`.
+    Under a step budget, when the unfold joins two or more components and
+    its products outnumber the steps that the rewriting left of the budget,
+    it raises BudgetExhaustedError instead, before it forms any product.
+    A lone component's products are its disjuncts, which its steps made."""
     metrics: Metrics
     decomposition: Decomposition
     component_ucqs: List[List[ConjunctiveQuery]]  # what unfold consumes
     subsumption: str  # the mode the rewriting was compiled under
+    budget: Optional[int] = None  # the steps left of the budget, if any
 
     @cached_property
     def queries(self) -> List[ConjunctiveQuery]:
+        products = prod(len(u) for u in self.component_ucqs)
+        if (self.budget is not None and len(self.component_ucqs) > 1
+                and products > self.budget):
+            raise BudgetExhaustedError(
+                f"unfolding {products} products exceeds the {self.budget} "
+                "steps left of the step budget")
         start = time.perf_counter()
         queries = unfold(self.component_ucqs,
                          self.decomposition.reconciliation)
@@ -219,19 +232,21 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
                       options: Optional[RewriteOptions] = None) -> ParallelResult:
     """Decompose, then rewrite each component in turn with an independent
     rewriter sharing the context's rules and graphs; unfold nothing.  What
-    is decomposed is the core of q, reduced when elimination applies."""
+    is decomposed is the core of q, taken after elimination has reduced q
+    when it applies."""
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
 
     split_start = time.perf_counter()
-    minimal = core(q)
-    decomposition = decompose(
-        reduce_query(minimal, elim) if elim else minimal, ctx)
+    reduced = reduce_query(q, elim) if elim else q
+    minimal = core(reduced)
+    decomposition = decompose(minimal, ctx)
     metrics = Metrics(split_time=time.perf_counter() - split_start,
                       components=len(decomposition.component_queries),
-                      core_removed=len(q.body) - len(minimal.body))
+                      core_removed=len(reduced.body) - len(minimal.body))
 
-    # the budget bounds the steps of all components together
+    # the budget bounds the steps of all components together, and what
+    # they leave of it bounds the products of the unfold
     budget = options.budget
     component_ucqs = []
     rewrite_start = time.perf_counter()
@@ -252,4 +267,4 @@ def xrewrite_parallel(q: ConjunctiveQuery, ctx: RewriterContext,
         component_ucqs = [subsume.prune_ucq(u) for u in component_ucqs]
 
     return ParallelResult(metrics, decomposition, component_ucqs,
-                          options.subsumption)
+                          options.subsumption, budget)

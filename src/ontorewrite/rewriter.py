@@ -2,10 +2,11 @@
 the two paths of the rewriting step that resolves them, dedup modulo
 renaming, query provenance and metrics.
 
-`xrewrite` rewrites the core of its input (`model.core`), the smallest
-equivalent subquery, before elimination and the loop: each redundant atom
-of the input would otherwise be rewritten too, and multiply the output.
-`metrics.core_removed` counts the atoms the core dropped.
+`xrewrite` rewrites the core (`model.core`) of its input, the smallest
+equivalent subquery, taken after elimination has reduced the input: each
+redundant atom would otherwise be rewritten too, and multiply the output,
+and an atom that elimination drops may be the one that kept another from
+folding away.  `metrics.core_removed` counts the atoms the core dropped.
 
 Dedup compares renaming keys (`model.renaming_key`): the numbered head and
 the sorted keys of the body's groups, the atoms that non-head variables
@@ -15,8 +16,8 @@ joins two atoms they are its atom keys sorted.
 The loop has one step: it resolves a single piece of the query (König,
 Leclère, Mugnier and Thomazo, "Sound, complete and minimal UCQ-rewriting
 for existential rules", SWJ 2015) against a rule, the atoms that must
-unify with the rule head together because they share the variable that
-the head's existential takes.  It visits only the rules whose head
+unify with the rule head together because they share variables that the
+head's existentials take.  It visits only the rules whose head
 predicate the query's body holds, in rule order.  A one-atom piece against
 a head of distinct variables, every step of the paper's financial
 rewriting, binds the head directly (`_bind_head`): no renamed copy of the
@@ -43,6 +44,7 @@ prunes nothing and reads no subsumption mode; `parallel` applies the modes.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -52,9 +54,9 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 from .eliminate import NO_CACHE, EliminationContext, reduce_query
 from .graphs import affected_positions
 from .model import (Atom, ConjunctiveQuery, TGD, Term, VAR, apart_index,
-                    atom_key, core, group_keys, head_assignment,
-                    key_of_groups, make_query, mgu, private_body_keys,
-                    renaming_key, subst_atom)
+                    atom_key, connected_components, core, group_keys,
+                    head_assignment, key_of_groups, make_query, mgu,
+                    private_body_keys, renaming_key, subst_atom)
 # Unused here, but the benchmark tracer wraps rewriter.canonical_rename;
 # ROADMAP item 1 removes that hold.
 from .model import canonical_rename  # noqa: F401
@@ -106,7 +108,7 @@ class Metrics:
 
 class _RuleFacts(NamedTuple):
     """What the loop reads of a rule on every step, computed once."""
-    epos: Optional[int]  # the existential position, 1-based
+    epos: Tuple[int, ...]  # the existential positions, 1-based
     plain_head: bool  # the head's arguments are distinct variables
     body_only: Tuple[Term, ...]  # the body variables outside the head
 
@@ -115,7 +117,7 @@ class _RuleFacts(NamedTuple):
         args = tgd.head.args
         head = set(args)
         plain = len(head) == len(args) and all(t.kind == VAR for t in args)
-        return _RuleFacts(tgd.existential_position(), plain,
+        return _RuleFacts(tgd.existential_positions(), plain,
                           tuple(tgd.body_variables() - head))
 
 
@@ -184,69 +186,73 @@ class RewriterContext:
 
 def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
     """The rule can resolve against S: S plus the rule head unifies, and no
-    atom of S carries a constant or a shared variable of q at the rule's
-    existential position."""
+    atom of S carries a constant or a shared variable of q at an existential
+    position of the rule."""
     head = tgd.head
     if not S or any(a.pred != head.pred or len(a.args) != len(head.args)
                     for a in S):
         return False
-    epos = tgd.existential_position()
-    if epos is not None:
-        shared = q.shared_variables()
-        if any(a.args[epos - 1].kind != VAR or a.args[epos - 1] in shared
-               for a in S):
-            return False
+    shared = q.shared_variables()
+    if any(a.args[i - 1].kind != VAR or a.args[i - 1] in shared
+           for a in S for i in tgd.existential_positions()):
+        return False
     renamed = tgd.rename(apart_index(q.variables(), "^"))
     return mgu(tuple(S) + (renamed.head,)) is not None
 
 
-def _pieces(q: ConjunctiveQuery, tgd: TGD, epos: Optional[int],
+def _pieces(q: ConjunctiveQuery, tgd: TGD, epos: Tuple[int, ...],
             occ: dict) -> List[Tuple[Atom, ...]]:
     """The single pieces of q for the rule, in order of their first atom:
     the sets of atoms that one step must resolve together.  Without an
     existential each atom matching the rule head is a piece alone.  With
-    one, a piece is every atom holding a variable v at the existential
-    position, and only when v occurs nowhere else: not in the head, not in
-    another atom, not twice in one atom.  A constant there makes no piece.
-    `epos` is the rule's existential position and `occ` is
-    `q.occurrences()`."""
+    some, the matching atoms are linked through the terms they hold at the
+    existential positions `epos`, and a group of linked atoms is a piece
+    when each such term is a variable that the group holds at one index
+    only and that occurs nowhere else: not in the head of q, not in another
+    atom.  Unifying the group with the rule head then gives each
+    existential a class of its own, of variables of the group only.  `occ`
+    is `q.occurrences()`.
+
+    The step is sound.  The old normal form split a rule with frontier F
+    and k existentials Z1, ..., Zk into the chain body -> aux_1(F, Z1),
+    aux_1(F, Z1) -> aux_2(F, Z1, Z2), ..., aux_k(F, Z1, ..., Zk) -> head.
+    A step over a piece is that chain's steps composed: each atom of the
+    piece resolved against the chain's last rule, then, for j from k down
+    to 1, the aux_j atoms that hold one variable at Zj's position resolved
+    together against the j-th rule, which merges them.  The conditions
+    above make each of those a piece of its step, so the step admits no
+    query that the chain could not reach."""
     head = tgd.head
     matching = [a for a in q.body
                 if a.pred == head.pred and len(a.args) == len(head.args)]
-    if epos is None:
+    if not epos:
         return [(a,) for a in matching]
-    by_var: Dict[Term, List[Atom]] = {}
-    for a in matching:
-        v = a.args[epos - 1]
-        if v.kind == VAR:
-            by_var.setdefault(v, []).append(a)
-    # the holders account for len(S) occurrences of v; any more lie elsewhere
-    return [tuple(S) for v, S in by_var.items() if occ[v] == len(S)]
+    pieces = []
+    for S in connected_components(
+            matching, links=lambda a: [a.args[i - 1] for i in epos]):
+        held = Counter((a.args[i - 1], i) for a in S for i in epos)
+        # S holds v n times at index i; any more occurrences lie elsewhere
+        if all(v.kind == VAR and n == occ[v] for (v, _), n in held.items()):
+            pieces.append(S)
+    return pieces
 
 
 # Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
 def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
-    """S unifies, the rule has an existential position, and some variable
-    outside the rest of the body occurs in every atom of S exactly there."""
+    """S unifies, and at one of the rule's existential positions some
+    variable outside the rest of the body occurs in every atom of S, and
+    there only."""
     if len(S) < 2:
-        return False
-    epos = tgd.existential_position()
-    if epos is None:
         return False
     if any(a.pred != tgd.head.pred or len(a.args) != len(tgd.head.args) for a in S):
         return False
-    v = S[0].args[epos - 1]
-    if v.kind != VAR:
-        return False
-    for a in S:
-        if a.args[epos - 1] != v:
-            return False
-        if any(t == v for i, t in enumerate(a.args, start=1) if i != epos):
-            return False
-    for a in q.body:
-        if a not in S and v in a.args:
-            return False
-    return mgu(S) is not None
+    rest = {t for a in q.body if a not in S for t in a.args}
+    for epos in tgd.existential_positions():
+        v = S[0].args[epos - 1]
+        if v.kind == VAR and v not in rest and all(
+                a.args[epos - 1] == v and a.args.count(v) == 1 for a in S):
+            return mgu(S) is not None
+    return False
 
 
 def rewrite_step(q: ConjunctiveQuery, S: Tuple[Atom, ...], tgd: TGD, step: int,
@@ -460,24 +466,23 @@ def xrewrite(q: ConjunctiveQuery, ctx: RewriterContext,
     step counts in `generated` and against the budget.  The n-th step that
     yields a query renames its rule apart by n, counted on from the index
     that `model.apart_index` gives for q's variables, so that a variable of
-    q named like `Y^1` is never captured.  The loop starts from the core of
-    q.  With elimination on (default for linear rule sets) that query and
-    every step's output are first reduced through atom coverage.  The
-    result is unpruned under every subsumption mode.
+    q named like `Y^1` is never captured.  With elimination on (default for
+    linear rule sets) q and every step's output are reduced through atom
+    coverage.  The loop starts from the core of q, taken after that
+    reduction.  The result is unpruned under every subsumption mode.
     """
     options = options or RewriteOptions()
     elim = ctx.elimination_for(options.elimination)
 
     start = time.perf_counter()
     state = RewriteState(ctx)
-    size = len(q.body)
-    q = core(q)
-    state.metrics.core_removed = size - len(q.body)
+    reduced = reduce_query(q, elim) if elim else q
+    q = core(reduced)
+    state.metrics.core_removed = len(reduced.body) - len(q.body)
     preferred = frozenset(q.variables())
     first_step = max(1, apart_index(preferred, "^"))
 
-    q0 = reduce_query(q, elim) if elim else q
-    state.admit(q0, None)
+    state.admit(q, None)
     child_keys = _ChildKeys(ctx, preferred)
 
     while state.metrics.explored < len(state.entries):

@@ -147,8 +147,8 @@ def test_rewrite_fd_violation_exits_one(files, capsys):
                                 "witness fatherOf(a, c), fatherOf(b, c)"]
 
 
-# Normalizing the two existentials makes two auxiliary predicates, which no
-# input can name: a predicate spelled like the old `aux_0_1` is a database one.
+# Normalizing the two-atom head makes an auxiliary predicate, which no input
+# can name: a predicate spelled like the old `aux_0_1` is a database one.
 CHAIN = "person(X) -> hasParent(X, Y), hasParent(Y, Z).\n"
 
 
@@ -253,6 +253,27 @@ def test_rewrite_negative_budget_is_input_error(files, capsys):
         code, out, err = _run(capsys, ["rewrite", "--ontology", onto,
                                        "--query", qf, "--budget", budget])
         assert code == expected, (qf, budget, err)
+
+
+def test_rewrite_budget_bounds_the_unfold(files, capsys):
+    # the size law at n=8, m=3: 8 components of 3 steps each leave 16 of
+    # the 40 steps, and their product has 4^8 = 65,536 disjuncts
+    onto = files("o.dlog", "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  "
+                           "p_3(X) -> p_0(X).\n")
+    names = [f"A{i}" for i in range(1, 9)]
+    qf = files("q.dlog", f"q({', '.join(names)}) :- "
+                         + ", ".join(f"p_0({v})" for v in names) + ".\n")
+    base = ["rewrite", "--ontology", onto, "--query", qf, "--budget", "40"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, base + ["--stats"])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert "65536 products exceeds the 16 steps left" in err
+    assert elapsed < 0.5, elapsed
+    # the folded program is printed without unfolding it
+    code, out, err = _run(capsys, base + ["--output", "datalog", "--stats"])
+    assert code == 0 and err == ""
+    assert _stats_rows(out)["size"] == "33"  # 8 x 4 component rules + 1
 
 
 def test_rewrite_budget_on_growing_sticky_query_is_fast(files, capsys):
@@ -707,6 +728,19 @@ def test_graph_subcommand(files, capsys):
     assert code == 0
     assert "p[1] -> r[1] : r1" in out
     assert "cover graph:" in out
+
+
+def test_graph_numbers_the_financial_rules_as_written(files, capsys):
+    # every financial rule is in normal form, so the graph's rules are the
+    # source rules in source order, and no auxiliary predicate appears
+    onto = files("fin.dlog", FINANCIAL)
+    code, out, err = _run(capsys, ["graph", "--ontology", onto])
+    assert code == 0 and "aux" not in out
+    edges = [ln for ln in out.splitlines() if " : " in ln]
+    assert {ln.rsplit(" : ", 1)[1] for ln in edges} == {
+        f"r{k}" for k in range(1, 10)}
+    assert "stockPortfolio[1] -> company[1] : r1" in edges
+    assert "company[1] -> legalPerson[1] : r9" in edges
 
 
 def test_eval_subcommand(files, capsys):

@@ -11,22 +11,13 @@ from ontorewrite.parser import ParseError, RawTGD, parse_ontology
 X, Y, Z, V, W = (var(n) for n in "XYZVW")
 
 
-def test_two_existential_head_builds_chain():
+def test_two_existential_head_stays_whole():
     doc = parse_ontology("stockPortfolio(X,Y,Z) -> company(X,V,W).")
     tgds, provenance, aux = normalize_tgds(doc.tgds)
-    assert len(tgds) == 3
-    assert provenance == [0, 0, 0]
-    assert len(aux) == 2
-    # chain: body -> aux1(X,V); aux1 -> aux2(X,V,W); aux2 -> company(X,V,W)
-    assert tgds[0].body[0].pred == "stockPortfolio"
-    assert tgds[0].head.pred in aux and len(tgds[0].head.args) == 2
-    assert tgds[1].body[0] == tgds[0].head
-    assert tgds[2].head.pred == "company"
-    for t in tgds:
-        i = t.existential_position()
-        assert i is not None or t is tgds[2]
-        if i is not None:
-            assert t.head.args.count(t.head.args[i - 1]) == 1
+    assert [(t.body, t.head) for t in tgds] == [
+        (doc.tgds[0].body, doc.tgds[0].head[0])]
+    assert provenance == [0] and not aux
+    assert tgds[0].existential_positions() == (2, 3)
 
 
 def test_normal_rule_unchanged():
@@ -37,16 +28,50 @@ def test_normal_rule_unchanged():
     assert tgds[0].head == doc.tgds[0].head[0]
 
 
-def test_hand_derived_chain_for_two_existentials():
-    # s(X,Y) -> exists Z,W p(Y,Z,W): frontier {Y}; expect
-    #   s(X,Y) -> aux1(Y,Z); aux1(Y,Z) -> aux2(Y,Z,W); aux2(Y,Z,W) -> p(Y,Z,W)
-    doc = parse_ontology("s(X,Y) -> p(Y,Z,W).")
+def test_hand_derived_split_of_a_multi_atom_head():
+    # s(X,Y) -> exists Z,W p(Y,Z), q(Z,W): frontier {Y}; expect one
+    # auxiliary atom carrying the frontier and both existentials
+    #   s(X,Y) -> aux#0(Y,Z,W); aux#0(Y,Z,W) -> p(Y,Z); aux#0(Y,Z,W) -> q(Z,W)
+    doc = parse_ontology("s(X,Y) -> p(Y,Z), q(Z,W).")
+    tgds, provenance, aux = normalize_tgds(doc.tgds)
+    carrier = atom("aux#0", Y, Z, W)
+    assert aux == {"aux#0"} and provenance == [0, 0, 0]
+    assert [(t.body, t.head) for t in tgds] == [
+        (doc.tgds[0].body, carrier), ((carrier,), atom("p", Y, Z)),
+        ((carrier,), atom("q", Z, W))]
+
+
+def test_a_repeated_existential_is_split():
+    doc = parse_ontology("r(X) -> s(X,Z,Z).")
     tgds, _, aux = normalize_tgds(doc.tgds)
-    assert len(tgds) == 3 and len(aux) == 2
-    a1, a2 = sorted(aux)
-    assert tgds[0].head.args == (Y, Z)
-    assert tgds[1].body[0].args == (Y, Z) and tgds[1].head.args == (Y, Z, W)
-    assert tgds[2].head == atom("p", Y, Z, W)
+    carrier = atom("aux#0", X, Z)
+    assert aux == {"aux#0"}
+    assert [(t.body, t.head) for t in tgds] == [
+        (doc.tgds[0].body, carrier), ((carrier,), atom("s", X, Z, Z))]
+
+
+def test_financial_ontology_normalizes_to_its_source_rules():
+    from conftest import FINANCIAL
+    doc = parse_ontology(FINANCIAL)
+    tgds, provenance, aux = normalize_tgds(doc.tgds)
+    assert [(t.body, t.head) for t in tgds] == [
+        (r.body, r.head[0]) for r in doc.tgds]
+    assert len(tgds) == 9 and provenance == list(range(9)) and not aux
+
+
+def test_normalization_adds_one_rule_per_head_atom_at_most():
+    rng = random.Random(31)
+    split = 0
+    for _ in range(200):
+        rules = _random_multi_atom_rules(rng)
+        tgds, provenance, aux = normalize_tgds(rules)
+        assert len(tgds) <= sum(len(r.head) + 1 for r in rules)
+        assert len(aux) <= len(rules)
+        for t in tgds:  # every output is in normal form
+            assert all(t.head.args.count(t.head.args[i - 1]) == 1
+                       for i in t.existential_positions())
+        split += bool(aux)
+    assert split > 50
 
 
 def test_multi_head_without_existentials_splits():
@@ -91,10 +116,10 @@ def test_auxiliary_predicates_cannot_be_named_by_any_input():
         with pytest.raises(ParseError):
             parse_ontology(f"{pred}(X) -> r(X).")
     # a rule predicate spelled like an auxiliary one stays ordinary
-    doc = parse_ontology("aux_0_1(X) -> r(X,Y).  r(X,Y) -> s(V,W).")
+    doc = parse_ontology("aux_1(X) -> r(X,Y).  r(X,Y) -> s(X,V), s(V,W).")
     tgds, _, aux = normalize_tgds(doc.tgds)
-    assert aux and "aux_0_1" not in aux
-    assert tgds[0].body[0].pred == "aux_0_1"
+    assert aux == {"aux#1"}
+    assert tgds[0].body[0].pred == "aux_1"
 
 
 def test_is_linear_examples():

@@ -511,12 +511,17 @@ def test_budget_bounds_all_components_together():
     doc, tgds, ctx = pipeline(
         "p_1(X) -> p_0(X).  p_2(X) -> p_0(X).  p_3(X) -> p_0(X).")
     q = query("p(A, B) :- p_0(A), p_0(B).", doc)
-    # two components of three steps each
+    # two components of three steps each, then 4 x 4 products
     with pytest.raises(BudgetExhaustedError, match="step budget of 5$"):
         xrewrite_parallel(q, ctx, RewriteOptions(budget=5))
-    res = xrewrite_parallel(q, ctx, RewriteOptions(budget=6))
-    assert res.metrics.components == 2
-    assert res.metrics.generated == 6
+    for budget in (6, 21):
+        res = xrewrite_parallel(q, ctx, RewriteOptions(budget=budget))
+        assert res.metrics.components == 2
+        assert res.metrics.generated == 6
+        with pytest.raises(BudgetExhaustedError,
+                           match=f"16 products exceeds the {budget - 6} "):
+            res.queries
+    res = xrewrite_parallel(q, ctx, RewriteOptions(budget=22))
     assert len(res.queries) == 16
 
 

@@ -5,11 +5,13 @@ for the fact pairs that violate a functional dependency.
 Bodies are matched against instances by `model.homomorphisms`, the planned,
 hash-indexed join that query subsumption uses too.
 
-A query is answered by one join when it is Boolean, which stops at its
-first homomorphism, or when its body is one group of atoms linked by shared
-variables.  Any other body splits into such groups: each is joined once for
-its constant-only rows over the head variables it holds, a group holding
-none only has to match, and the answers are the product of the rows.  A
+A query is answered by one join when it is Boolean or its body is one
+group of atoms linked by shared variables.  The join knows the answers
+found so far and, once a binding fixes the answer tuple, drops it if the
+tuple is found, else stops at its first match (see `homomorphisms`).  Any
+other body splits into such groups: each is joined once for its
+constant-only rows over the head variables it holds, a group holding none
+only has to match, and the answers are the product of the rows.  A
 UCQ's disjuncts are often such products of a few small parts under one head
 (the decomposed rewriting unfolds into them), so `evaluate_ucq` keeps a
 memo for the duration of one call that does each disjunct's bookkeeping
@@ -111,28 +113,29 @@ def evaluate_cq(q: ConjunctiveQuery, instance) -> Set[tuple]:
     atoms linked by shared variables, is one join; a Boolean one stops at
     its first homomorphism.  Any other body is joined group by group, and
     its answers are the product of the groups' rows (see `_answers`)."""
-    return _answers(q, as_index(instance), _Memo())
+    return evaluate_ucq([q], instance)
 
 
 def evaluate_ucq(queries: Iterable[ConjunctiveQuery], instance) -> Set[tuple]:
-    """The union of the disjuncts' answers; once a Boolean disjunct has
-    answered, the remaining Boolean disjuncts are skipped.  A memo serves
-    every disjunct: each distinct atom's variables, read to group a body;
-    per head, its variables; and under the head, per group of a split body,
-    the head variables the group holds and its rows.  So every disjunct
-    holding the same group under the same head shares one join, and only
-    the first disjunct to meet an atom, a head or a group computes its part:
-    the same atoms and projection over the same instance always give the
-    same rows.  The memo lives only as long as the call, since the instance
-    may grow after it."""
+    """The union of the disjuncts' answers; a disjunct whose head holds no
+    variable is skipped once that head is an answer.  A memo serves every
+    disjunct: each distinct atom's variables, read to group a body; per
+    head, its variables; and under the head, per group of a split body, the
+    head variables the group holds and its rows.  So every disjunct holding
+    the same group under the same head shares one join, and only the first
+    disjunct to meet an atom, a head or a group computes its part: the same
+    atoms and projection over the same instance always give the same rows.
+    The memo lives for one call, as the instance may grow after it."""
     instance = as_index(instance)
     memo = _Memo()
     out: Set[tuple] = set()
+    joined = False  # whether out may hold tuples with nulls or variables
     for q in queries:
-        if not q.head_args and () in out:
+        head = q.head_args
+        if head in out and (not head or all(t.kind != VAR for t in head)):
             continue
-        out |= _answers(q, instance, memo)
-    return out
+        joined |= _answers(q, instance, memo, out)
+    return _constant(out) if joined else out
 
 
 class _AtomVariables(dict):
@@ -156,19 +159,21 @@ class _Memo:
         self.heads: Dict[tuple, Tuple[list, dict]] = {}
 
 
-def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: _Memo) -> Set[tuple]:
-    """q's answers over the index, by one join or group by group (see the
-    module docstring), each group's projection and rows taken from the memo
-    or computed into it.  An empty group leaves no answers; else the answers
-    are the product of the rows in head order, the head's constants passed
-    through.  A head variable in no atom leaves no answers, as it does in
-    one join."""
+def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: _Memo,
+             out: Set[tuple]) -> bool:
+    """Add q's answers over the index to out, and say whether out may now
+    hold tuples that are not constant-only: by one join that knows out's
+    tuples and adds every tuple it finds, or group by group (see the module
+    docstring), each group's projection and rows taken from the memo or
+    computed into it.  An empty group adds no answers; else the answers are
+    the product of the rows in head order, the head constants kept."""
     head = q.head_args
     variables = memo.variables
     groups = (connected_components(q.body, links=variables.__getitem__)
               if head else ())
     if len(groups) < 2:
-        return _rows(q.body, head, index)
+        _rows(q.body, head, index, out)
+        return bool(head)  # a Boolean join adds only ()
     under_head = memo.heads.get(head)
     if under_head is None:
         under_head = memo.heads[head] = (
@@ -181,35 +186,34 @@ def _answers(q: ConjunctiveQuery, index: AtomIndex, memo: _Memo) -> Set[tuple]:
         if part is None:
             held = {t for a in group for t in variables[a]}
             projection = tuple([v for v in head_vars if v in held])
-            part = by_group[group] = (projection,
-                                      _rows(group, projection, index))
+            part = by_group[group] = (
+                projection, _constant(_rows(group, projection, index, set())))
         projection, rows = part
         if not rows:
-            return set()
+            return False
         if projection:
             names.extend(projection)
             parts.append(rows)
     if len(names) < len(head_vars):
-        return set()
-    answers = set()
+        return False
     for combo in product(*parts):
         h = dict(zip(names, chain.from_iterable(combo)))
-        answers.add(tuple([h.get(t, t) for t in head]))
-    return answers
+        out.add(tuple([h.get(t, t) for t in head]))
+    return False
 
 
-def _rows(body, terms: tuple, index: AtomIndex) -> Set[tuple]:
-    """The constant-only images of terms under the body's homomorphisms into
-    the index; with no terms, {()} at the first homomorphism, else empty."""
-    joins = homomorphisms(body, index, {})
-    if not terms:
-        return {()} if next(joins, None) is not None else set()
-    rows = set()
-    for h in joins:
-        row = tuple([h.get(t, t) for t in terms])
-        if all(term.kind == CONST for term in row):
-            rows.add(row)
-    return rows
+def _rows(body, terms: tuple, index: AtomIndex, known: set) -> Set[tuple]:
+    """known plus the images of terms under the body's homomorphisms."""
+    for _ in homomorphisms(body, index, {}, answer=terms, known=known):
+        pass
+    return known
+
+
+def _constant(rows: Set[tuple]) -> Set[tuple]:
+    """The rows holding only constants."""
+    if all(t.kind == CONST for t in set(chain.from_iterable(rows))):
+        return rows
+    return {row for row in rows if all(t.kind == CONST for t in row)}
 
 
 def certain_answers(q: ConjunctiveQuery, db: Iterable[Atom], rules: Iterable,

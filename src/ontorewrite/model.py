@@ -422,7 +422,8 @@ def _plan(atoms: list, bound, index: AtomIndex) -> Optional[list]:
 
 
 def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
-                  anchor: Optional[Tuple[int, Atom]] = None):
+                  anchor: Optional[Tuple[int, Atom]] = None,
+                  answer: Optional[tuple] = None, known: Optional[set] = None):
     """All extensions of `binding` mapping the body into the index, constants
     fixed; when an anchor (atom position, target atom) is given, that body
     atom maps onto the target.
@@ -430,7 +431,10 @@ def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
     The join order is planned once (see _plan).  A step whose atom has bound
     positions fetches only the atoms holding the bound values there from the
     index; a step with none scans the predicate's atoms.  Every candidate is
-    still checked by _match."""
+    still checked by _match.  Given answer terms and a set `known`, the
+    first step binding every answer variable fixes the image of the terms,
+    which every continuation re-derives: a known image drops the binding,
+    any other is added to `known` with the first full extension yielded."""
     atoms = list(body)
     if anchor is not None:
         idx, target = anchor
@@ -443,6 +447,12 @@ def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
     if steps is None:
         return
     last = len(steps)
+    fix = -1 if answer is None else 0  # how many steps fix the answer
+    if answer:
+        unbound = {t for t in answer if t.kind == VAR} - binding.keys()
+        while unbound and fix < last:
+            unbound.difference_update(steps[fix][0].args)
+            fix += 1
     by_pred = index.by_pred
 
     def rec(i, bound):
@@ -457,9 +467,25 @@ def homomorphisms(body: Iterable[Atom], index: AtomIndex, binding: dict,
             candidates = by_pred[a.pred]
         for target in candidates:
             nb = _match(bound, a, target)
-            if nb is not None:
+            if nb is None:
+                continue
+            if i + 1 != fix:
                 yield from rec(i + 1, nb)
+                continue
+            row = tuple([nb.get(t, t) for t in answer])
+            if row not in known:
+                nb = nb if fix == last else next(rec(fix, nb), None)
+                if nb is not None:
+                    known.add(row)
+                    yield nb
 
+    if fix == 0:
+        row = tuple([binding.get(t, t) for t in answer])
+        h = None if row in known else next(rec(0, binding), None)
+        if h is not None:
+            known.add(row)
+            yield h
+        return
     yield from rec(0, binding)
 
 

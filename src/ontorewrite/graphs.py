@@ -4,7 +4,7 @@ Positions are (predicate, index) pairs with 1-based indices.  All structures
 here are built once per rule set and then shared read-only.  The
 propagation graph is the list of its E labeled edges, at most one per body
 and head occurrence of a variable in a rule.  Affected positions take O(E)
-per existential head position, each edge visited once.  The cover
+per existential variable of a rule head, each edge visited once.  The cover
 graph holds what `eliminate.covers` searches through: the tightness
 relation, found among the rules whose body predicate is a head's, each
 rule's moves along the propagation graph, and the rules by body
@@ -77,25 +77,27 @@ def build_cover_graph(tgds: List[TGD]) -> CoverGraph:
     return CoverGraph(tight, moves, by_body_pred)
 
 
-def affected_positions(tgds: List[TGD]) -> Dict[Position, FrozenSet[Position]]:
-    """For each existential head position (a seed), the least fixpoint of:
-    the seed is affected; a head position of any rule is affected if its
-    variable occurs in that rule's body only at affected positions.  Read
-    off the propagation graph: each (rule, head position) needs the sources
-    of its edges, and one worklist per seed visits each edge once (Dowling
-    and Gallier, 1984)."""
+def affected_positions(tgds: List[TGD]) -> Dict[tuple, FrozenSet[Position]]:
+    """For each existential variable of a rule head, keyed by its head
+    positions (a seed), the least fixpoint of: the seed is affected; a head
+    position of any rule is affected if its variable occurs in that rule's
+    body only at affected positions.  Read off the propagation graph: each
+    (rule, head position) needs the sources of its edges, and one worklist
+    per seed visits each edge once (Dowling and Gallier, 1984)."""
     needs: Dict[Tuple[int, Position], int] = {}  # edges into each entry
     waiting: Dict[Position, List[Tuple[int, Position]]] = {}
     for src, dst, k in build_propagation_graph(tgds):  # edges are distinct
         needs[k, dst] = needs.get((k, dst), 0) + 1
         waiting.setdefault(src, []).append((k, dst))
-    by_seed: Dict[Position, FrozenSet[Position]] = {}
+    by_seed: Dict[tuple, FrozenSet[Position]] = {}
     for t in tgds:
-        for epos in t.existential_positions():
-            seed = (t.head.pred, epos)
+        args = t.head.args
+        for z in dict.fromkeys(args[i - 1] for i in t.existential_positions()):
+            seed = tuple((t.head.pred, i)
+                         for i, term in enumerate(args, start=1) if term == z)
             if seed in by_seed:
                 continue
-            affected, frontier, met = {seed}, [seed], {}
+            affected, frontier, met = set(seed), list(seed), {}
             while frontier:
                 for entry in waiting.get(frontier.pop(), ()):
                     met[entry] = met.get(entry, 0) + 1

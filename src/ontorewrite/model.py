@@ -168,8 +168,7 @@ def connected_components(atoms: Iterable[Atom], linked=None,
 
 class TGD(NamedTuple):
     """A tuple-generating dependency in normal form: a conjunctive body and a
-    single head atom in which each existential variable occurs once.
-    """
+    single head atom, which may repeat an existential variable."""
 
     body: tuple
     head: Atom

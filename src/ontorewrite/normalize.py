@@ -1,13 +1,13 @@
 """Normal-form transformation for rules and syntactic classification.
 
-A rule set is in normal form when every rule has a single head atom in
-which each existential variable occurs once.  Such a rule is kept whole:
-the rewriter resolves its pieces over all its existentials at once.  Any
-other rule with existentials derives one auxiliary atom that carries the
-frontier variables and the existentials, and that atom fans out to the
-original head atoms; a rule without existentials fans out from its own
-body.  The transformation preserves linearity and stickiness and adds at
-most one rule per head atom plus one.
+A rule set is in normal form when every rule has a single head atom.  A
+head splits into its parts, the atoms linked by shared existential
+variables.  A one-atom part, such as a single-atom head with any
+existentials, becomes a rule with the source body: the rewriter resolves
+its pieces over all its existentials at once.  A part of two or more atoms
+derives one auxiliary atom that carries the part's frontier variables and
+existentials, and fans out to the part's atoms.  The transformation
+preserves linearity and stickiness and adds at most one rule per part.
 
 Classification decides linearity, multi-linearity and stickiness on raw or
 normalized rules.  `smark` returns each rule's marked body variables as a
@@ -18,15 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set, Tuple
 
-from .model import Atom, TGD
+from .model import VAR, Atom, TGD, connected_components
 from .parser import RawTGD
-
-
-def _is_normal(rule: RawTGD) -> bool:
-    if len(rule.head) != 1:
-        return False
-    args = rule.head[0].args
-    return all(args.count(z) == 1 for z in rule.existential_vars())
 
 
 def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[str]]:
@@ -34,31 +27,32 @@ def normalize_tgds(rules: Iterable[RawTGD]) -> Tuple[List[TGD], List[int], Set[s
 
     Returns (normalized rules, provenance, auxiliary predicates) where
     provenance[i] is the index of the raw rule the i-th output came from.
-    Rule k's auxiliary predicate is named `aux#<k>`: the tokenizer rejects
-    `#`, so no rule, query, constraint or fact can name one.
+    The auxiliary predicate of part p of rule k, both numbered from 0, is
+    named `aux#<k>_<p>`: the tokenizer rejects `#`, so no rule, query,
+    constraint or fact can name one.
     """
     out: List[TGD] = []
     provenance: List[int] = []
     aux_preds: Set[str] = set()
     for idx, rule in enumerate(rules):
-        if _is_normal(rule):
-            out.append(TGD(rule.body, rule.head[0]))
-            provenance.append(idx)
-            continue
-        body = rule.body
-        existentials = rule.existential_vars()
-        if existentials:
-            head_vars = set().union(*(a.variables() for a in rule.head))
-            body_terms = dict.fromkeys(t for a in body for t in a.args)
-            frontier = [t for t in body_terms if t in head_vars]
-            aux = Atom(f"aux#{idx}", tuple(frontier + existentials))
-            aux_preds.add(aux.pred)
-            out.append(TGD(body, aux))
-            provenance.append(idx)
-            body = (aux,)
-        for head_atom in rule.head:
-            out.append(TGD(body, head_atom))
-            provenance.append(idx)
+        parts = [rule.head] if len(rule.head) == 1 else connected_components(
+            rule.head, set(rule.existential_vars()).__contains__)
+        for p, part in enumerate(parts):
+            body = rule.body
+            if len(part) > 1:
+                body_terms = dict.fromkeys(t for a in body for t in a.args)
+                part_vars = dict.fromkeys(t for a in part for t in a.args
+                                          if t.kind == VAR)
+                aux = Atom(f"aux#{idx}_{p}", tuple(
+                    [t for t in body_terms if t in part_vars]
+                    + [z for z in part_vars if z not in body_terms]))
+                aux_preds.add(aux.pred)
+                out.append(TGD(body, aux))
+                provenance.append(idx)
+                body = (aux,)
+            for head_atom in part:
+                out.append(TGD(body, head_atom))
+                provenance.append(idx)
     return out, provenance, aux_preds
 
 

@@ -79,7 +79,8 @@ def _component_pred_base(q: ConjunctiveQuery, ctx: RewriterContext) -> str:
 def decompose(q: ConjunctiveQuery, ctx: RewriterContext) -> Decomposition:
     """The unique optimal existential-join decomposition: body atoms are
     grouped when they share a variable whose body occurrences all sit at
-    positions affected w.r.t. one and the same existential head position."""
+    positions affected w.r.t. one and the same existential variable of a
+    rule head (a seed of `graphs.affected_positions`)."""
     affected = ctx.affected()
 
     var_positions: Dict[Term, Set] = {}

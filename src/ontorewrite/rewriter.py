@@ -185,19 +185,26 @@ class RewriterContext:
 
 
 def applicable(tgd: TGD, S: Tuple[Atom, ...], q: ConjunctiveQuery) -> bool:
-    """The rule can resolve against S: S plus the rule head unifies, and no
-    atom of S carries a constant or a shared variable of q at an existential
-    position of the rule."""
+    """The rule can resolve against S: S plus the rule head unifies, and at
+    the rule's existential positions S holds only variables private to it,
+    each under one existential (`_private`)."""
     head = tgd.head
     if not S or any(a.pred != head.pred or len(a.args) != len(head.args)
                     for a in S):
         return False
-    shared = q.shared_variables()
-    if any(a.args[i - 1].kind != VAR or a.args[i - 1] in shared
-           for a in S for i in tgd.existential_positions()):
-        return False
     renamed = tgd.rename(apart_index(q.variables(), "^"))
-    return mgu(tuple(S) + (renamed.head,)) is not None
+    return (_private(S, head, tgd.existential_positions(), q.occurrences())
+            and mgu(tuple(S) + (renamed.head,)) is not None)
+
+
+def _private(S: Tuple[Atom, ...], head: Atom, epos: Tuple[int, ...],
+             occ: dict) -> bool:
+    """Whether each term S holds at the existential positions `epos` of
+    `head` is a variable that S holds under one existential only and that
+    occurs nowhere else in q: `occ`, `q.occurrences()`, counts it as often
+    as S holds it there."""
+    held = Counter((a.args[i - 1], head.args[i - 1]) for a in S for i in epos)
+    return all(v.kind == VAR and n == occ[v] for (v, _), n in held.items())
 
 
 def _pieces(q: ConjunctiveQuery, tgd: TGD, epos: Tuple[int, ...],
@@ -207,41 +214,36 @@ def _pieces(q: ConjunctiveQuery, tgd: TGD, epos: Tuple[int, ...],
     existential each atom matching the rule head is a piece alone.  With
     some, the matching atoms are linked through the terms they hold at the
     existential positions `epos`, and a group of linked atoms is a piece
-    when each such term is a variable that the group holds at one index
-    only and that occurs nowhere else: not in the head of q, not in another
-    atom.  Unifying the group with the rule head then gives each
-    existential a class of its own, of variables of the group only.  `occ`
-    is `q.occurrences()`.
+    when it is `_private`.  Unifying the group with the rule head then
+    gives each existential a class of its own, of variables of the group
+    only, whichever positions of the existential they sit at.  `occ` is
+    `q.occurrences()`.
 
-    The step is sound.  The old normal form split a rule with frontier F
-    and k existentials Z1, ..., Zk into the chain body -> aux_1(F, Z1),
-    aux_1(F, Z1) -> aux_2(F, Z1, Z2), ..., aux_k(F, Z1, ..., Zk) -> head.
-    A step over a piece is that chain's steps composed: each atom of the
-    piece resolved against the chain's last rule, then, for j from k down
-    to 1, the aux_j atoms that hold one variable at Zj's position resolved
-    together against the j-th rule, which merges them.  The conditions
-    above make each of those a piece of its step, so the step admits no
-    query that the chain could not reach."""
+    The step is sound.  A rule with frontier F and existentials Z1, ...,
+    Zk equals the chain body -> aux_1(F, Z1), aux_1(F, Z1) -> aux_2(F, Z1,
+    Z2), ..., aux_k(F, Z1, ..., Zk) -> head, whose last rule has no
+    existential.  A step over a piece is that chain's steps composed: each
+    atom of the piece resolved against the last rule, which binds the
+    variables the atom holds under Zj to one, then, for j from k down to 1,
+    the aux_j atoms that hold one variable at Zj's index resolved together
+    against the j-th rule, which merges them.  The conditions above make
+    each of those a piece of its step, so the step admits no query that the
+    chain could not reach."""
     head = tgd.head
     matching = [a for a in q.body
                 if a.pred == head.pred and len(a.args) == len(head.args)]
     if not epos:
         return [(a,) for a in matching]
-    pieces = []
-    for S in connected_components(
-            matching, links=lambda a: [a.args[i - 1] for i in epos]):
-        held = Counter((a.args[i - 1], i) for a in S for i in epos)
-        # S holds v n times at index i; any more occurrences lie elsewhere
-        if all(v.kind == VAR and n == occ[v] for (v, _), n in held.items()):
-            pieces.append(S)
-    return pieces
+    return [S for S in connected_components(
+                matching, links=lambda a: [a.args[i - 1] for i in epos])
+            if _private(S, head, epos, occ)]
 
 
 # Read only by perfbench/tracing.py and the paper-example tests (ROADMAP item 1).
 def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
-    """S unifies, and at one of the rule's existential positions some
-    variable outside the rest of the body occurs in every atom of S, and
-    there only."""
+    """S unifies, and under one of the rule's existentials some variable
+    outside the rest of the body occurs in every atom of S, and there only
+    at that existential's positions."""
     if len(S) < 2:
         return False
     if any(a.pred != tgd.head.pred or len(a.args) != len(tgd.head.args) for a in S):
@@ -250,7 +252,8 @@ def factorizable(S: Tuple[Atom, ...], tgd: TGD, q: ConjunctiveQuery) -> bool:
     for epos in tgd.existential_positions():
         v = S[0].args[epos - 1]
         if v.kind == VAR and v not in rest and all(
-                a.args[epos - 1] == v and a.args.count(v) == 1 for a in S):
+                {h for h, t in zip(tgd.head.args, a.args) if t == v}
+                == {tgd.head.args[epos - 1]} for a in S):
             return mgu(S) is not None
     return False
 

@@ -82,8 +82,8 @@ def test_criterion_01_example_suite_golden():
     doc4 = parse_ontology("p(X,Y), s(Y,Z) -> t(Y,X,W).  t(X,Y,Z) -> p(W,Z).")
     tgds4, _, _ = normalize_tgds(doc4.tgds)
     aff = affected_positions(tgds4)
-    assert aff[("t", 3)] == {("t", 3), ("p", 2)}
-    assert aff[("p", 1)] == {("p", 1), ("t", 2)}
+    assert aff[("t", 3),] == {("t", 3), ("p", 2)}
+    assert aff[("p", 1),] == {("p", 1), ("t", 2)}
 
     # Cover-set example values
     doc5 = parse_ontology(ELIM_EXAMPLE)

@@ -743,6 +743,37 @@ def test_graph_numbers_the_financial_rules_as_written(files, capsys):
     assert "company[1] -> legalPerson[1] : r9" in edges
 
 
+# A head that repeats its existential, and a two-atom head whose atoms share
+# only the frontier: both keep their atoms whole, with no auxiliary predicate.
+SPLIT_WHOLE = ("r(X) -> s(X, Y, Y).\n"
+               "p(X) -> u(X, Y), t(X, Z).\n"
+               "u(X, Y) -> r(Y).\n")
+
+
+def test_heads_without_a_shared_existential_stay_whole(files, capsys):
+    onto = files("o.dlog", SPLIT_WHOLE)
+    code, out, err = _run(capsys, ["graph", "--ontology", onto])
+    assert (code, err) == (0, "") and "aux#" not in out
+    edges = [ln for ln in out.splitlines() if " : " in ln]
+    assert {ln.rsplit(" : ", 1)[1] for ln in edges} == {"r1", "r2", "r3", "r4"}
+    qf = files("q.dlog", "q(X) :- s(X, Y, Y), t(Z, W).\n")
+    code, out, err = _run(capsys, ["rewrite", "--ontology", onto, "--query",
+                                   qf, "--stats"])
+    assert code == 0
+    rows = _stats_rows(out)
+    # one step per derived component disjunct, none through an auxiliary atom
+    assert (rows["size"], rows["generated"]) == ("6", "3")
+    db = files("d.dlog", "r(a). p(b). u(c, d). s(e, f, f). s(g, h, i). "
+                         "t(j, k).\n")
+    code, answers, err = _run(capsys, ["rewrite", "--ontology", onto,
+                                       "--query", qf, "--database", db])
+    assert (code, err) == (0, "")
+    code, oracle, err = _run(capsys, ["eval", "--ontology", onto, "--query",
+                                      qf, "--database", db])
+    assert code == 0 and oracle == answers + "% saturated=true\n"
+    assert answers == "(a)\n(d)\n(e)\n"
+
+
 def test_eval_subcommand(files, capsys):
     onto = files("o.dlog", COLLAB + "project(a). inArea(a, db).\n")
     qf = files("q.dlog", "p(B) :- hasCollaborator(A, db, B).\n")

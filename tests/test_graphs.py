@@ -50,11 +50,15 @@ def is_compatible(seq, target):
 
 def _reference_affected_positions(tgds):
     """The fixpoint that `affected_positions` is checked against: per
-    existential head position, rescan every rule until nothing changes."""
+    existential variable of a rule head, seeded with all its head positions,
+    rescan every rule until nothing changes."""
     out = {}
     for t in tgds:
         for epos in t.existential_positions():
-            affected = {(t.head.pred, epos)}
+            z = t.head.args[epos - 1]
+            seed = tuple((t.head.pred, i) for i, term
+                         in enumerate(t.head.args, start=1) if term == z)
+            affected = set(seed)
             changed = True
             while changed:
                 changed = False
@@ -74,7 +78,7 @@ def _reference_affected_positions(tgds):
                         if body_positions[term] <= affected:
                             affected.add(pos)
                             changed = True
-            out[t.head.pred, epos] = frozenset(affected)
+            out[seed] = frozenset(affected)
     return out
 
 
@@ -280,9 +284,14 @@ def test_affected_positions_example():
     doc = parse_ontology("p(X,Y), s(Y,Z) -> t(Y,X,W).  t(X,Y,Z) -> p(W,Z).")
     tgds, _, _ = normalize_tgds(doc.tgds)
     aff = affected_positions(tgds)
-    assert aff == {("t", 3): {("t", 3), ("p", 2)},
-                   ("p", 1): {("p", 1), ("t", 2)}}
-    assert ("t", 1) not in aff["t", 3]  # Y also occurs at the unaffected s[1]
+    assert aff == {(("t", 3),): {("t", 3), ("p", 2)},
+                   (("p", 1),): {("p", 1), ("t", 2)}}
+    assert ("t", 1) not in aff[("t", 3),]  # Y also occurs at the unaffected s[1]
+    # a repeated existential seeds all its positions at once, so X, which
+    # occurs at both, carries its null on to u[1]
+    doc = parse_ontology("p3(Z,Z) -> p2(W,W).  p2(X,X) -> u(X).")
+    aff = affected_positions(normalize_tgds(doc.tgds)[0])
+    assert aff == {(("p2", 1), ("p2", 2)): {("p2", 1), ("p2", 2), ("u", 1)}}
 
 
 def test_affected_positions_no_existential_contributes_nothing():
@@ -301,13 +310,16 @@ def test_affected_positions_is_a_fixpoint():
 
 def test_affected_positions_match_the_reference_fixpoint(financial):
     rule_sets = [financial[1], _dl_lite_tgds()]
-    for seed in range(300):
+    for seed in range(450):
         rng = random.Random(seed)
         for draw in (random_linear_rules, random_sticky_rules):
             rule_sets.append(normalize_tgds(draw(rng, max_rules=8))[0])
-    grown = 0
+    grown = repeated = 0
     for tgds in rule_sets:
         aff = affected_positions(tgds)
         assert aff == _reference_affected_positions(tgds)
-        grown += any(len(positions) > 1 for positions in aff.values())
-    assert grown >= 300  # 338 of the 600 random sets affect more than a seed
+        grown += any(len(positions) > len(seed)
+                     for seed, positions in aff.items())
+        repeated += any(len(seed) > 1 for seed in aff)
+    assert grown >= 300  # 337 of the 900 random sets affect more than a seed
+    assert repeated >= 300  # 406 seed a repeated existential

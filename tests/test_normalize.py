@@ -31,23 +31,42 @@ def test_normal_rule_unchanged():
 def test_hand_derived_split_of_a_multi_atom_head():
     # s(X,Y) -> exists Z,W p(Y,Z), q(Z,W): frontier {Y}; expect one
     # auxiliary atom carrying the frontier and both existentials
-    #   s(X,Y) -> aux#0(Y,Z,W); aux#0(Y,Z,W) -> p(Y,Z); aux#0(Y,Z,W) -> q(Z,W)
+    #   s(X,Y) -> aux#0_0(Y,Z,W); aux#0_0(Y,Z,W) -> p(Y,Z);
+    #   aux#0_0(Y,Z,W) -> q(Z,W)
     doc = parse_ontology("s(X,Y) -> p(Y,Z), q(Z,W).")
     tgds, provenance, aux = normalize_tgds(doc.tgds)
-    carrier = atom("aux#0", Y, Z, W)
-    assert aux == {"aux#0"} and provenance == [0, 0, 0]
+    carrier = atom("aux#0_0", Y, Z, W)
+    assert aux == {"aux#0_0"} and provenance == [0, 0, 0]
     assert [(t.body, t.head) for t in tgds] == [
         (doc.tgds[0].body, carrier), ((carrier,), atom("p", Y, Z)),
         ((carrier,), atom("q", Z, W))]
 
 
-def test_a_repeated_existential_is_split():
+def test_a_repeated_existential_stays_whole():
     doc = parse_ontology("r(X) -> s(X,Z,Z).")
-    tgds, _, aux = normalize_tgds(doc.tgds)
-    carrier = atom("aux#0", X, Z)
-    assert aux == {"aux#0"}
+    tgds, provenance, aux = normalize_tgds(doc.tgds)
+    assert not aux and provenance == [0]
     assert [(t.body, t.head) for t in tgds] == [
-        (doc.tgds[0].body, carrier), ((carrier,), atom("s", X, Z, Z))]
+        (doc.tgds[0].body, atom("s", X, Z, Z))]
+    assert tgds[0].existential_positions() == (2, 3)
+
+
+def test_head_atoms_split_where_no_existential_joins_them():
+    # u and t share only the frontier X: two rules with the source body
+    doc = parse_ontology("p(X) -> u(X,Y), t(X,Z).")
+    tgds, provenance, aux = normalize_tgds(doc.tgds)
+    assert not aux and provenance == [0, 0]
+    assert [(t.body, t.head) for t in tgds] == [
+        (doc.tgds[0].body, atom("u", X, Y)), (doc.tgds[0].body, atom("t", X, Z))]
+    # s and t share Y: one part with one auxiliary atom; u and v stay whole
+    doc = parse_ontology("r(X) -> u(X,W), s(X,Y), v(X), t(Y,Z).")
+    tgds, provenance, aux = normalize_tgds(doc.tgds)
+    body, carrier = doc.tgds[0].body, atom("aux#0_1", X, Y, Z)
+    assert aux == {"aux#0_1"} and provenance == [0] * 5
+    assert [(t.body, t.head) for t in tgds] == [
+        (body, atom("u", X, W)), (body, carrier),
+        ((carrier,), atom("s", X, Y)), ((carrier,), atom("t", Y, Z)),
+        (body, atom("v", X))]
 
 
 def test_financial_ontology_normalizes_to_its_source_rules():
@@ -59,19 +78,33 @@ def test_financial_ontology_normalizes_to_its_source_rules():
     assert len(tgds) == 9 and provenance == list(range(9)) and not aux
 
 
-def test_normalization_adds_one_rule_per_head_atom_at_most():
+def test_normalization_adds_one_rule_per_part_at_most():
     rng = random.Random(31)
-    split = 0
+    split = whole = 0
     for _ in range(200):
         rules = _random_multi_atom_rules(rng)
         tgds, provenance, aux = normalize_tgds(rules)
-        assert len(tgds) <= sum(len(r.head) + 1 for r in rules)
-        assert len(aux) <= len(rules)
-        for t in tgds:  # every output is in normal form
-            assert all(t.head.args.count(t.head.args[i - 1]) == 1
-                       for i in t.existential_positions())
+        assert len(tgds) <= sum(len(r.head) + len(r.head) // 2 for r in rules)
+        for k, rule in enumerate(rules):
+            out = [t for t, p in zip(tgds, provenance) if p == k]
+            assert sorted(t.head for t in out if t.head.pred not in aux) \
+                == sorted(rule.head)
+            carriers = [t.head for t in out if t.head.pred in aux]
+            for t in out:
+                if t.body != rule.body:  # fanned out from the one carrier
+                    assert t.body[0] in carriers and len(t.body) == 1
+                elif t.head.pred not in aux:  # a part of one atom
+                    zs = set(rule.existential_vars()) & t.head.variables()
+                    others = list(rule.head)
+                    others.remove(t.head)
+                    assert all(zs.isdisjoint(h.variables()) for h in others)
+            for c in carriers:  # each carrier fans out to two atoms or more
+                assert len(set(c.args)) == len(c.args)
+                assert sum(t.body == (c,) for t in out) >= 2
+            whole += len(rule.head) == 1 and any(
+                rule.head[0].args.count(z) > 1 for z in rule.existential_vars())
         split += bool(aux)
-    assert split > 50
+    assert split > 50 and whole > 40, (split, whole)
 
 
 def test_multi_head_without_existentials_splits():
@@ -118,7 +151,7 @@ def test_auxiliary_predicates_cannot_be_named_by_any_input():
     # a rule predicate spelled like an auxiliary one stays ordinary
     doc = parse_ontology("aux_1(X) -> r(X,Y).  r(X,Y) -> s(X,V), s(V,W).")
     tgds, _, aux = normalize_tgds(doc.tgds)
-    assert aux == {"aux#1"}
+    assert aux == {"aux#1_0"}
     assert tgds[0].body[0].pred == "aux_1"
 
 

@@ -44,6 +44,23 @@ def test_decompose_affected_join_single_component():
     assert len(dec.component_queries) == 1
 
 
+def test_decompose_keeps_a_variable_at_every_position_of_one_existential():
+    # B sits at both positions of the repeated W, which the affected
+    # positions seed at once: one component, which resolves as one piece
+    from ontorewrite.chase import certain_answers, evaluate_ucq
+    doc, tgds, ctx = pipeline("p3(Z, Z) -> p2(W, W).  p3(a, a).")
+    q = query("q() :- p2(D, B), p2(B, C).", doc)
+    assert len(decompose(q, ctx).component_queries) == 1
+    options = RewriteOptions(elimination=False)
+    seq = xrewrite(q, ctx, options).queries
+    assert canonical_rename(query("q() :- p3(Z, Z).", doc)) in canon_set(seq)
+    answers, saturated = certain_answers(q, doc.facts, doc.tgds, 10)
+    assert saturated and answers == {()}
+    for queries in (seq, xrewrite_parallel(q, ctx, options).queries):
+        assert evaluate_ucq(queries, doc.facts) == answers
+        assert canon_set(queries) == canon_set(seq)
+
+
 def test_decompose_optimal_no_component_splits():
     doc, tgds, ctx, q = pipeline_financial()
     dec = decompose(q, ctx)

@@ -89,6 +89,12 @@ def test_factorizable_verdicts():
     assert factorizable((q1.body[0], q1.body[1]), sigma, q1)
     assert not factorizable((q2.body[1], q2.body[2]), sigma, q2)
     assert not factorizable((q3.body[0], q3.body[1]), sigma, q3)
+    # a repeated existential: C may fill both of W's positions, not X's
+    doc, tgds, ctx = pipeline("r(X) -> t(X,W,W).")
+    q4 = make_query("p", [], [atom("t", A, C, C), atom("t", B, C, C)])
+    q5 = make_query("p", [], [atom("t", C, C, C), atom("t", B, C, C)])
+    assert factorizable(q4.body, tgds[0], q4)
+    assert not factorizable(q5.body, tgds[0], q5)
 
 
 def _is_piece(S, q, tgd, head):
@@ -225,7 +231,7 @@ def test_bind_head_equals_the_general_step_random():
                           random_sticky_rules, rules_context)
     rng = random.Random(2703)
     checked = renamed = 0
-    for i in range(900):
+    for i in range(1200):
         rules = (random_linear_rules(rng) if i % 2 == 0
                  else random_sticky_rules(rng, max_rules=4))
         ctx = rules_context(rules)
@@ -369,6 +375,29 @@ def test_financial_rewriting_admits_no_auxiliary_query():
     assert not any(at.pred.startswith("aux#") for e in res.state.entries
                    for at in e.query.body)
     assert [e.query for e in res.state.entries] == res.queries
+
+
+def test_random_single_atom_heads_admit_no_auxiliary_query():
+    # every rule of the random linear and sticky suites has one head atom,
+    # repeated existentials included: none is split, so the loop admits
+    # only queries of the output
+    from conftest import (QUERY_POOL, random_linear_rules, random_query,
+                          random_sticky_rules, rules_context)
+    rng = random.Random(5)
+    repeated = 0
+    for i in range(400):
+        rules = (random_linear_rules(rng) if i % 2 == 0
+                 else random_sticky_rules(rng))
+        ctx = rules_context(rules)
+        q = random_query(rng, pool=QUERY_POOL)
+        res = xrewrite(q, ctx, RewriteOptions(elimination=False, budget=5000))
+        assert not ctx.aux_preds, rules
+        assert not any(at.pred.startswith("aux#") for e in res.state.entries
+                       for at in e.query.body), (rules, q)
+        assert [e.query for e in res.state.entries] == res.queries
+        repeated += any(r.head[0].args.count(z) > 1 for r in rules
+                        for z in r.existential_vars())
+    assert repeated > 100, repeated
 
 
 def test_pieces_over_two_existentials():
